@@ -1,0 +1,66 @@
+(* Golden content hashes of the pipeline's outputs.  For every registry
+   workload at 4 ranks, plus CG@16 and StirTurb@64, the digests of the
+   per-rank online Sequitur grammars, the generated proxy.c and the
+   static-check JSON are pinned.  Any change to the grammar builder, the
+   merge, the search or codegen that alters a single output byte fails
+   here; a deliberate output change must update the table. *)
+
+module Pipeline = Siesta.Pipeline
+module Recorder = Siesta_trace.Recorder
+module Grammar = Siesta_grammar.Grammar
+module Codegen_c = Siesta_synth.Codegen_c
+module Comm_check = Siesta_analysis.Comm_check
+
+let hex s = Digest.to_hex (Digest.string s)
+
+(* "grammars proxy check" digests of one synthesis. *)
+let digests ~workload ~nranks =
+  let spec = Pipeline.spec ~workload ~nranks () in
+  let art = Pipeline.synthesize (Pipeline.trace spec) in
+  let grammars =
+    Recorder.online_grammars art.Pipeline.traced.Pipeline.recorder
+    |> Array.to_list
+    |> List.map (Format.asprintf "%a" Grammar.pp)
+    |> String.concat "\n--\n"
+  in
+  let proxy = Codegen_c.generate art.Pipeline.proxy in
+  let check = Comm_check.to_json (Comm_check.check ~impl:spec.Pipeline.impl art.Pipeline.merged) in
+  String.concat " " [ hex grammars; hex proxy; hex check ]
+
+let golden =
+  [
+    ("BT", 4,
+      "a1cff5d62fd9646a9a0065105eca8d9a 322e39e74a57c53f7b6ce46c8774d891 b11aef7468f98b84d5a7ae1284b162ca");
+    ("BT-IO", 4,
+      "5cefdec37a44be9fde4b7deea911b303 2c6c96bc1c73915f1bb1fb854e458f85 b11aef7468f98b84d5a7ae1284b162ca");
+    ("CG", 4,
+      "cbb78beb8dae86f4f8f03e9db9c4831a f8bb0f4fbc162b7adc8dd3a31260e04f b6aaa1504dfbb89f6e72c1fdde94db07");
+    ("IS", 4,
+      "1480e78f37c4e2130bf9759357517177 e04fb46bae041044b0c2f2a82fcde806 f03544a57ff4f7591c8d636b9a5f6803");
+    ("MG", 4,
+      "d99d90a1cc6ed383d2aeb00f2833c0bd 090277ce83991eda075ea77199224a89 0f4d662f35d44e05740823b6692ba276");
+    ("SP", 4,
+      "ab01fa6a64f579d4c8c3d822b71d2218 77a3bd1049c2dad4cdd082dff563fc62 11dd788cabba77575c25aa0795420161");
+    ("Sweep3d", 4,
+      "4cd633a5c17066f9772048ddb95a4999 dc1d2ab51c76625bb1dfc3b23b785c57 15bb6d6f0db79bd9253dee3eaa7f0ab1");
+    ("StirTurb", 4,
+      "ab8ba384fa4e730182a9f97fb3a66535 422cf9161fc12dfcba56a6976f64eec8 2ee2c6b62021d2cfe02ccdaaa626db2a");
+    ("Sod", 4,
+      "26010e07cdd4e5441cb86ff82e809ba4 f7f772b15f3318d0116070ae9208a159 957f8dd0dd63feaf11e86aaa84f1b27f");
+    ("Sedov", 4,
+      "aa3723919028192c9cc38a821863a5d8 c92e91dee9a3e336e4c4db645bda838b d95d9a0f6dd709283d643dfe837a0d6f");
+    ("CG", 16,
+      "463111673e45e48eae3d2d17c58f7a09 71049d5b80d29852b291911278011b81 c0eb4377f4b66e4bf4679a1b054c48e5");
+    ("StirTurb", 64,
+      "db73b9f3b73c0f4670ae653391e2c96b dacebadf68c5fe09360fe3b312838b6b e480d558309c0936f07f56d7681f7aa1");
+  ]
+
+let case (workload, nranks, expected) =
+  ( Printf.sprintf "golden %s@%d" workload nranks,
+    `Quick,
+    fun () ->
+      Alcotest.(check string)
+        (Printf.sprintf "%s@%d grammars/proxy/check digests" workload nranks)
+        expected (digests ~workload ~nranks) )
+
+let suite = List.map case golden

@@ -31,4 +31,5 @@ let () =
       ("sweep", Test_sweep.suite);
       ("serve", Test_serve.suite);
       ("final-coverage", Test_final_coverage.suite);
+      ("golden", Test_golden.suite);
     ]
