@@ -10,7 +10,7 @@
 
    plus hot-path micro-comparisons for the multicore merge work:
 
-   - sequitur packed single-int digram keys vs the boxed 4-tuple keys;
+   - online Sequitur, fed one symbol at a time as the recorder does;
    - generic DP LCS length vs the bit-parallel Myers length;
    - Hirschberg linear-memory LCS backtracking on ~1500-element inputs. *)
 
@@ -50,10 +50,10 @@ let hot_path_tests seq =
   in
   let a = noisy () and b = noisy () in
   [
-    Test.make ~name:"hot/sequitur-packed-keys" (Staged.stage (fun () ->
-        ignore (Sequitur.of_seq ~key_mode:Sequitur.Packed seq)));
-    Test.make ~name:"hot/sequitur-boxed-keys" (Staged.stage (fun () ->
-        ignore (Sequitur.of_seq ~key_mode:Sequitur.Boxed seq)));
+    Test.make ~name:"hot/sequitur" (Staged.stage (fun () ->
+        let b = Sequitur.create () in
+        Array.iter (Sequitur.push b) seq;
+        ignore (Sequitur.finalize b)));
     Test.make ~name:"hot/lcs-length-generic-dp" (Staged.stage (fun () ->
         ignore (Siesta_merge.Lcs.length ~eq:Int.equal a b)));
     Test.make ~name:"hot/lcs-length-bitparallel" (Staged.stage (fun () ->

@@ -13,26 +13,16 @@
       so a loop that repeats one body n times costs O(1) grammar space
       instead of O(log n).
 
-    Construction is amortized O(1) per appended symbol. *)
+    Construction is amortized O(1) per appended symbol.  The builder keeps
+    its nodes, rules and digram index in flat int arrays and recycles
+    freed slots, so once the grammar stops growing, appending allocates
+    nothing and the builder's memory stays bounded by the grammar size. *)
 
 type t
 
-type key_mode =
-  | Packed
-      (** Digram keys are (enc, reps) pairs interned to dense ids and
-          packed two-per-int into an int-specialized open-addressing
-          table — no allocation and no polymorphic hashing on the hot
-          path.  The default. *)
-  | Boxed
-      (** The historical boxed 4-tuple keys in a generic [Hashtbl].
-          Kept as the reference implementation: both modes produce
-          identical grammars (a property the test suite checks), and the
-          bechamel micro-benchmarks compare their cost. *)
-
-val create : ?rle:bool -> ?key_mode:key_mode -> unit -> t
+val create : ?rle:bool -> unit -> t
 (** [rle:false] disables constraint 3 (plain Sequitur), used by the
-    ablation benchmark.  [key_mode] selects the digram-index key
-    representation (default {!Packed}). *)
+    ablation benchmark. *)
 
 val append : t -> int -> unit
 (** Feed the next terminal of the stream. *)
@@ -53,10 +43,15 @@ val finalize : t -> Grammar.t
     {!to_grammar}: Sequitur maintains its invariants after every symbol,
     so finishing a stream requires no catch-up work. *)
 
-val of_seq : ?rle:bool -> ?key_mode:key_mode -> int array -> Grammar.t
+val of_seq : ?rle:bool -> int array -> Grammar.t
 (** One-shot convenience: feed the whole sequence and export. *)
 
+val node_capacity : t -> int
+(** Node slots currently allocated by the builder (live, free and
+    spare).  Exposed so tests can check that memory tracks the grammar,
+    not the stream. *)
+
 val check_invariants : t -> (string, string) result
-(** Verify digram uniqueness and rule utility on the current state —
-    [Ok] with a summary, or [Error] describing the violation.  O(grammar
-    size); exposed for the test suite. *)
+(** Verify digram uniqueness, rule utility and the body links on the
+    current state — [Ok] with a summary, or [Error] describing the
+    violation.  O(grammar size); exposed for the test suite. *)

@@ -19,14 +19,24 @@ let accumulate t work =
   t.total <- Counters.add t.total c;
   t.elapsed_s <- t.elapsed_s +. Siesta_platform.Cpu.seconds_of_cycles t.cpu c.Counters.cyc
 
-let noisy t v =
+let[@inline] noisy t v =
   if t.noise = 0.0 || v = 0.0 then v
-  else max 0.0 (v *. (1.0 +. Rng.gaussian t.rng ~mu:0.0 ~sigma:t.noise))
+  else
+    let x = v *. (1.0 +. Rng.gaussian t.rng ~mu:0.0 ~sigma:t.noise) in
+    if 0.0 >= x then 0.0 else x
 
+(* Sequential lets draw the noise in metric order (record-literal fields
+   have no specified evaluation order). *)
 let read_delta t =
   let c = t.interval in
   t.interval <- Counters.zero;
-  Counters.of_array (Array.map (noisy t) (Counters.to_array c))
+  let ins = noisy t c.ins in
+  let cyc = noisy t c.cyc in
+  let lst = noisy t c.lst in
+  let l1_dcm = noisy t c.l1_dcm in
+  let br_cn = noisy t c.br_cn in
+  let msp = noisy t c.msp in
+  { Counters.ins; cyc; lst; l1_dcm; br_cn; msp }
 
 let elapsed_seconds t = t.elapsed_s
 let totals t = t.total

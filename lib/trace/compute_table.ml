@@ -12,21 +12,29 @@ let restore ?(threshold = 0.05) pairs =
     used = Array.length pairs;
   }
 
-let distance a b =
-  (* mean relative distance over the six metrics, ignoring metrics that
-     are zero in both readings *)
-  let aa = Counters.to_array a and ba = Counters.to_array b in
-  let acc = ref 0.0 and n = ref 0 in
-  Array.iteri
-    (fun i av ->
-      let bv = ba.(i) in
-      let scale = max (abs_float av) (abs_float bv) in
-      if scale > 0.0 then begin
-        incr n;
-        acc := !acc +. (abs_float (av -. bv) /. scale)
-      end)
-    aa;
-  if !n = 0 then 0.0 else !acc /. float_of_int !n
+(* [Stdlib.max] at type float: no polymorphic compare, no boxing. *)
+let[@inline] fmax (a : float) b = if a >= b then a else b
+
+(* One metric's relative distance, and whether it enters the mean (not
+   when zero in both readings). *)
+let[@inline] term av bv =
+  let scale = fmax (abs_float av) (abs_float bv) in
+  if scale > 0.0 then abs_float (av -. bv) /. scale else 0.0
+
+let[@inline] counted av bv = if fmax (abs_float av) (abs_float bv) > 0.0 then 1 else 0
+
+(* Mean relative distance over the six metrics, summed in metric order,
+   ignoring metrics that are zero in both readings. *)
+let distance (a : Counters.t) (b : Counters.t) =
+  let n =
+    counted a.ins b.ins + counted a.cyc b.cyc + counted a.lst b.lst + counted a.l1_dcm b.l1_dcm
+    + counted a.br_cn b.br_cn + counted a.msp b.msp
+  in
+  if n = 0 then 0.0
+  else
+    (term a.ins b.ins +. term a.cyc b.cyc +. term a.lst b.lst +. term a.l1_dcm b.l1_dcm
+    +. term a.br_cn b.br_cn +. term a.msp b.msp)
+    /. float_of_int n
 
 let grow t =
   let cap = max 16 (2 * Array.length t.clusters) in
@@ -34,29 +42,35 @@ let grow t =
   Array.blit t.clusters 0 fresh 0 t.used;
   t.clusters <- fresh
 
-let classify t reading =
-  let rec find i =
-    if i >= t.used then None
-    else if distance t.clusters.(i).centroid reading <= t.threshold then Some i
-    else find (i + 1)
-  in
-  match find 0 with
-  | Some i ->
-      let c = t.clusters.(i) in
-      let m = float_of_int c.members in
-      c.centroid <-
-        Counters.of_array
-          (Array.map2
-             (fun old v -> ((old *. m) +. v) /. (m +. 1.0))
-             (Counters.to_array c.centroid)
-             (Counters.to_array reading));
-      c.members <- c.members + 1;
-      i
-  | None ->
+let rec find t reading i =
+  if i >= t.used then -1
+  else if distance t.clusters.(i).centroid reading <= t.threshold then i
+  else find t reading (i + 1)
+
+(* Fold [v] into a running mean [old] of [m] readings. *)
+let[@inline] mix m old v = ((old *. m) +. v) /. (m +. 1.0)
+
+let classify t (r : Counters.t) =
+  match find t r 0 with
+  | -1 ->
       if t.used = Array.length t.clusters then grow t;
-      t.clusters.(t.used) <- { centroid = reading; members = 1 };
+      t.clusters.(t.used) <- { centroid = r; members = 1 };
       t.used <- t.used + 1;
       t.used - 1
+  | i ->
+      let c = t.clusters.(i) in
+      let m = float_of_int c.members and o = c.centroid in
+      c.centroid <-
+        {
+          ins = mix m o.ins r.ins;
+          cyc = mix m o.cyc r.cyc;
+          lst = mix m o.lst r.lst;
+          l1_dcm = mix m o.l1_dcm r.l1_dcm;
+          br_cn = mix m o.br_cn r.br_cn;
+          msp = mix m o.msp r.msp;
+        };
+      c.members <- c.members + 1;
+      i
 
 let check t id =
   if id < 0 || id >= t.used then invalid_arg (Printf.sprintf "Compute_table: unknown id %d" id)

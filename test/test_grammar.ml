@@ -200,22 +200,25 @@ let prop_no_expansion_blowup =
     (fun input ->
       Array.length input = 0 || G.entry_count (Q.of_seq input) <= Array.length input + 2)
 
-(* The packed single-int digram key is an optimization only: both key
-   modes must drive the construction through identical digram matches and
-   so emit the *exact* same grammar. *)
-let grammar_identical rle input =
-  Q.of_seq ~rle ~key_mode:Q.Packed input = Q.of_seq ~rle ~key_mode:Q.Boxed input
+(* Long sequences over tiny alphabets: many repeated digrams, so the
+   digram index grows several times and deletes constantly (each deletion
+   shifts its probe run back). *)
+let long_small_alphabet_gen =
+  QCheck.Gen.(
+    let* alpha = 1 -- 3 in
+    let* n = 2_000 -- 20_000 in
+    array_repeat n (0 -- (alpha - 1)))
 
-let prop_packed_key_equivalence rle =
+let prop_long_small_alphabet rle =
   QCheck.Test.make
-    ~name:(Printf.sprintf "packed = boxed digram keys (rle=%b)" rle)
-    ~count:300 arbitrary_seq (grammar_identical rle)
-
-let prop_packed_key_equivalence_nest rle =
-  QCheck.Test.make
-    ~name:(Printf.sprintf "packed = boxed digram keys, loop nests (rle=%b)" rle)
-    ~count:150 arbitrary_nest
-    (fun input -> Array.length input > 20_000 || grammar_identical rle input)
+    ~name:(Printf.sprintf "sequitur long small-alphabet streams (rle=%b)" rle)
+    ~count:25
+    (QCheck.make ~print:(fun a -> Printf.sprintf "<%d symbols>" (Array.length a)) long_small_alphabet_gen)
+    (fun input ->
+      let t = Q.create ~rle () in
+      Q.append_seq t input;
+      G.expand (Q.to_grammar t) = input
+      && match Q.check_invariants t with Ok _ -> true | Error e -> QCheck.Test.fail_report e)
 
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
@@ -227,10 +230,8 @@ let qcheck_tests =
       prop_invariants;
       prop_valid_grammar;
       prop_no_expansion_blowup;
-      prop_packed_key_equivalence true;
-      prop_packed_key_equivalence false;
-      prop_packed_key_equivalence_nest true;
-      prop_packed_key_equivalence_nest false;
+      prop_long_small_alphabet true;
+      prop_long_small_alphabet false;
     ]
 
 let suite =

@@ -1,9 +1,6 @@
-(* Tests for the siesta_util domain pool (Parallel) and the int-keyed
-   open-addressing table (Int_table) backing the Sequitur digram index. *)
+(* Tests for the siesta_util domain pool (Parallel). *)
 
 module Parallel = Siesta_util.Parallel
-module Int_table = Siesta_util.Int_table
-module Rng = Siesta_util.Rng
 module Log = Siesta_obs.Log
 
 (* putenv with an empty value is how we "unset": Parallel treats an
@@ -12,78 +9,6 @@ let with_env_domains v f =
   let prev = Option.value ~default:"" (Sys.getenv_opt "SIESTA_NUM_DOMAINS") in
   Unix.putenv "SIESTA_NUM_DOMAINS" v;
   Fun.protect ~finally:(fun () -> Unix.putenv "SIESTA_NUM_DOMAINS" prev) f
-
-(* ------------------------------------------------------------------ *)
-(* Int_table *)
-
-let test_int_table_basics () =
-  let t = Int_table.create ~dummy:"" () in
-  Alcotest.(check int) "empty" 0 (Int_table.length t);
-  Int_table.replace t 42 "a";
-  Int_table.replace t (-7) "b";
-  Int_table.replace t 0 "c";
-  Alcotest.(check int) "three" 3 (Int_table.length t);
-  Alcotest.(check (option string)) "find 42" (Some "a") (Int_table.find_opt t 42);
-  Alcotest.(check (option string)) "find -7" (Some "b") (Int_table.find_opt t (-7));
-  Alcotest.(check (option string)) "miss" None (Int_table.find_opt t 1);
-  Int_table.replace t 42 "a2";
-  Alcotest.(check int) "overwrite keeps count" 3 (Int_table.length t);
-  Alcotest.(check (option string)) "overwritten" (Some "a2") (Int_table.find_opt t 42);
-  Int_table.remove t 42;
-  Alcotest.(check (option string)) "removed" None (Int_table.find_opt t 42);
-  Alcotest.(check int) "two" 2 (Int_table.length t);
-  Int_table.remove t 42 (* no-op *);
-  Alcotest.(check int) "still two" 2 (Int_table.length t)
-
-let test_int_table_vs_hashtbl () =
-  (* randomized differential test against the stdlib Hashtbl *)
-  let rng = Rng.create 11 in
-  let t = Int_table.create ~dummy:0 () in
-  let h : (int, int) Hashtbl.t = Hashtbl.create 64 in
-  for step = 1 to 20_000 do
-    let k = Rng.int rng 500 - 250 in
-    match Rng.int rng 3 with
-    | 0 | 1 ->
-        Int_table.replace t k step;
-        Hashtbl.replace h k step
-    | _ ->
-        Int_table.remove t k;
-        Hashtbl.remove h k
-  done;
-  Alcotest.(check int) "same cardinality" (Hashtbl.length h) (Int_table.length t);
-  Hashtbl.iter
-    (fun k v ->
-      match Int_table.find_opt t k with
-      | Some v' when v' = v -> ()
-      | Some _ -> Alcotest.failf "key %d has wrong value" k
-      | None -> Alcotest.failf "key %d missing" k)
-    h;
-  let seen = ref 0 in
-  Int_table.iter (fun k v ->
-      incr seen;
-      if Hashtbl.find_opt h k <> Some v then Alcotest.failf "stray key %d" k)
-    t;
-  Alcotest.(check int) "iter covers all" (Hashtbl.length h) !seen;
-  Int_table.clear t;
-  Alcotest.(check int) "cleared" 0 (Int_table.length t);
-  Alcotest.(check (option int)) "cleared lookup" None (Int_table.find_opt t 1)
-
-let test_int_table_tombstone_reuse () =
-  (* churn a small key space to force tombstone reuse in probe chains *)
-  let t = Int_table.create ~initial_capacity:8 ~dummy:(-1) () in
-  for round = 1 to 200 do
-    for k = 0 to 15 do
-      Int_table.replace t k (round * 100 + k)
-    done;
-    for k = 0 to 15 do
-      if k mod 2 = 0 then Int_table.remove t k
-    done
-  done;
-  Alcotest.(check int) "odd keys live" 8 (Int_table.length t);
-  for k = 0 to 15 do
-    let expect = if k mod 2 = 0 then None else Some (200 * 100 + k) in
-    Alcotest.(check (option int)) (Printf.sprintf "key %d" k) expect (Int_table.find_opt t k)
-  done
 
 (* ------------------------------------------------------------------ *)
 (* Parallel *)
@@ -291,9 +216,6 @@ let qcheck_tests = List.map QCheck_alcotest.to_alcotest [ prop_map_deterministic
 
 let suite =
   [
-    ("int table basics", `Quick, test_int_table_basics);
-    ("int table differential vs Hashtbl", `Quick, test_int_table_vs_hashtbl);
-    ("int table tombstone churn", `Quick, test_int_table_tombstone_reuse);
     ("num_domains positive", `Quick, test_num_domains_positive);
     ("map matches sequential at 1..4 domains", `Quick, test_map_matches_sequential);
     ("map edge inputs", `Quick, test_map_edge_inputs);

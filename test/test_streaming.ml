@@ -76,28 +76,45 @@ let prop_push_equals_batch =
           Grammar.equal (Sequitur.finalize b) (Sequitur.of_seq ~rle seq))
         [ true; false ])
 
-(* A single long run under RLE merging visits run-lengths 1..n, so the
-   builder's pair-id intern table sees ~n transient (symbol, reps)
-   pairs and crosses the compaction watermark (4096 live pair ids)
-   many times.  The grammar must come out identical to the batch
-   construction regardless of how often the index was rebuilt. *)
-let test_compaction_preserves_grammar () =
-  let n = 20_000 in
-  let seq =
-    Array.init n (fun i -> if i mod 5000 = 4999 then 1 + (i / 5000) else 0)
-  in
+(* The builder recycles the node slots that rule creation and expansion
+   free, so its memory tracks the grammar, not the stream: once a
+   periodic stream (or a single run) has settled into its final grammar,
+   pushing 1 M events allocates no further node slots. *)
+let test_memory_bounded_by_grammar () =
+  let body = [| 0; 1; 2; 3; 1; 2; 4; 4; 4; 5 |] in
+  List.iter
+    (fun (name, sym) ->
+      let b = Sequitur.create ~rle:true () in
+      let pushed = ref 0 in
+      let push_to n =
+        while !pushed < n do
+          Sequitur.push b (sym !pushed);
+          incr pushed
+        done
+      in
+      push_to 16_384;
+      let settled = Sequitur.node_capacity b in
+      push_to 1_000_000;
+      Alcotest.(check int) (name ^ ": node capacity after 1M events") settled
+        (Sequitur.node_capacity b);
+      let g = Sequitur.finalize b in
+      Alcotest.(check int) (name ^ ": expanded length") 1_000_000 (Grammar.expanded_length g))
+    [ ("periodic", fun i -> body.(i mod Array.length body)); ("uniform run", fun _ -> 7) ]
+
+(* Once the grammar has settled, a push allocates nothing: the node
+   store, rule store and digram index are flat int arrays. *)
+let test_steady_state_allocation_free () =
+  let body = [| 3; 1; 4; 1; 5; 9; 2; 6 |] in
   let b = Sequitur.create ~rle:true () in
-  Array.iter (Sequitur.push b) seq;
-  Alcotest.(check bool)
-    "grammar unchanged across pair-table compactions" true
-    (Grammar.equal (Sequitur.finalize b) (Sequitur.of_seq ~rle:true seq));
-  (* the watermark is the point: a 20k-element run must not retain a
-     pair id per transient run length *)
-  let b2 = Sequitur.create ~rle:true () in
-  Array.iter (fun _ -> Sequitur.push b2 0) (Array.make n ());
-  Alcotest.(check bool)
-    "uniform run compresses to a single RLE symbol" true
-    (Grammar.equal (Sequitur.finalize b2) (Sequitur.of_seq ~rle:true (Array.make n 0)))
+  let feed n = for i = 0 to n - 1 do Sequitur.push b body.(i mod Array.length body) done in
+  feed 10_000;
+  let n = 100_000 in
+  let before = Gc.minor_words () in
+  feed n;
+  let words = Gc.minor_words () -. before in
+  if words >= float_of_int n then
+    Alcotest.failf "%.0f minor words for %d pushes (%.2f per symbol)" words n
+      (words /. float_of_int n)
 
 let prop_finalize_midstream_harmless =
   QCheck.Test.make ~count:100 ~name:"mid-stream finalize does not disturb the builder"
@@ -363,7 +380,8 @@ let suite =
       ("soa append/get/iter", `Quick, test_soa_append_get);
       ("soa array roundtrip", `Quick, test_soa_array_roundtrip);
       ("interner assigns dense codes", `Quick, test_intern_dense_codes);
-      ("pair-table compaction preserves grammar", `Quick, test_compaction_preserves_grammar);
+      ("online Sequitur memory bounded by grammar", `Quick, test_memory_bounded_by_grammar);
+      ("online Sequitur steady state allocation-free", `Quick, test_steady_state_allocation_free);
       ("recorder modes record identical events", `Quick, test_recorder_modes_same_events);
       ("online grammars match batch Sequitur", `Quick, test_recorder_online_grammars_match_batch);
       ("boxed recorder rejects streamed accessors", `Quick,
