@@ -9,6 +9,9 @@ SMOKE_METRICS := /tmp/siesta_smoke_metrics.json
 SMOKE_STORE := /tmp/siesta_smoke_store
 SMOKE_PROXY_STREAMED := /tmp/siesta_smoke_proxy_streamed.c
 SMOKE_PROXY_BOXED := /tmp/siesta_smoke_proxy_boxed.c
+SMOKE_DUMP := /tmp/siesta_smoke_dump.txt
+SMOKE_PROXY_FROM := /tmp/siesta_smoke_proxy_from.c
+SMOKE_PROXY_LIVE := /tmp/siesta_smoke_proxy_live.c
 SMOKE_TREND_HTML := /tmp/siesta_smoke_trends.html
 SMOKE_SWEEP_STORE := /tmp/siesta_smoke_sweep_store
 SMOKE_SWEEP_HTML := /tmp/siesta_smoke_sweep.html
@@ -47,6 +50,14 @@ smoke: build
 		--timeline-html $(SMOKE_TIMELINE_HTML)
 	@grep -q 'timeline-data' $(SMOKE_TIMELINE_HTML) \
 		|| { echo "smoke: timeline HTML missing its data block" >&2; exit 1; }
+	@# Text trace format: a --dump must validate, and synthesizing from
+	@# it with --from must emit the proxy a live run does, byte for byte.
+	dune exec bin/siesta_cli.exe -- trace CG -n 8 --dump $(SMOKE_DUMP)
+	dune exec bin/siesta_cli.exe -- check-trace $(SMOKE_DUMP)
+	dune exec bin/siesta_cli.exe -- synth CG -n 8 --from $(SMOKE_DUMP) \
+		-o $(SMOKE_PROXY_FROM)
+	dune exec bin/siesta_cli.exe -- synth CG -n 8 -o $(SMOKE_PROXY_LIVE)
+	cmp $(SMOKE_PROXY_FROM) $(SMOKE_PROXY_LIVE)
 	@# Incremental cache: a cold run populates the store, the warm run
 	@# must report cache hits and reproduce the proxy byte-for-byte,
 	@# and the store it built must verify clean with nothing to sweep.

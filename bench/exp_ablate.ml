@@ -91,8 +91,8 @@ let ablate_cluster_threshold () =
       (fun threshold ->
         let s = Pipeline.spec ~cluster_threshold:threshold ~workload ~nranks () in
         let traced = Pipeline.trace s in
-        let art = Pipeline.synthesize traced in
-        let row = Evaluate.table3_row art in
+        let sy = Pipeline.synthesize traced in
+        let row = Evaluate.table3_row traced sy in
         let ct = Recorder.compute_table traced.Pipeline.recorder in
         [
           Printf.sprintf "%.3f" threshold;

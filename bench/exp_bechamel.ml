@@ -26,13 +26,13 @@ module Counters = Siesta_perf.Counters
 let prepare () =
   let s = Pipeline.spec ~workload:"CG" ~nranks:16 () in
   let traced = Pipeline.trace s in
-  let art = Pipeline.synthesize traced in
+  let sy = Pipeline.synthesize traced in
   let seq =
     let streams = Array.init 16 (Recorder.events traced.Pipeline.recorder) in
     let table = Siesta_merge.Terminal_table.build streams in
     (Siesta_merge.Terminal_table.sequences table).(0)
   in
-  (s, traced, art, seq)
+  (s, traced, sy, seq)
 
 let hot_path_tests seq =
   (* synthetic int sequences with enough shared structure that the LCS is
@@ -63,7 +63,7 @@ let hot_path_tests seq =
   ]
 
 let tests () =
-  let s, traced, art, seq = prepare () in
+  let s, traced, sy, seq = prepare () in
   let target =
     Counters.of_work Siesta_platform.Spec.platform_a.Siesta_platform.Spec.cpu
       (Siesta_perf.Kernel.to_work
@@ -77,7 +77,7 @@ let tests () =
         ignore (Proxy_search.search ~platform:Siesta_platform.Spec.platform_a target)));
     Test.make ~name:"fig6/proxy-replay-cg16" (Staged.stage (fun () ->
         ignore
-          (Pipeline.run_proxy art ~platform:s.Pipeline.platform ~impl:s.Pipeline.impl)));
+          (Pipeline.run_proxy sy ~platform:s.Pipeline.platform ~impl:s.Pipeline.impl)));
     Test.make ~name:"fig7/scalabench-transform" (Staged.stage (fun () ->
         ignore
           (Siesta_baselines.Scalabench.synthesize ~platform:s.Pipeline.platform

@@ -27,11 +27,11 @@ let run_one (w : Registry.t) nranks =
   let platform = s.Pipeline.platform and impl = s.Pipeline.impl in
   let traced = Pipeline.trace s in
   let original = traced.Pipeline.original.Engine.elapsed in
-  let art = Pipeline.synthesize traced in
-  let siesta = (Pipeline.run_proxy art ~platform ~impl).Engine.elapsed in
-  let art10 = Pipeline.synthesize ~factor:scale_factor traced in
+  let sy = Pipeline.synthesize traced in
+  let siesta = (Pipeline.run_proxy sy ~platform ~impl).Engine.elapsed in
+  let sy10 = Pipeline.synthesize ~factor:scale_factor traced in
   let siesta_scaled =
-    scale_factor *. (Pipeline.run_proxy art10 ~platform ~impl).Engine.elapsed
+    scale_factor *. (Pipeline.run_proxy sy10 ~platform ~impl).Engine.elapsed
   in
   let recorder = traced.Pipeline.recorder in
   let streams = Array.init nranks (fun r -> Recorder.events recorder r) in
@@ -46,7 +46,7 @@ let run_one (w : Registry.t) nranks =
         None
   in
   let pilgrim =
-    (Engine.run ~platform ~impl ~nranks (Pilgrim.program art.Pipeline.merged)).Engine.elapsed
+    (Engine.run ~platform ~impl ~nranks (Pilgrim.program sy.Pipeline.sy_merged)).Engine.elapsed
   in
   { name = w.Registry.name; nranks; original; siesta; siesta_scaled; scalabench; pilgrim }
 

@@ -21,7 +21,7 @@ let run () =
       let s = Pipeline.spec ~workload:w.Registry.name ~nranks () in
       let platform = s.Pipeline.platform in
       let traced = Pipeline.trace s in
-      let art = Pipeline.synthesize traced in
+      let sy = Pipeline.synthesize traced in
       let recorder = traced.Pipeline.recorder in
       let streams = Array.init nranks (fun r -> Recorder.events recorder r) in
       let sb =
@@ -35,7 +35,7 @@ let run () =
       List.iter
         (fun impl ->
           let original = (Pipeline.run_original s ~platform ~impl).Engine.elapsed in
-          let siesta = (Pipeline.run_proxy art ~platform ~impl).Engine.elapsed in
+          let siesta = (Pipeline.run_proxy sy ~platform ~impl).Engine.elapsed in
           let sb_time =
             Option.map
               (fun sb -> (Engine.run ~platform ~impl ~nranks (Scalabench.program sb)).Engine.elapsed)

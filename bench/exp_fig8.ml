@@ -16,7 +16,7 @@ let direction ~from_p ~to_p label rows siesta_errs sb_errs =
       let s = Pipeline.spec ~platform:from_p ~workload:name ~nranks () in
       let impl = s.Pipeline.impl in
       let traced = Pipeline.trace s in
-      let art = Pipeline.synthesize traced in
+      let sy = Pipeline.synthesize traced in
       let recorder = traced.Pipeline.recorder in
       let streams = Array.init nranks (fun r -> Recorder.events recorder r) in
       let sb =
@@ -28,7 +28,7 @@ let direction ~from_p ~to_p label rows siesta_errs sb_errs =
         | exception Scalabench.Unsupported _ -> None
       in
       let original = (Pipeline.run_original s ~platform:to_p ~impl).Engine.elapsed in
-      let siesta = (Pipeline.run_proxy art ~platform:to_p ~impl).Engine.elapsed in
+      let siesta = (Pipeline.run_proxy sy ~platform:to_p ~impl).Engine.elapsed in
       let sb_time =
         Option.map
           (fun sb ->

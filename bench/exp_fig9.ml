@@ -21,7 +21,7 @@ let run () =
           let s = Pipeline.spec ~workload:name ~nranks () in
           let impl = s.Pipeline.impl in
           let traced = Pipeline.trace s in
-          let art = Pipeline.synthesize traced in
+          let sy = Pipeline.synthesize traced in
           let recorder = traced.Pipeline.recorder in
           let streams = Array.init nranks (fun r -> Recorder.events recorder r) in
           let sb =
@@ -34,7 +34,7 @@ let run () =
           in
           let eval platform errs sb_errs =
             let original = (Pipeline.run_original s ~platform ~impl).Engine.elapsed in
-            let siesta = (Pipeline.run_proxy art ~platform ~impl).Engine.elapsed in
+            let siesta = (Pipeline.run_proxy sy ~platform ~impl).Engine.elapsed in
             let sb_time =
               Option.map
                 (fun sb ->

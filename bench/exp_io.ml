@@ -13,7 +13,7 @@ let run () =
   heading "Extension: MPI-IO proxies (BT-IO, 16 processes, generated on A)";
   let s = Pipeline.spec ~workload:"BT-IO" ~nranks () in
   let traced = Pipeline.trace s in
-  let art = Pipeline.synthesize traced in
+  let sy = Pipeline.synthesize traced in
   let io_events =
     let recorder = traced.Pipeline.recorder in
     let count = ref 0 in
@@ -30,12 +30,12 @@ let run () =
     !count
   in
   Printf.printf "I/O events traced: %d | size_C: %s\n" io_events
-    (Siesta_util.Bytes_fmt.to_string (Siesta_synth.Proxy_ir.size_c_bytes art.Pipeline.proxy));
+    (Siesta_util.Bytes_fmt.to_string (Siesta_synth.Proxy_ir.size_c_bytes sy.Pipeline.sy_proxy));
   let rows =
     List.map
       (fun platform ->
         let original = (Pipeline.run_original s ~platform ~impl:s.Pipeline.impl).Engine.elapsed in
-        let proxy = (Pipeline.run_proxy art ~platform ~impl:s.Pipeline.impl).Engine.elapsed in
+        let proxy = (Pipeline.run_proxy sy ~platform ~impl:s.Pipeline.impl).Engine.elapsed in
         [
           platform.Spec.name;
           platform.Spec.storage.Spec.fs_name;

@@ -27,8 +27,8 @@ module Metrics = Siesta_obs.Metrics
 
 let run_pipeline spec =
   let traced = Pipeline.trace spec in
-  let art = Pipeline.synthesize traced in
-  ignore (Codegen.generate art.Pipeline.proxy)
+  let sy = Pipeline.synthesize traced in
+  ignore (Codegen.generate sy.Pipeline.sy_proxy)
 
 (* Interleaved best-of-N: alternate one disabled and one enabled run per
    round and keep the minimum of each.  Two back-to-back blocks of N

@@ -14,8 +14,8 @@ let run () =
         (fun procs ->
           let s = Pipeline.spec ~workload:w.Registry.name ~nranks:procs () in
           let traced = Pipeline.trace s in
-          let art = Pipeline.synthesize traced in
-          let row = Evaluate.table3_row art in
+          let sy = Pipeline.synthesize traced in
+          let row = Evaluate.table3_row traced sy in
           rows :=
             [
               row.Evaluate.program;

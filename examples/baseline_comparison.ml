@@ -21,8 +21,8 @@ let () =
   let spec = Pipeline.spec ~workload:"SP" ~nranks () in
   let impl = spec.Pipeline.impl in
   let traced = Pipeline.trace spec in
-  let art = Pipeline.synthesize traced in
-  let art10 = Pipeline.synthesize ~factor:10.0 traced in
+  let sy = Pipeline.synthesize traced in
+  let sy10 = Pipeline.synthesize ~factor:10.0 traced in
   let streams = Array.init nranks (Recorder.events traced.Pipeline.recorder) in
   let sb =
     Scalabench.synthesize ~platform:Spec.platform_a ~workload:"SP" ~nranks ~streams
@@ -30,11 +30,11 @@ let () =
   in
   let measure platform =
     let original = (Pipeline.run_original spec ~platform ~impl).Engine.elapsed in
-    let siesta = (Pipeline.run_proxy art ~platform ~impl).Engine.elapsed in
-    let scaled = 10.0 *. (Pipeline.run_proxy art10 ~platform ~impl).Engine.elapsed in
+    let siesta = (Pipeline.run_proxy sy ~platform ~impl).Engine.elapsed in
+    let scaled = 10.0 *. (Pipeline.run_proxy sy10 ~platform ~impl).Engine.elapsed in
     let scalabench = (Engine.run ~platform ~impl ~nranks (Scalabench.program sb)).Engine.elapsed in
     let pilgrim =
-      (Engine.run ~platform ~impl ~nranks (Pilgrim.program art.Pipeline.merged)).Engine.elapsed
+      (Engine.run ~platform ~impl ~nranks (Pilgrim.program sy.Pipeline.sy_merged)).Engine.elapsed
     in
     (original, [ ("Siesta", siesta); ("Siesta-scaled", scaled); ("ScalaBench", scalabench);
                  ("Pilgrim", pilgrim) ])

@@ -18,16 +18,16 @@ let () =
   let spec = Pipeline.spec ~workload:"MG" ~nranks:16 () in
   Printf.printf "tracing MG@16 on platform A (openmpi)...\n";
   let traced = Pipeline.trace spec in
-  let art = Pipeline.synthesize traced in
+  let sy = Pipeline.synthesize traced in
   Printf.printf "proxy generated (size_C = %s)\n\n"
-    (Siesta_util.Bytes_fmt.to_string (Siesta_synth.Proxy_ir.size_c_bytes art.Pipeline.proxy));
+    (Siesta_util.Bytes_fmt.to_string (Siesta_synth.Proxy_ir.size_c_bytes sy.Pipeline.sy_proxy));
   let rows =
     List.concat_map
       (fun platform ->
         List.map
           (fun impl ->
             let original = (Pipeline.run_original spec ~platform ~impl).Engine.elapsed in
-            let proxy = (Pipeline.run_proxy art ~platform ~impl).Engine.elapsed in
+            let proxy = (Pipeline.run_proxy sy ~platform ~impl).Engine.elapsed in
             [
               platform.Spec.name;
               impl.Mpi_impl.name;

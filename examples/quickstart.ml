@@ -23,21 +23,21 @@ let () =
     (Siesta_util.Bytes_fmt.to_string (Recorder.raw_trace_bytes traced.Pipeline.recorder));
 
   Printf.printf "\n== 2. compress + merge + proxy search ==\n";
-  let art = Pipeline.synthesize traced in
-  Printf.printf "merged grammar: %s\n" (Siesta_merge.Merged.stats art.Pipeline.merged);
+  let sy = Pipeline.synthesize traced in
+  Printf.printf "merged grammar: %s\n" (Siesta_merge.Merged.stats sy.Pipeline.sy_merged);
   Printf.printf "exported size_C: %s (%.0fx smaller than the trace)\n"
-    (Siesta_util.Bytes_fmt.to_string (Siesta_synth.Proxy_ir.size_c_bytes art.Pipeline.proxy))
+    (Siesta_util.Bytes_fmt.to_string (Siesta_synth.Proxy_ir.size_c_bytes sy.Pipeline.sy_proxy))
     (float_of_int (Recorder.raw_trace_bytes traced.Pipeline.recorder)
-    /. float_of_int (Siesta_synth.Proxy_ir.size_c_bytes art.Pipeline.proxy));
+    /. float_of_int (Siesta_synth.Proxy_ir.size_c_bytes sy.Pipeline.sy_proxy));
 
   Printf.printf "\n== 3. generate C ==\n";
   let path = Filename.concat (Filename.get_temp_dir_name ()) "cg16_proxy.c" in
-  Siesta_synth.Codegen_c.write_file art.Pipeline.proxy ~path;
+  Siesta_synth.Codegen_c.write_file sy.Pipeline.sy_proxy ~path;
   Printf.printf "wrote %s (compile with mpicc, run with mpirun -np 16)\n" path;
 
   Printf.printf "\n== 4. validate by replay ==\n";
   let proxy_run =
-    Pipeline.run_proxy art ~platform:spec.Pipeline.platform ~impl:spec.Pipeline.impl
+    Pipeline.run_proxy sy ~platform:spec.Pipeline.platform ~impl:spec.Pipeline.impl
   in
   Printf.printf "proxy time: %.4f s vs original %.4f s (error %.2f%%)\n"
     proxy_run.Engine.elapsed traced.Pipeline.original.Engine.elapsed

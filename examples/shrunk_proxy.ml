@@ -18,9 +18,9 @@ let () =
   let rows =
     List.map
       (fun factor ->
-        let art = Pipeline.synthesize ~factor traced in
+        let sy = Pipeline.synthesize ~factor traced in
         let raw =
-          (Pipeline.run_proxy art ~platform:spec.Pipeline.platform ~impl:spec.Pipeline.impl)
+          (Pipeline.run_proxy sy ~platform:spec.Pipeline.platform ~impl:spec.Pipeline.impl)
             .Engine.elapsed
         in
         let estimate = factor *. raw in

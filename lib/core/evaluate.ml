@@ -42,17 +42,14 @@ type table3_row = {
   error : float;
 }
 
-let table3_row (artifact : Pipeline.artifact) =
-  let traced = artifact.Pipeline.traced in
+let table3_row (traced : Pipeline.traced) (sy : Pipeline.synthesis) =
   let s = traced.Pipeline.run_spec in
-  let proxy_run =
-    Pipeline.run_proxy artifact ~platform:s.Pipeline.platform ~impl:s.Pipeline.impl
-  in
+  let proxy_run = Pipeline.run_proxy sy ~platform:s.Pipeline.platform ~impl:s.Pipeline.impl in
   {
     program = s.Pipeline.workload.Siesta_workloads.Registry.name;
     processes = s.Pipeline.nranks;
     trace_bytes = Recorder.raw_trace_bytes traced.Pipeline.recorder;
-    size_c_bytes = Proxy_ir.size_c_bytes artifact.Pipeline.proxy;
+    size_c_bytes = Proxy_ir.size_c_bytes sy.Pipeline.sy_proxy;
     overhead = traced.Pipeline.overhead;
     error = counter_error ~original:traced.Pipeline.original ~proxy:proxy_run;
   }

@@ -29,8 +29,8 @@ type table3_row = {
   error : float;
 }
 
-val table3_row : Pipeline.artifact -> table3_row
-(** Runs the proxy on the generation platform to score the counter
-    error. *)
+val table3_row : Pipeline.traced -> Pipeline.synthesis -> table3_row
+(** The row of a traced run and its synthesis; runs the proxy on the
+    generation platform to score the counter error. *)
 
 val mean : float list -> float

@@ -124,15 +124,6 @@ type merge_sched = {
   ms_est_item_cost_s : float;
 }
 
-type artifact = {
-  traced : traced;
-  merged : Merged.t;
-  proxy : Proxy_ir.t;
-  factor : float;
-  timings : (string * float) list;
-  merge_sched : merge_sched option;
-}
-
 (* Resolve the merge stage's pool so its scheduling decisions (clamp,
    gate, estimator) can be snapshotted and surfaced in the report.
    [None] borrows the shared warm pool — repeated synthesize calls stop
@@ -182,41 +173,6 @@ let sched_kvs = function
         ("est_item_cost_s", m.ms_est_item_cost_s);
       ]
 
-let synthesize ?(factor = 1.0) ?(rle = true) ?domains traced =
-  with_merge_pool domains @@ fun pool ->
-  let config = merge_config ~rle pool in
-  let before = Option.map Parallel.stats pool in
-  let merged, t_merge =
-    stage "merge" (fun () -> Merge_pipeline.merge_recorder ~config traced.recorder)
-  in
-  let merge_sched = sched_snapshot pool before in
-  let proxy, t_synth =
-    stage "synthesize" (fun () ->
-        Proxy_ir.synthesize ~platform:traced.run_spec.platform ~impl:traced.run_spec.impl
-          ~factor ~merged
-          ~compute_table:(Recorder.compute_table traced.recorder)
-          ())
-  in
-  Log.info (fun () ->
-      ( "pipeline.synthesize",
-        [
-          ("workload", traced.run_spec.workload.Registry.name);
-          ("factor", Printf.sprintf "%g" factor);
-          ("merged", Merged.stats merged);
-          ("merge_s", Printf.sprintf "%.6f" (snd t_merge));
-          ("synthesize_s", Printf.sprintf "%.6f" (snd t_synth));
-          ( "merge_domains",
-            match merge_sched with
-            | None -> "1"
-            | Some m -> string_of_int m.ms_effective );
-        ] ));
-  { traced; merged; proxy; factor; timings = traced.timings @ [ t_merge; t_synth ]; merge_sched }
-
-let run_proxy artifact ~platform ~impl =
-  Engine.run ~platform ~impl ~nranks:artifact.traced.run_spec.nranks
-    ~seed:artifact.traced.run_spec.seed
-    (Proxy_ir.program artifact.proxy)
-
 let run_original s ~platform ~impl =
   Engine.run ~platform ~impl ~nranks:s.nranks ~seed:s.seed (program_of s)
 
@@ -233,15 +189,10 @@ let capture_original s =
       Divergence.capture ~platform:s.platform ~impl:s.impl ~nranks:s.nranks ~seed:s.seed
         (program_of s))
 
-let capture_proxy_ir ?platform ?impl s proxy =
-  let platform = Option.value ~default:s.platform platform in
-  let impl = Option.value ~default:s.impl impl in
+let capture_proxy_ir s proxy =
   Span.with_ ~cat:"pipeline" "capture.proxy" (fun () ->
-      Divergence.capture ~platform ~impl ~nranks:s.nranks ~seed:s.seed
+      Divergence.capture ~platform:s.platform ~impl:s.impl ~nranks:s.nranks ~seed:s.seed
         (Proxy_ir.program proxy))
-
-let capture_proxy ?platform ?impl artifact =
-  capture_proxy_ir ?platform ?impl artifact.traced.run_spec artifact.proxy
 
 (* ------------------------------------------------------------------ *)
 (* Static communication check *)
@@ -289,37 +240,6 @@ let ledger_fidelity_of_report ?verdict (r : Divergence.report) =
         0.0 r.Divergence.r_compute_errors;
   }
 
-let diff_core ?check s proxy_ir =
-  let fid, total_s =
-    Clock.wall (fun () ->
-        let original = capture_original s in
-        let proxy = capture_proxy_ir s proxy_ir in
-        let report =
-          Span.with_ ~cat:"pipeline" "diff" (fun () -> Divergence.diff ~original ~proxy)
-        in
-        { f_original = original; f_proxy = proxy; f_report = report; f_check = check })
-  in
-  let report = fid.f_report in
-  Divergence.publish_metrics report;
-  Log.info (fun () ->
-      ( "pipeline.diff",
-        [
-          ("workload", s.workload.Registry.name);
-          ("lossless", string_of_bool report.Divergence.r_lossless);
-          ("time_error", Printf.sprintf "%.4f" report.Divergence.r_time_error);
-          ("timeline_distance", Printf.sprintf "%.4e" report.Divergence.r_timeline_distance);
-        ] ));
-  Ledger.emit (fun () ->
-      Ledger.make ~kind:"diff" ~spec:(spec_kvs s)
-        ~timings:[ ("diff.total", total_s) ]
-        ~fidelity:(ledger_fidelity_of_report report)
-        ?check:(Option.map ledger_check_of_report check) ());
-  fid
-
-let diff artifact =
-  let s = artifact.traced.run_spec in
-  diff_core ~check:(run_check s artifact.merged) s artifact.proxy
-
 (* ------------------------------------------------------------------ *)
 (* Incremental cache (content-addressed artifact store) *)
 
@@ -336,8 +256,6 @@ type cache_status = {
   cs_merge : cache_outcome;
   cs_proxy : cache_outcome;
 }
-
-let status_off = { cs_root = None; cs_trace = Cache_off; cs_merge = Cache_off; cs_proxy = Cache_off }
 
 type trace_stage = {
   ts_spec : spec;
@@ -370,15 +288,6 @@ let meta_of_traced (tr : traced) =
     tm_raw_bytes = Recorder.raw_trace_bytes tr.recorder;
   }
 
-let cache_count stage hit =
-  if Metrics.enabled () then begin
-    Metrics.incr (Metrics.counter (if hit then "cache.hits" else "cache.misses")) 1;
-    Metrics.incr
-      (Metrics.counter
-         (Printf.sprintf "cache.%s.%s" stage (if hit then "hits" else "misses")))
-      1
-  end
-
 (* Resolve key -> fetch blob -> decode.  Every failure mode (unbound
    key, missing or corrupt object, schema mismatch) degrades to a miss:
    the stage recomputes and re-puts, and [store verify] reports the
@@ -397,122 +306,172 @@ let cache_lookup st ~stage ~key ~decode =
                   ("pipeline.cache", [ ("stage", stage); ("hash", hash); ("error", m) ]));
               None))
 
-let log_stage_outcome stg s outcome =
-  Log.info (fun () ->
-      ( "pipeline.cache",
-        [
-          ("stage", stg);
-          ("workload", s.workload.Registry.name);
-          ("nranks", string_of_int s.nranks);
-          ("outcome", outcome_name outcome);
-        ] ))
-
-let trace_stage_cached ?mode st s =
-  let key, descr =
-    Cache.trace_key ~workload:s.workload.Registry.name ~nranks:s.nranks ~iters:s.iters
-      ~seed:s.seed ~platform:s.platform.Spec_p.name ~impl:s.impl.Mpi_impl.name
-      ~cluster_threshold:s.cluster_threshold ()
-  in
-  let found, t_lookup =
-    stage "trace.cached" (fun () ->
-        cache_lookup st ~stage:"trace" ~key ~decode:Codec.decode_trace)
-  in
-  match found with
-  | Some (hash, (meta, t)) ->
-      cache_count "trace" true;
-      log_stage_outcome "trace" s Cache_hit;
-      {
-        ts_spec = s;
-        ts_trace = t;
-        ts_meta = meta;
-        ts_table = Trace_io.packed_compute_table t;
-        ts_hash = Some hash;
-        ts_outcome = Cache_hit;
-        ts_traced = None;
-        ts_timings = [ t_lookup ];
-      }
+(* One pipeline stage, memoized when a store is given.  [run ()] computes
+   the value and returns it with its own stage timings.  With a store, a
+   decodable binding for [key ()] replaces the run (timed as
+   "<span>.cached"), and a freshly computed value is put and bound (timed
+   as "<span>.store", after the run's own timings).  Without a store the
+   stage just runs: outcome [Cache_off], no blob hash. *)
+let memo store ~stage:name ~span ~kind ~key ~decode ~encode s run =
+  match store with
   | None ->
-      cache_count "trace" false;
-      log_stage_outcome "trace" s Cache_miss;
-      let traced = trace ?mode s in
-      let meta = meta_of_traced traced in
-      let t = Trace_io.pack traced.recorder in
-      let hash, t_store =
-        stage "trace.store" (fun () ->
-            let blob = Codec.encode_trace ~meta t in
-            let hash = Store.put st blob in
-            Store.bind st ~key ~hash ~kind:"trace" ~descr;
-            hash)
+      let v, timings = run () in
+      (v, None, Cache_off, timings)
+  | Some st -> (
+      let key, descr = key () in
+      let found, t_lookup =
+        stage (span ^ ".cached") (fun () -> cache_lookup st ~stage:name ~key ~decode)
       in
-      {
-        ts_spec = s;
-        ts_trace = t;
-        ts_meta = meta;
-        (* Restore the table from the centroids that were just stored, so
-           a later warm run (which can only restore) searches the exact
-           same proxies as this cold one. *)
-        ts_table = Trace_io.packed_compute_table t;
-        ts_hash = Some hash;
-        ts_outcome = Cache_miss;
-        ts_traced = Some traced;
-        ts_timings = traced.timings @ [ t_store ];
-      }
+      let tally = if Option.is_some found then "hits" else "misses" in
+      if Metrics.enabled () then begin
+        Metrics.incr (Metrics.counter ("cache." ^ tally)) 1;
+        Metrics.incr (Metrics.counter (Printf.sprintf "cache.%s.%s" name tally)) 1
+      end;
+      Log.info (fun () ->
+          ( "pipeline.cache",
+            [
+              ("stage", name);
+              ("workload", s.workload.Registry.name);
+              ("nranks", string_of_int s.nranks);
+              ("outcome", if Option.is_some found then "hit" else "miss");
+            ] ));
+      match found with
+      | Some (hash, v) -> (v, Some hash, Cache_hit, [ t_lookup ])
+      | None ->
+          let v, timings = run () in
+          let hash, t_store =
+            stage (span ^ ".store") (fun () ->
+                let hash = Store.put st (encode v) in
+                Store.bind st ~key ~hash ~kind ~descr;
+                hash)
+          in
+          (v, Some hash, Cache_miss, timings @ [ t_store ]))
 
-(* One ledger record per public trace invocation.  The cached synth path
-   calls [trace_stage_cached] directly, so a synth run appends a single
-   "synth" record rather than a "trace" + "synth" pair. *)
-let emit_trace_record ts =
+(* The compute table is restored from the packed centroids on every
+   path, so a cold run searches exactly the proxies a warm run (which can
+   only restore) does. *)
+let trace_stage_of s meta pk traced =
+  {
+    ts_spec = s;
+    ts_trace = pk;
+    ts_meta = meta;
+    ts_table = Trace_io.packed_compute_table pk;
+    ts_hash = None;
+    ts_outcome = Cache_off;
+    ts_traced = traced;
+    ts_timings = (match traced with Some tr -> tr.timings | None -> []);
+  }
+
+let stage_of_traced tr =
+  trace_stage_of tr.run_spec (meta_of_traced tr) (Trace_io.pack tr.recorder) (Some tr)
+
+let run_trace_stage ?mode store s =
+  let ts, hash, outcome, timings =
+    memo store ~stage:"trace" ~span:"trace" ~kind:"trace" s
+      ~key:(fun () ->
+        Cache.trace_key ~workload:s.workload.Registry.name ~nranks:s.nranks ~iters:s.iters
+          ~seed:s.seed ~platform:s.platform.Spec_p.name ~impl:s.impl.Mpi_impl.name
+          ~cluster_threshold:s.cluster_threshold ())
+      ~decode:(fun blob ->
+        let meta, pk = Codec.decode_trace blob in
+        trace_stage_of s meta pk None)
+      ~encode:(fun ts -> Codec.encode_trace ~meta:ts.ts_meta ts.ts_trace)
+      (fun () ->
+        let ts = stage_of_traced (trace ?mode s) in
+        (ts, ts.ts_timings))
+  in
+  { ts with ts_hash = hash; ts_outcome = outcome; ts_timings = timings }
+
+(* Caching on means a store: the given one, else the default root. *)
+let store_of ~cache store =
+  if not cache then None
+  else Some (match store with Some st -> st | None -> Store.open_ ())
+
+(* One ledger record per public trace invocation.  The synth path runs
+   [run_trace_stage] directly, so a synth run appends a single "synth"
+   record rather than a "trace" + "synth" pair. *)
+let trace_stage ?(cache = false) ?store ?mode s =
+  let ts = run_trace_stage ?mode (store_of ~cache store) s in
   Ledger.emit (fun () ->
-      Ledger.make ~kind:"trace" ~spec:(spec_kvs ts.ts_spec)
+      Ledger.make ~kind:"trace" ~spec:(spec_kvs s)
         ~cache:
           (("trace", outcome_name ts.ts_outcome)
           :: (match ts.ts_hash with Some h -> [ ("trace_hash", h) ] | None -> []))
-        ~timings:ts.ts_timings ())
-
-let trace_stage ?(cache = false) ?store ?mode s =
-  let ts =
-    if cache then
-      let st = match store with Some st -> st | None -> Store.open_ () in
-      trace_stage_cached ?mode st s
-    else
-      let traced = trace ?mode s in
-      {
-        ts_spec = s;
-        ts_trace = Trace_io.pack traced.recorder;
-        ts_meta = meta_of_traced traced;
-        ts_table = Recorder.compute_table traced.recorder;
-        ts_hash = None;
-        ts_outcome = Cache_off;
-        ts_traced = Some traced;
-        ts_timings = traced.timings;
-      }
-  in
-  emit_trace_record ts;
+        ~timings:ts.ts_timings ());
   ts
 
-let synthesis_of_artifact (art : artifact) =
-  let traced = art.traced in
+(* Merge and proxy search over a trace stage: the one path every
+   synthesis runs, cold or cached.  A stage key includes the blob hash of
+   the stage before it, which exists whenever a store does. *)
+let merge_and_search store ~factor ~rle ?domains ts =
+  let s = ts.ts_spec in
+  let (merged, merge_sched), merge_hash, m_outcome, m_timings =
+    memo store ~stage:"merge" ~span:"merge" ~kind:"merged" s
+      ~key:(fun () -> Cache.merge_key ~trace_hash:(Option.get ts.ts_hash) ~rle ())
+      ~decode:(fun blob -> (Codec.decode_merged blob, None))
+      ~encode:(fun (merged, _) -> Codec.encode_merged merged)
+      (fun () ->
+        with_merge_pool domains @@ fun pool ->
+        let before = Option.map Parallel.stats pool in
+        let merged, t_merge =
+          stage "merge" (fun () ->
+              Merge_pipeline.merge_packed ~config:(merge_config ~rle pool) ts.ts_trace)
+        in
+        ((merged, sched_snapshot pool before), [ t_merge ]))
+  in
+  let proxy, _, p_outcome, p_timings =
+    memo store ~stage:"proxy" ~span:"synthesize" ~kind:"proxy" s
+      ~key:(fun () ->
+        Cache.proxy_key ~merge_hash:(Option.get merge_hash) ~trace_hash:(Option.get ts.ts_hash)
+          ~factor ~platform:s.platform.Spec_p.name ~impl:s.impl.Mpi_impl.name ())
+      ~decode:Codec.decode_proxy ~encode:Codec.encode_proxy
+      (fun () ->
+        let proxy, t_synth =
+          stage "synthesize" (fun () ->
+              Proxy_ir.synthesize ~platform:s.platform ~impl:s.impl ~factor ~merged
+                ~compute_table:ts.ts_table ())
+        in
+        (proxy, [ t_synth ]))
+  in
+  Option.iter
+    (fun st ->
+      if Metrics.enabled () then
+        Metrics.set (Metrics.gauge "store.size_bytes") (float_of_int (Store.size_bytes st)))
+    store;
+  Log.info (fun () ->
+      ( "pipeline.synthesize",
+        [
+          ("workload", s.workload.Registry.name);
+          ("factor", Printf.sprintf "%g" factor);
+          ("merged", Merged.stats merged);
+          ( "merge_domains",
+            match merge_sched with None -> "1" | Some m -> string_of_int m.ms_effective );
+        ]
+        @ List.map
+            (fun (name, t) -> (name ^ "_s", Printf.sprintf "%.6f" t))
+            (m_timings @ p_timings) ));
   {
-    sy_trace =
+    sy_trace = ts;
+    sy_merged = merged;
+    sy_proxy = proxy;
+    sy_factor = factor;
+    sy_merge_sched = merge_sched;
+    sy_timings = ts.ts_timings @ m_timings @ p_timings;
+    sy_status =
       {
-        ts_spec = traced.run_spec;
-        ts_trace = Trace_io.pack traced.recorder;
-        ts_meta = meta_of_traced traced;
-        ts_table = Recorder.compute_table traced.recorder;
-        ts_hash = None;
-        ts_outcome = Cache_off;
-        ts_traced = Some traced;
-        ts_timings = traced.timings;
+        cs_root = Option.map Store.root store;
+        cs_trace = ts.ts_outcome;
+        cs_merge = m_outcome;
+        cs_proxy = p_outcome;
       };
-    sy_merged = art.merged;
-    sy_proxy = art.proxy;
-    sy_factor = art.factor;
-    sy_merge_sched = art.merge_sched;
-    sy_timings = art.timings;
-    sy_status = status_off;
   }
 
-let emit_synth_record sy =
+let synthesize ?(factor = 1.0) ?(rle = true) ?domains traced =
+  merge_and_search None ~factor ~rle ?domains (stage_of_traced traced)
+
+let synthesize_spec ?(cache = false) ?store ?(factor = 1.0) ?(rle = true) ?domains ?mode s =
+  let store = store_of ~cache store in
+  let sy = merge_and_search store ~factor ~rle ?domains (run_trace_stage ?mode store s) in
   Ledger.emit (fun () ->
       let st = sy.sy_status in
       let cache =
@@ -525,107 +484,43 @@ let emit_synth_record sy =
         @ (match sy.sy_trace.ts_hash with Some h -> [ ("trace_hash", h) ] | None -> [])
       in
       Ledger.make ~kind:"synth"
-        ~spec:(("factor", Printf.sprintf "%g" sy.sy_factor) :: spec_kvs sy.sy_trace.ts_spec)
+        ~spec:(("factor", Printf.sprintf "%g" factor) :: spec_kvs s)
         ~cache ~timings:sy.sy_timings
-        ~sched:(sched_kvs sy.sy_merge_sched) ())
-
-let synthesize_spec_inner ~cache ?store ~factor ~rle ?domains ?mode s =
-  if not cache then
-    synthesis_of_artifact (synthesize ~factor ~rle ?domains (trace ?mode s))
-  else begin
-    let st = match store with Some st -> st | None -> Store.open_ () in
-    let ts = trace_stage_cached ?mode st s in
-    let trace_hash = Option.get ts.ts_hash in
-    (* merge stage *)
-    let mkey, mdescr = Cache.merge_key ~trace_hash ~rle () in
-    let found, t_mlookup =
-      stage "merge.cached" (fun () ->
-          cache_lookup st ~stage:"merge" ~key:mkey ~decode:Codec.decode_merged)
-    in
-    let merged, merge_hash, m_outcome, merge_sched, m_timings =
-      match found with
-      | Some (hash, m) ->
-          cache_count "merge" true;
-          log_stage_outcome "merge" s Cache_hit;
-          (m, hash, Cache_hit, None, [ t_mlookup ])
-      | None ->
-          cache_count "merge" false;
-          log_stage_outcome "merge" s Cache_miss;
-          with_merge_pool domains @@ fun pool ->
-          let config = merge_config ~rle pool in
-          let before = Option.map Parallel.stats pool in
-          let merged, t_merge =
-            stage "merge" (fun () -> Merge_pipeline.merge_packed ~config ts.ts_trace)
-          in
-          let sched = sched_snapshot pool before in
-          let hash, t_store =
-            stage "merge.store" (fun () ->
-                let blob = Codec.encode_merged merged in
-                let hash = Store.put st blob in
-                Store.bind st ~key:mkey ~hash ~kind:"merged" ~descr:mdescr;
-                hash)
-          in
-          (merged, hash, Cache_miss, sched, [ t_merge; t_store ])
-    in
-    (* proxy search *)
-    let pkey, pdescr =
-      Cache.proxy_key ~merge_hash ~trace_hash ~factor ~platform:s.platform.Spec_p.name
-        ~impl:s.impl.Mpi_impl.name ()
-    in
-    let found, t_plookup =
-      stage "synthesize.cached" (fun () ->
-          cache_lookup st ~stage:"proxy" ~key:pkey ~decode:Codec.decode_proxy)
-    in
-    let proxy, p_outcome, p_timings =
-      match found with
-      | Some (_hash, p) ->
-          cache_count "proxy" true;
-          log_stage_outcome "proxy" s Cache_hit;
-          (p, Cache_hit, [ t_plookup ])
-      | None ->
-          cache_count "proxy" false;
-          log_stage_outcome "proxy" s Cache_miss;
-          let proxy, t_synth =
-            stage "synthesize" (fun () ->
-                Proxy_ir.synthesize ~platform:s.platform ~impl:s.impl ~factor ~merged
-                  ~compute_table:ts.ts_table ())
-          in
-          let _hash, t_store =
-            stage "synthesize.store" (fun () ->
-                let blob = Codec.encode_proxy proxy in
-                let hash = Store.put st blob in
-                Store.bind st ~key:pkey ~hash ~kind:"proxy" ~descr:pdescr;
-                hash)
-          in
-          (proxy, Cache_miss, [ t_synth; t_store ])
-    in
-    if Metrics.enabled () then
-      Metrics.set (Metrics.gauge "store.size_bytes") (float_of_int (Store.size_bytes st));
-    {
-      sy_trace = ts;
-      sy_merged = merged;
-      sy_proxy = proxy;
-      sy_factor = factor;
-      sy_merge_sched = merge_sched;
-      sy_timings = ts.ts_timings @ m_timings @ p_timings;
-      sy_status =
-        {
-          cs_root = Some (Store.root st);
-          cs_trace = ts.ts_outcome;
-          cs_merge = m_outcome;
-          cs_proxy = p_outcome;
-        };
-    }
-  end
-
-let synthesize_spec ?(cache = false) ?store ?(factor = 1.0) ?(rle = true) ?domains ?mode s =
-  let sy = synthesize_spec_inner ~cache ?store ~factor ~rle ?domains ?mode s in
-  emit_synth_record sy;
+        ~sched:(sched_kvs sy.sy_merge_sched) ());
   sy
+
+let run_proxy sy ~platform ~impl =
+  let s = sy.sy_trace.ts_spec in
+  Engine.run ~platform ~impl ~nranks:s.nranks ~seed:s.seed (Proxy_ir.program sy.sy_proxy)
 
 let diff_synthesis sy =
   let s = sy.sy_trace.ts_spec in
-  diff_core ~check:(run_check s sy.sy_merged) s sy.sy_proxy
+  let check = run_check s sy.sy_merged in
+  let fid, total_s =
+    Clock.wall (fun () ->
+        let original = capture_original s in
+        let proxy = capture_proxy_ir s sy.sy_proxy in
+        let report =
+          Span.with_ ~cat:"pipeline" "diff" (fun () -> Divergence.diff ~original ~proxy)
+        in
+        { f_original = original; f_proxy = proxy; f_report = report; f_check = Some check })
+  in
+  let report = fid.f_report in
+  Divergence.publish_metrics report;
+  Log.info (fun () ->
+      ( "pipeline.diff",
+        [
+          ("workload", s.workload.Registry.name);
+          ("lossless", string_of_bool report.Divergence.r_lossless);
+          ("time_error", Printf.sprintf "%.4f" report.Divergence.r_time_error);
+          ("timeline_distance", Printf.sprintf "%.4e" report.Divergence.r_timeline_distance);
+        ] ));
+  Ledger.emit (fun () ->
+      Ledger.make ~kind:"diff" ~spec:(spec_kvs s)
+        ~timings:[ ("diff.total", total_s) ]
+        ~fidelity:(ledger_fidelity_of_report report)
+        ~check:(ledger_check_of_report check) ());
+  fid
 
 let check_synthesis ?fault sy =
   let s = sy.sy_trace.ts_spec in

@@ -18,14 +18,14 @@ module Trace_io = Siesta_trace.Trace_io
 
 let pct x = Printf.sprintf "%.2f%%" (100.0 *. x)
 
-(* The report is generated from a [Pipeline.synthesis], which exists in
-   two flavours: a cold one wrapping a live traced run, and a cached one
-   whose trace stage is a decoded blob plus stored run measurements.
+(* The report is generated from a [Pipeline.synthesis], whose trace stage
+   is either a live traced run or a decoded blob plus stored run
+   measurements.
    Everything below reads only what both flavours carry — streams,
    centroids, meta — plus the fidelity captures (which re-run both
    programs under the simulated clock and reproduce the original run's
    [Engine.result] exactly; runs are deterministic per seed). *)
-let generate_synthesis (sy : Pipeline.synthesis) =
+let generate (sy : Pipeline.synthesis) =
   let ts = sy.Pipeline.sy_trace in
   let spec = ts.Pipeline.ts_spec in
   let meta = ts.Pipeline.ts_meta in
@@ -215,15 +215,7 @@ let generate_synthesis (sy : Pipeline.synthesis) =
     (Timeline.render fid.Pipeline.f_original.Divergence.c_timeline);
   Buffer.contents buf
 
-let generate (art : Pipeline.artifact) =
-  generate_synthesis (Pipeline.synthesis_of_artifact art)
-
-let write_file art ~path =
+let write_file sy ~path =
   let oc = open_out path in
-  output_string oc (generate art);
-  close_out oc
-
-let write_file_synthesis sy ~path =
-  let oc = open_out path in
-  output_string oc (generate_synthesis sy);
+  output_string oc (generate sy);
   close_out oc

@@ -5,16 +5,11 @@
     replay validation — as markdown, for humans deciding whether to trust
     a generated proxy. *)
 
-val generate : Pipeline.artifact -> string
-(** Builds the report; runs the proxy once on the generation platform for
-    the validation section. *)
+val generate : Pipeline.synthesis -> string
+(** Builds the report; replays the original and the proxy once on the
+    generation platform for the validation and fidelity sections.  When
+    caching was on, a Cache section lists which stages were served from
+    the store; the Trace section is reconstructed from the stored run
+    measurements, so a fully warm report never re-runs the tracer. *)
 
-val write_file : Pipeline.artifact -> path:string -> unit
-
-val generate_synthesis : Pipeline.synthesis -> string
-(** Same report over a (possibly cache-served) {!Pipeline.synthesis}.
-    When caching was on, a Cache section lists which stages were served
-    from the store; the Trace section is reconstructed from the stored
-    run measurements, so a fully warm report never re-runs the tracer. *)
-
-val write_file_synthesis : Pipeline.synthesis -> path:string -> unit
+val write_file : Pipeline.synthesis -> path:string -> unit

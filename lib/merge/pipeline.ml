@@ -1,6 +1,5 @@
 module Grammar = Siesta_grammar.Grammar
 module Sequitur = Siesta_grammar.Sequitur
-module Recorder = Siesta_trace.Recorder
 module Trace_io = Siesta_trace.Trace_io
 module Soa = Siesta_trace.Soa
 module Parallel = Siesta_util.Parallel
@@ -568,11 +567,3 @@ let merge_packed ?(config = default_config) (pk : Trace_io.packed) =
               pk.Trace_io.p_codes)
   in
   merge_grammars ~config ~pm ~nranks ~terminals grammars
-
-let merge_recorder ?config recorder =
-  match Recorder.mode recorder with
-  | Recorder.Streamed -> merge_packed ?config (Trace_io.pack recorder)
-  | Recorder.Boxed ->
-      let nranks = Recorder.nranks recorder in
-      let streams = Array.init nranks (fun r -> Recorder.events recorder r) in
-      merge_streams ?config ~nranks streams

@@ -63,8 +63,3 @@ val merge_packed : ?config:config -> Siesta_trace.Trace_io.packed -> Merged.t
     — so the result is {!Merged.equal} (indeed structurally identical)
     to [merge_streams] over the same events, at any pool size and tree
     arity. *)
-
-val merge_recorder : ?config:config -> Siesta_trace.Recorder.t -> Merged.t
-(** Convenience over a finished {!Siesta_trace.Recorder}: routes to
-    {!merge_packed} for a streamed-mode recorder, {!merge_streams} for a
-    boxed one. *)

@@ -240,7 +240,7 @@ let run_job t job =
          :: !arts
      in
      add "proxy.c" (Codegen_c.generate sy.Pipeline.sy_proxy);
-     add "report.md" (Report.generate_synthesis sy);
+     add "report.md" (Report.generate sy);
      add "check.json" (Comm_check.to_json (Pipeline.check_synthesis sy));
      if r.r_diff then begin
        let f = Pipeline.diff_synthesis sy in

@@ -20,7 +20,7 @@ val create : threshold:float -> t
 
 val restore : ?threshold:float -> (Siesta_perf.Counters.t * int) array -> t
 (** Rebuild a table from saved (centroid, member-count) pairs; cluster ids
-    are the array indices.  Used by {!Trace_io.load}. *)
+    are the array indices.  Used by {!Trace_io.packed_compute_table}. *)
 
 val classify : t -> Siesta_perf.Counters.t -> int
 (** Return the cluster id for a reading, creating a new cluster when no

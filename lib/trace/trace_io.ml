@@ -90,11 +90,8 @@ let packed_compute_table p = Compute_table.restore p.p_centroids
 let packed_total_events p = Array.fold_left (fun acc b -> acc + Soa.length b) 0 p.p_codes
 
 (* ------------------------------------------------------------------ *)
-(* Text formats.
-
-   v1 is the historical boxed layout: one event key per line per rank.
-   v2 is the streamed layout that matches the SoA representation: the
-   distinct event definitions once, then per-rank code chunks of at most
+(* Text format (v2): the layout of the SoA representation — the distinct
+   event definitions once, then per-rank code chunks of at most
    [chunk_codes] codes per line, so both writer and reader work in
    bounded batches without materializing boxed events. *)
 
@@ -108,24 +105,6 @@ let centroid_lines buf centroids =
         "%d %.17g %.17g %.17g %.17g %.17g %.17g %d\n" cid a.(0) a.(1) a.(2) a.(3) a.(4) a.(5)
         members)
     centroids
-
-let to_string t =
-  let buf = Buffer.create 65536 in
-  let p fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  p "siesta-trace v1\n";
-  p "nranks %d\n" t.nranks;
-  p "compute-table %d\n" (Array.length t.centroids);
-  centroid_lines buf t.centroids;
-  Array.iteri
-    (fun rank evs ->
-      p "rank %d %d\n" rank (Array.length evs);
-      Array.iter
-        (fun ev ->
-          Buffer.add_string buf (Event.to_key ev);
-          Buffer.add_char buf '\n')
-        evs)
-    t.streams;
-  Buffer.contents buf
 
 let to_string_packed pk =
   let buf = Buffer.create 65536 in
@@ -184,20 +163,6 @@ let parse_header next =
             (Counters.of_array [| a; b; c; d; e; f |], members)))
   in
   (nranks, centroids)
-
-let parse_v1 next =
-  let nranks, centroids = parse_header next in
-  let streams =
-    Array.init nranks (fun expect ->
-        let n =
-          Scanf.sscanf (next ()) "rank %d %d" (fun r n ->
-              if r <> expect then failwith "Trace_io: ranks out of order";
-              if n < 0 then failwith "Trace_io: bad event count";
-              n)
-        in
-        Array.init n (fun _ -> Event.of_key (next ())))
-  in
-  to_packed { nranks; streams; centroids }
 
 let parse_v2 next =
   let p_nranks, p_centroids = parse_header next in
@@ -260,29 +225,16 @@ let of_string_packed s =
         l
   in
   match next () with
-  | "siesta-trace v1" -> parse_v1 next
   | "siesta-trace v2" -> parse_v2 next
+  | "siesta-trace v1" ->
+      failwith "Trace_io: siesta-trace v1 is no longer read (re-dump with `siesta trace --dump`)"
   | _ -> failwith "Trace_io: bad magic or version"
-
-let of_string s = of_packed (of_string_packed s)
-
-let save t ~path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_string t))
 
 let save_packed pk ~path =
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
     (fun () -> output_string oc (to_string_packed pk))
-
-let load ~path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> of_string (really_input_string ic (in_channel_length ic)))
 
 let load_packed ~path =
   let ic = open_in path in

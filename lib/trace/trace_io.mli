@@ -4,30 +4,17 @@
     computation-event table — can be saved to a portable text file and
     reloaded later, so tracing and synthesis can run as separate steps
     (the workflow of the real tool: trace on the cluster, synthesize on a
-    workstation).  The format is line-oriented and versioned.
-
-    v1 (boxed): one event key per line per rank:
-
-    {v
-    siesta-trace v1
-    nranks <P>
-    compute-table <n>
-    <id> <ins> <cyc> <lst> <l1_dcm> <br_cn> <msp> <members>
-    ...
-    rank <r> <nevents>
-    <event key per line>
-    ...
-    v}
-
-    v2 (streamed): the distinct event definitions once, then per-rank
-    dense-code chunks, mirroring the in-memory SoA layout so neither
-    writer nor reader materializes boxed events:
+    workstation).  The format ("siesta-trace v2") is line-oriented: the
+    distinct event definitions once, then per-rank dense-code chunks,
+    mirroring the in-memory SoA layout so neither writer nor reader
+    materializes boxed events:
 
     {v
     siesta-trace v2
     nranks <P>
     compute-table <n>
-    <centroid lines>
+    <id> <ins> <cyc> <lst> <l1_dcm> <br_cn> <msp> <members>
+    ...
     events <K>
     <event key per line, in code order>
     rank <r> <ncodes>
@@ -36,7 +23,7 @@
     ...
     v}
 
-    Loaders accept both versions. *)
+    The older one-key-per-line "siesta-trace v1" layout is rejected. *)
 
 type t = {
   nranks : int;
@@ -81,20 +68,14 @@ val compute_table : t -> Compute_table.t
 val packed_compute_table : packed -> Compute_table.t
 val packed_total_events : packed -> int
 
-val save : t -> path:string -> unit
 val save_packed : packed -> path:string -> unit
-(** [save] writes v1; [save_packed] writes v2. *)
-
-val load : path:string -> t
 val load_packed : path:string -> packed
-(** Accept v1 or v2. @raise Failure on a malformed or wrong-version
-    file. *)
+(** @raise Failure on a malformed or wrong-version file, as
+    {!of_string_packed}. *)
 
-val to_string : t -> string
 val to_string_packed : packed -> string
 
-val of_string : string -> t
 val of_string_packed : string -> packed
-(** Accept v1 or v2; a binary store blob ("SSB1" magic) is rejected with
-    a pointed diagnostic. @raise Failure on malformed input, always with
-    a ["Trace_io: ..."] message. *)
+(** Parse v2 text.  A v1 dump and a binary store blob ("SSB1" magic) are
+    rejected with a pointed diagnostic. @raise Failure on malformed
+    input, always with a ["Trace_io: ..."] message. *)

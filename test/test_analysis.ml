@@ -99,7 +99,9 @@ module MPipe = Siesta_merge.Pipeline
 let test_phases_detects_iterations () =
   let s = Siesta.Pipeline.spec ~iters:8 ~workload:"MG" ~nranks:16 () in
   let traced = Siesta.Pipeline.trace s in
-  let merged = MPipe.merge_recorder traced.Siesta.Pipeline.recorder in
+  let merged =
+    MPipe.merge_packed (Siesta_trace.Trace_io.pack traced.Siesta.Pipeline.recorder)
+  in
   let phases = Phases.detect merged in
   Alcotest.(check bool) "found phases" true (phases <> []);
   (* the dominant phase is the 8-iteration V-cycle loop *)
@@ -133,7 +135,9 @@ let test_phases_respects_threshold () =
 let test_phases_render () =
   let s = Siesta.Pipeline.spec ~iters:6 ~workload:"IS" ~nranks:8 () in
   let traced = Siesta.Pipeline.trace s in
-  let merged = MPipe.merge_recorder traced.Siesta.Pipeline.recorder in
+  let merged =
+    MPipe.merge_packed (Siesta_trace.Trace_io.pack traced.Siesta.Pipeline.recorder)
+  in
   let text = Phases.render merged in
   (* the first iteration's computation clusters differ (cold start), so
      at least the remaining 5 compress into one phase *)

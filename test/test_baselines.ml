@@ -85,7 +85,7 @@ let traced ?(nranks = 8) program =
 
 let test_pilgrim_drops_computation () =
   let original, recorder = traced ring in
-  let merged = Siesta_merge.Pipeline.merge_recorder recorder in
+  let merged = Siesta_merge.Pipeline.merge_packed (Siesta_trace.Trace_io.pack recorder) in
   let res = E.run ~platform ~impl ~nranks:8 (Pilgrim.program merged) in
   (* all computation gone: the replay must be much faster than the original *)
   Alcotest.(check bool) "no computation time" true (res.E.elapsed < 0.2 *. original.E.elapsed);
@@ -94,7 +94,7 @@ let test_pilgrim_drops_computation () =
 
 let test_pilgrim_keeps_communication () =
   let _, recorder = traced ring in
-  let merged = Siesta_merge.Pipeline.merge_recorder recorder in
+  let merged = Siesta_merge.Pipeline.merge_packed (Siesta_trace.Trace_io.pack recorder) in
   let recorder2 = Recorder.create ~nranks:8 () in
   ignore (E.run ~platform ~impl ~nranks:8 ~hook:(Recorder.hook recorder2) (Pilgrim.program merged));
   let comm_count r =

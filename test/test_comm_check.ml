@@ -20,7 +20,7 @@ let impl = Mpi_impl.openmpi
 let merged_of w nranks =
   let s = Pipeline.spec ~iters:2 ~workload:w.Registry.name ~nranks () in
   let traced = Pipeline.trace s in
-  MPipe.merge_recorder traced.Pipeline.recorder
+  MPipe.merge_packed (Siesta_trace.Trace_io.pack traced.Pipeline.recorder)
 
 (* Same shrunken counts the workload tests use, so the suite stays fast. *)
 let small_nranks w =

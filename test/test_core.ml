@@ -25,17 +25,17 @@ let test_trace_produces_overhead () =
   Alcotest.(check bool) "instrumented at least as slow" true
     (traced.Pipeline.instrumented.E.elapsed >= traced.Pipeline.original.E.elapsed)
 
-let full_artifact ?workload ?nranks () =
+let full_synthesis ?workload ?nranks () =
   Pipeline.synthesize (Pipeline.trace (small_spec ?workload ?nranks ()))
 
 let test_synthesize_validates () =
-  let art = full_artifact () in
-  Siesta_merge.Merged.validate art.Pipeline.merged;
-  Alcotest.(check (float 1e-9)) "factor 1" 1.0 art.Pipeline.factor
+  let sy = full_synthesis () in
+  Siesta_merge.Merged.validate sy.Pipeline.sy_merged;
+  Alcotest.(check (float 1e-9)) "factor 1" 1.0 sy.Pipeline.sy_factor
 
 let test_table3_row_sane () =
-  let art = full_artifact () in
-  let row = Evaluate.table3_row art in
+  let traced = Pipeline.trace (small_spec ()) in
+  let row = Evaluate.table3_row traced (Pipeline.synthesize traced) in
   Alcotest.(check string) "program" "CG" row.Evaluate.program;
   Alcotest.(check int) "processes" 16 row.Evaluate.processes;
   Alcotest.(check bool) "compression" true (row.Evaluate.size_c_bytes < row.Evaluate.trace_bytes);
@@ -46,9 +46,9 @@ let test_proxy_time_error_small_each_workload () =
     (fun workload ->
       let spec = small_spec ~workload () in
       let traced = Pipeline.trace spec in
-      let art = Pipeline.synthesize traced in
+      let sy = Pipeline.synthesize traced in
       let proxy =
-        Pipeline.run_proxy art ~platform:spec.Pipeline.platform ~impl:spec.Pipeline.impl
+        Pipeline.run_proxy sy ~platform:spec.Pipeline.platform ~impl:spec.Pipeline.impl
       in
       let err =
         Evaluate.time_error ~estimated:proxy.E.elapsed
@@ -64,12 +64,12 @@ let test_proxy_comm_lossless_each_workload () =
     (fun workload ->
       let spec = small_spec ~workload () in
       let traced = Pipeline.trace spec in
-      let art = Pipeline.synthesize traced in
+      let sy = Pipeline.synthesize traced in
       let recorder2 = Recorder.create ~nranks:16 () in
       ignore
         (E.run ~platform:spec.Pipeline.platform ~impl:spec.Pipeline.impl ~nranks:16
            ~hook:(Recorder.hook recorder2)
-           (Siesta_synth.Proxy_ir.program art.Pipeline.proxy));
+           (Siesta_synth.Proxy_ir.program sy.Pipeline.sy_proxy));
       let comm_keys r rank =
         Recorder.events r rank |> Array.to_list
         |> List.filter (fun e -> not (Event.is_compute e))
@@ -84,17 +84,17 @@ let test_proxy_comm_lossless_each_workload () =
 let test_counter_error_small () =
   let spec = small_spec ~workload:"MG" () in
   let traced = Pipeline.trace spec in
-  let art = Pipeline.synthesize traced in
-  let proxy = Pipeline.run_proxy art ~platform:spec.Pipeline.platform ~impl:spec.Pipeline.impl in
+  let sy = Pipeline.synthesize traced in
+  let proxy = Pipeline.run_proxy sy ~platform:spec.Pipeline.platform ~impl:spec.Pipeline.impl in
   let err = Evaluate.counter_error ~original:traced.Pipeline.original ~proxy in
   Alcotest.(check bool) (Printf.sprintf "counter error %.2f%%" (100.0 *. err)) true (err < 0.05)
 
 let test_scaled_pipeline () =
   let spec = small_spec ~workload:"BT" () in
   let traced = Pipeline.trace spec in
-  let art = Pipeline.synthesize ~factor:10.0 traced in
-  Alcotest.(check (float 1e-9)) "factor recorded" 10.0 art.Pipeline.factor;
-  let proxy = Pipeline.run_proxy art ~platform:spec.Pipeline.platform ~impl:spec.Pipeline.impl in
+  let sy = Pipeline.synthesize ~factor:10.0 traced in
+  Alcotest.(check (float 1e-9)) "factor recorded" 10.0 sy.Pipeline.sy_factor;
+  let proxy = Pipeline.run_proxy sy ~platform:spec.Pipeline.platform ~impl:spec.Pipeline.impl in
   let est = 10.0 *. proxy.E.elapsed in
   let err = Evaluate.time_error ~estimated:est ~original:traced.Pipeline.original.E.elapsed in
   Alcotest.(check bool) "scaled estimate accurate" true (err < 0.2);
@@ -104,11 +104,11 @@ let test_scaled_pipeline () =
 let test_cross_platform_portability () =
   let spec = small_spec ~workload:"CG" () in
   let traced = Pipeline.trace spec in
-  let art = Pipeline.synthesize traced in
+  let sy = Pipeline.synthesize traced in
   List.iter
     (fun platform ->
       let original = (Pipeline.run_original spec ~platform ~impl:Impl.openmpi).E.elapsed in
-      let proxy = (Pipeline.run_proxy art ~platform ~impl:Impl.openmpi).E.elapsed in
+      let proxy = (Pipeline.run_proxy sy ~platform ~impl:Impl.openmpi).E.elapsed in
       let err = Evaluate.time_error ~estimated:proxy ~original in
       if err > 0.25 then
         Alcotest.failf "platform %s error %.2f%%" platform.Spec.name (100.0 *. err))
@@ -117,13 +117,13 @@ let test_cross_platform_portability () =
 let test_cross_impl_portability () =
   let spec = small_spec ~workload:"IS" () in
   let traced = Pipeline.trace spec in
-  let art = Pipeline.synthesize traced in
+  let sy = Pipeline.synthesize traced in
   List.iter
     (fun impl ->
       let original =
         (Pipeline.run_original spec ~platform:Spec.platform_a ~impl).E.elapsed
       in
-      let proxy = (Pipeline.run_proxy art ~platform:Spec.platform_a ~impl).E.elapsed in
+      let proxy = (Pipeline.run_proxy sy ~platform:Spec.platform_a ~impl).E.elapsed in
       let err = Evaluate.time_error ~estimated:proxy ~original in
       if err > 0.15 then
         Alcotest.failf "impl %s error %.2f%%" impl.Siesta_platform.Mpi_impl.name (100.0 *. err))
@@ -133,8 +133,8 @@ let test_btio_pipeline_end_to_end () =
   (* the I/O extension: BT-IO traces, synthesizes, and replays losslessly *)
   let spec = Pipeline.spec ~iters:5 ~workload:"BT-IO" ~nranks:16 () in
   let traced = Pipeline.trace spec in
-  let art = Pipeline.synthesize traced in
-  let proxy = Pipeline.run_proxy art ~platform:spec.Pipeline.platform ~impl:spec.Pipeline.impl in
+  let sy = Pipeline.synthesize traced in
+  let proxy = Pipeline.run_proxy sy ~platform:spec.Pipeline.platform ~impl:spec.Pipeline.impl in
   let terr =
     Evaluate.time_error ~estimated:proxy.E.elapsed
       ~original:traced.Pipeline.original.E.elapsed
@@ -145,7 +145,7 @@ let test_btio_pipeline_end_to_end () =
   ignore
     (E.run ~platform:spec.Pipeline.platform ~impl:spec.Pipeline.impl ~nranks:16
        ~hook:(Recorder.hook recorder2)
-       (Siesta_synth.Proxy_ir.program art.Pipeline.proxy));
+       (Siesta_synth.Proxy_ir.program sy.Pipeline.sy_proxy));
   let comm_keys r rank =
     Recorder.events r rank |> Array.to_list
     |> List.filter (fun e -> not (Event.is_compute e))
@@ -158,7 +158,7 @@ let test_btio_pipeline_end_to_end () =
       (comm_keys recorder2 rank)
   done;
   (* the generated C contains the MPI-IO calls *)
-  let c = Siesta_synth.Codegen_c.generate art.Pipeline.proxy in
+  let c = Siesta_synth.Codegen_c.generate sy.Pipeline.sy_proxy in
   let contains sub =
     let n = String.length c and m = String.length sub in
     let rec go i = i + m <= n && (String.sub c i m = sub || go (i + 1)) in
@@ -173,8 +173,8 @@ let test_rle_ablation_hook () =
   let with_rle = Pipeline.synthesize ~rle:true traced in
   let without = Pipeline.synthesize ~rle:false traced in
   (* both lossless; sizes may differ *)
-  Siesta_merge.Merged.validate with_rle.Pipeline.merged;
-  Siesta_merge.Merged.validate without.Pipeline.merged
+  Siesta_merge.Merged.validate with_rle.Pipeline.sy_merged;
+  Siesta_merge.Merged.validate without.Pipeline.sy_merged
 
 let test_nbc_pipeline_end_to_end () =
   (* non-blocking collectives flow through trace -> merge -> proxy -> C *)
@@ -193,7 +193,7 @@ let test_nbc_pipeline_end_to_end () =
   let original = E.run ~platform ~impl ~nranks program in
   let recorder = Recorder.create ~nranks () in
   ignore (E.run ~platform ~impl ~nranks ~hook:(Recorder.hook recorder) program);
-  let merged = Siesta_merge.Pipeline.merge_recorder recorder in
+  let merged = Siesta_merge.Pipeline.merge_packed (Siesta_trace.Trace_io.pack recorder) in
   let proxy =
     Siesta_synth.Proxy_ir.synthesize ~platform ~impl ~merged
       ~compute_table:(Recorder.compute_table recorder) ()
@@ -227,8 +227,8 @@ let test_nbc_pipeline_end_to_end () =
 let test_per_metric_errors () =
   let spec = small_spec () in
   let traced = Pipeline.trace spec in
-  let art = Pipeline.synthesize traced in
-  let proxy = Pipeline.run_proxy art ~platform:spec.Pipeline.platform ~impl:spec.Pipeline.impl in
+  let sy = Pipeline.synthesize traced in
+  let proxy = Pipeline.run_proxy sy ~platform:spec.Pipeline.platform ~impl:spec.Pipeline.impl in
   let breakdown =
     Evaluate.per_metric_errors ~original:traced.Pipeline.original ~proxy
   in
@@ -242,8 +242,8 @@ let test_per_metric_errors () =
   Alcotest.(check (float 1e-9)) "averages agree" overall mean
 
 let test_report_generation () =
-  let art = full_artifact () in
-  let report = Siesta.Report.generate art in
+  let sy = full_synthesis () in
+  let report = Siesta.Report.generate sy in
   List.iter
     (fun needle ->
       let n = String.length report and m = String.length needle in

@@ -190,14 +190,14 @@ let test_self_diff_zero () =
 (* ------------------------------------------------------------------ *)
 (* End-to-end diff of a real synthesis: comm replay must be lossless. *)
 
-let artifact =
+let synthesis =
   lazy
     (let s = Pipeline.spec ~workload:"CG" ~nranks:8 () in
      Pipeline.synthesize (Pipeline.trace s))
 
 let test_pipeline_diff_lossless () =
-  let art = Lazy.force artifact in
-  let fid = Pipeline.diff art in
+  let sy = Lazy.force synthesis in
+  let fid = Pipeline.diff_synthesis sy in
   let r = fid.Pipeline.f_report in
   Alcotest.(check bool) "lossless comm replay" true r.Divergence.r_lossless;
   Alcotest.(check int) "six metrics" 6 (List.length r.Divergence.r_compute_errors);
@@ -210,9 +210,9 @@ let test_pipeline_diff_lossless () =
   | _ -> ()
 
 let test_perturbed_diff_detected () =
-  let art = Lazy.force artifact in
-  let bad = { art with Pipeline.proxy = Divergence.perturb `Comm art.Pipeline.proxy } in
-  let fid = Pipeline.diff bad in
+  let sy = Lazy.force synthesis in
+  let bad = { sy with Pipeline.sy_proxy = Divergence.perturb `Comm sy.Pipeline.sy_proxy } in
+  let fid = Pipeline.diff_synthesis bad in
   let r = fid.Pipeline.f_report in
   Alcotest.(check bool) "not lossless" false r.Divergence.r_lossless;
   Alcotest.(check bool) "has reasons" true (r.Divergence.r_reasons <> []);
@@ -229,9 +229,9 @@ let test_perturbed_diff_detected () =
   Alcotest.(check bool) "markdown mentions NOT lossless" true (contains md "NOT lossless")
 
 let test_perturb_compute () =
-  let art = Lazy.force artifact in
-  let bad = { art with Pipeline.proxy = Divergence.perturb `Compute art.Pipeline.proxy } in
-  let fid = Pipeline.diff bad in
+  let sy = Lazy.force synthesis in
+  let bad = { sy with Pipeline.sy_proxy = Divergence.perturb `Compute sy.Pipeline.sy_proxy } in
+  let fid = Pipeline.diff_synthesis bad in
   let r = fid.Pipeline.f_report in
   Alcotest.(check bool) "comm still lossless" true r.Divergence.r_lossless;
   match Divergence.verdict ~compute_tolerance:0.05 r with
@@ -244,10 +244,10 @@ let test_perturb_compute () =
 (* Rule attribution on a real grammar: sums to the path length. *)
 
 let test_rule_attribution_sums () =
-  let art = Lazy.force artifact in
-  let cap = Pipeline.capture_original art.Pipeline.traced.Pipeline.run_spec in
+  let sy = Lazy.force synthesis in
+  let cap = Pipeline.capture_original sy.Pipeline.sy_trace.Pipeline.ts_spec in
   let cp =
-    Critical_path.compute ~merged:art.Pipeline.merged cap.Divergence.c_timeline
+    Critical_path.compute ~merged:sy.Pipeline.sy_merged cap.Divergence.c_timeline
   in
   let sum l = List.fold_left (fun a (_, s) -> a +. s) 0.0 l in
   Alcotest.(check bool) "rule attribution present" true (cp.Critical_path.by_rule <> []);

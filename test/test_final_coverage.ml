@@ -83,7 +83,10 @@ let test_nbc_recorded_with_pooled_requests () =
 let test_nbc_event_roundtrip_through_trace_io () =
   let recorder = traced_nbc () in
   let t = Trace_io.of_recorder recorder in
-  let t' = Trace_io.of_string (Trace_io.to_string t) in
+  let t' =
+    Trace_io.of_packed
+      (Trace_io.of_string_packed (Trace_io.to_string_packed (Trace_io.pack recorder)))
+  in
   Alcotest.(check bool) "streams equal" true (t.Trace_io.streams = t'.Trace_io.streams)
 
 let test_scalabench_converts_nbc_to_blocking () =
@@ -120,8 +123,8 @@ let test_dot_export_empty_grammar () =
 let test_report_with_scaling_factor () =
   let spec = Siesta.Pipeline.spec ~iters:3 ~workload:"IS" ~nranks:8 () in
   let traced = Siesta.Pipeline.trace spec in
-  let art = Siesta.Pipeline.synthesize ~factor:5.0 traced in
-  let report = Siesta.Report.generate art in
+  let sy = Siesta.Pipeline.synthesize ~factor:5.0 traced in
+  let report = Siesta.Report.generate sy in
   let contains needle =
     let n = String.length report and m = String.length needle in
     let rec go i = i + m <= n && (String.sub report i m = needle || go (i + 1)) in

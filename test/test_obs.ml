@@ -636,19 +636,19 @@ let test_pipeline_trace_out_smoke () =
       Metrics.set_enabled true;
       let spec = Pipeline.spec ~workload:"CG" ~nranks:8 () in
       let traced = Pipeline.trace spec in
-      let art = Pipeline.synthesize traced in
-      ignore (Codegen.generate art.Pipeline.proxy);
+      let sy = Pipeline.synthesize traced in
+      ignore (Codegen.generate sy.Pipeline.sy_proxy);
       Span.write ~path;
       Span.set_enabled false;
       Metrics.set_enabled false;
       (* stage timings mirror the spans *)
-      let stages = List.map fst art.Pipeline.timings in
-      Alcotest.(check (list string)) "artifact timings"
+      let stages = List.map fst sy.Pipeline.sy_timings in
+      Alcotest.(check (list string)) "synthesis timings"
         [ "trace.original"; "trace.instrumented"; "merge"; "synthesize" ]
         stages;
       List.iter
         (fun (n, s) -> if s < 0.0 then Alcotest.failf "negative stage time for %s" n)
-        art.Pipeline.timings;
+        sy.Pipeline.sy_timings;
       (* the emitted file is a Chrome trace with >= 5 distinct pipeline
          stage spans — same acceptance as `siesta check-trace` *)
       let ic = open_in path in

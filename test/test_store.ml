@@ -261,18 +261,18 @@ let test_codec_grammars_roundtrip () =
   let gs' = Codec.decode_grammars (Codec.encode_grammars gs) in
   Alcotest.(check bool) "structural equality" true (gs = gs')
 
-let artifact_once = lazy (Pipeline.synthesize (Lazy.force traced_once))
+let synthesis_once = lazy (Pipeline.synthesize (Lazy.force traced_once))
 
 let test_codec_merged_roundtrip () =
-  let art = Lazy.force artifact_once in
-  let m = art.Pipeline.merged in
+  let sy = Lazy.force synthesis_once in
+  let m = sy.Pipeline.sy_merged in
   let m' = Codec.decode_merged (Codec.encode_merged m) in
   Alcotest.(check bool) "Merged.equal" true (Merged.equal m m');
   Merged.validate m'
 
 let test_codec_proxy_roundtrip () =
-  let art = Lazy.force artifact_once in
-  let p = art.Pipeline.proxy in
+  let sy = Lazy.force synthesis_once in
+  let p = sy.Pipeline.sy_proxy in
   let p' = Codec.decode_proxy (Codec.encode_proxy p) in
   Alcotest.(check bool) "merged" true (Merged.equal p.Proxy_ir.merged p'.Proxy_ir.merged);
   Alcotest.(check bool) "combos bit-exact" true
@@ -480,9 +480,37 @@ let test_cache_off_matches_legacy () =
   Alcotest.(check string) "off" "off"
     (Pipeline.outcome_name sy.Pipeline.sy_status.Pipeline.cs_trace);
   Alcotest.(check bool) "no store root" true (sy.Pipeline.sy_status.Pipeline.cs_root = None);
-  let art = Lazy.force artifact_once in
+  let cold = Lazy.force synthesis_once in
   Alcotest.(check bool) "same merged as legacy path" true
-    (Merged.equal art.Pipeline.merged sy.Pipeline.sy_merged)
+    (Merged.equal cold.Pipeline.sy_merged sy.Pipeline.sy_merged)
+
+(* The stage-timing lists that ledger records and reports read: a miss
+   lists the stage run then its ".store" put (not the lookup), a hit only
+   the ".cached" lookup, and cache-off only the runs. *)
+let test_timings_per_cache_outcome () =
+  with_temp_store @@ fun st ->
+  let s = small_spec () in
+  let names sy = List.map fst sy.Pipeline.sy_timings in
+  Alcotest.(check (list string)) "cache off"
+    [ "trace.original"; "trace.instrumented"; "merge"; "synthesize" ]
+    (names (Pipeline.synthesize_spec s));
+  Alcotest.(check (list string)) "cold"
+    [
+      "trace.original";
+      "trace.instrumented";
+      "trace.store";
+      "merge";
+      "merge.store";
+      "synthesize";
+      "synthesize.store";
+    ]
+    (names (Pipeline.synthesize_spec ~cache:true ~store:st s));
+  Alcotest.(check (list string)) "warm"
+    [ "trace.cached"; "merge.cached"; "synthesize.cached" ]
+    (names (Pipeline.synthesize_spec ~cache:true ~store:st s));
+  Alcotest.(check (list string)) "factor change"
+    [ "trace.cached"; "merge.cached"; "synthesize"; "synthesize.store" ]
+    (names (Pipeline.synthesize_spec ~cache:true ~store:st ~factor:2.0 s))
 
 let prop_cached_equals_cold =
   (* For random small specs: a cold cached run and the subsequent warm run
@@ -590,6 +618,7 @@ let suite =
     ("cache key sensitivity", `Quick, test_cache_key_sensitivity);
     ("cached synthesis end to end", `Quick, test_cached_synthesis_end_to_end);
     ("cache off matches legacy pipeline", `Quick, test_cache_off_matches_legacy);
+    ("timings per cache outcome", `Quick, test_timings_per_cache_outcome);
     ("corrupt cache degrades to a miss", `Quick, test_corrupt_cache_degrades_to_miss);
     ("concurrent writers leave a clean store", `Quick, test_store_concurrent_writers);
     QCheck_alcotest.to_alcotest prop_varint_roundtrip;

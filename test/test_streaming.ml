@@ -199,9 +199,13 @@ let test_recorder_boxed_rejects_streamed_accessors () =
       (fun () -> ignore (Recorder.online_grammars b));
     ]
 
-let test_merge_recorder_mode_equivalence () =
-  let ms = MPipe.merge_recorder (record Recorder.Streamed) in
-  let mb = MPipe.merge_recorder (record Recorder.Boxed) in
+(* The pipeline merges every recording through the packed path; the boxed
+   side stays on the batch reference [merge_streams]. *)
+let test_merge_mode_equivalence () =
+  let ms = MPipe.merge_packed (Trace_io.pack (record Recorder.Streamed)) in
+  let boxed = record Recorder.Boxed in
+  let nranks = Recorder.nranks boxed in
+  let mb = MPipe.merge_streams ~nranks (Array.init nranks (Recorder.events boxed)) in
   Merged.validate ms;
   Alcotest.(check bool) "streamed merge equals boxed merge" true (Merged.equal ms mb)
 
@@ -278,14 +282,21 @@ let prop_packed_text_roundtrip =
       && String.sub s 0 15 = "siesta-trace v2"
       && (Trace_io.of_packed (Trace_io.of_string_packed s)).Trace_io.streams = streams)
 
-let test_v2_loader_accepts_v1 () =
-  let t =
-    { Trace_io.nranks = 2; streams = [| [| ev_send 1 |]; [| ev_send 1; ev_compute 0 |] |];
-      centroids = [||] }
-  in
-  let pk = Trace_io.of_string_packed (Trace_io.to_string t) in
-  Alcotest.(check bool) "v1 text loads as packed" true
-    ((Trace_io.of_packed pk).Trace_io.streams = t.Trace_io.streams)
+let contains_substring ~needle hay =
+  let nl = String.length needle and hl = String.length hay in
+  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
+  go 0
+
+let test_v2_loader_rejects_v1 () =
+  let v1 = "siesta-trace v1\nnranks 1\ncompute-table 0\nrank 0 1\nC:0\n" in
+  match Trace_io.of_string_packed v1 with
+  | exception Failure msg ->
+      Alcotest.(check bool) (Printf.sprintf "Trace_io error naming v1: %s" msg) true
+        (String.length msg >= 9
+        && String.sub msg 0 9 = "Trace_io:"
+        && contains_substring ~needle:"v1" msg)
+  | exception e -> Alcotest.failf "leaked %s" (Printexc.to_string e)
+  | _ -> Alcotest.fail "v1 text accepted"
 
 let test_v2_truncation_clean_errors () =
   let streams = Array.make 3 (Array.init 50 (fun i -> ev_compute (i mod 5))) in
@@ -319,11 +330,6 @@ let test_v2_truncation_clean_errors () =
   | exception Failure _ -> ()
   | _ -> Alcotest.fail "accepted out-of-range code")
 
-let contains_substring ~needle hay =
-  let nl = String.length needle and hl = String.length hay in
-  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-  go 0
-
 let test_store_blob_rejected_by_text_loader () =
   match Trace_io.of_string_packed "SSB1\x02\x05trace..." with
   | exception Failure msg ->
@@ -339,10 +345,10 @@ let test_end_to_end_streamed_equals_boxed () =
   let streamed = Pipeline.synthesize (Pipeline.trace ~mode:Recorder.Streamed s) in
   let boxed = Pipeline.synthesize (Pipeline.trace ~mode:Recorder.Boxed s) in
   Alcotest.(check bool) "merged programs equal" true
-    (Merged.equal streamed.Pipeline.merged boxed.Pipeline.merged);
+    (Merged.equal streamed.Pipeline.sy_merged boxed.Pipeline.sy_merged);
   Alcotest.(check string) "byte-identical C"
-    (Codegen_c.generate boxed.Pipeline.proxy)
-    (Codegen_c.generate streamed.Pipeline.proxy)
+    (Codegen_c.generate boxed.Pipeline.sy_proxy)
+    (Codegen_c.generate streamed.Pipeline.sy_proxy)
 
 let test_packed_memory_scales_with_defs () =
   (* the streaming claim at unit scale: the packed trace's GC-visible
@@ -386,8 +392,8 @@ let suite =
       ("online grammars match batch Sequitur", `Quick, test_recorder_online_grammars_match_batch);
       ("boxed recorder rejects streamed accessors", `Quick,
         test_recorder_boxed_rejects_streamed_accessors);
-      ("merge_recorder equivalent across modes", `Quick, test_merge_recorder_mode_equivalence);
-      ("v2 loader accepts v1 text", `Quick, test_v2_loader_accepts_v1);
+      ("merges agree across modes", `Quick, test_merge_mode_equivalence);
+      ("v2 loader rejects v1 text", `Quick, test_v2_loader_rejects_v1);
       ("v2 truncation gives clean errors", `Quick, test_v2_truncation_clean_errors);
       ("text loader rejects binary store blobs", `Quick,
         test_store_blob_rejected_by_text_loader);

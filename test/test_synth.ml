@@ -163,7 +163,7 @@ let exchange_program ctx =
   E.comm_free ctx sub
 
 let synthesize ?factor recorder =
-  let merged = Siesta_merge.Pipeline.merge_recorder recorder in
+  let merged = Siesta_merge.Pipeline.merge_packed (Siesta_trace.Trace_io.pack recorder) in
   Proxy_ir.synthesize ~platform ~impl ?factor ~merged
     ~compute_table:(Recorder.compute_table recorder) ()
 

@@ -320,11 +320,14 @@ let test_recorder_trace_size_accounting () =
 
 module Trace_io = Siesta_trace.Trace_io
 module Mpip_report = Siesta_trace.Mpip_report
+module Soa = Siesta_trace.Soa
 
 let test_trace_io_roundtrip () =
   let r = traced_run ring in
   let t = Trace_io.of_recorder r in
-  let t' = Trace_io.of_string (Trace_io.to_string t) in
+  let t' =
+    Trace_io.of_packed (Trace_io.of_string_packed (Trace_io.to_string_packed (Trace_io.pack r)))
+  in
   Alcotest.(check int) "nranks" t.Trace_io.nranks t'.Trace_io.nranks;
   Alcotest.(check bool) "streams equal" true (t.Trace_io.streams = t'.Trace_io.streams);
   Alcotest.(check int) "centroids count" (Array.length t.Trace_io.centroids)
@@ -341,8 +344,8 @@ let test_trace_io_file_roundtrip () =
   let r = traced_run ring in
   let t = Trace_io.of_recorder r in
   let path = Filename.temp_file "siesta_trace" ".txt" in
-  Trace_io.save t ~path;
-  let t' = Trace_io.load ~path in
+  Trace_io.save_packed (Trace_io.pack r) ~path;
+  let t' = Trace_io.of_packed (Trace_io.load_packed ~path) in
   Sys.remove path;
   Alcotest.(check bool) "streams equal" true (t.Trace_io.streams = t'.Trace_io.streams)
 
@@ -350,7 +353,7 @@ let test_trace_io_rejects_garbage () =
   List.iter
     (fun s ->
       Alcotest.(check bool) "rejected" true
-        (match Trace_io.of_string s with exception Failure _ -> true | _ -> false))
+        (match Trace_io.of_string_packed s with exception Failure _ -> true | _ -> false))
     [ ""; "wrong magic\n"; "siesta-trace v1\nnranks 0\n"; "siesta-trace v2\nnranks 1\n" ]
 
 (* Truncating a valid trace at any line boundary must produce a clean
@@ -358,12 +361,12 @@ let test_trace_io_rejects_garbage () =
    Invalid_argument from the parser internals. *)
 let test_trace_io_truncation_is_clean () =
   let r = traced_run ring in
-  let full = Trace_io.to_string (Trace_io.of_recorder r) in
+  let full = Trace_io.to_string_packed (Trace_io.pack r) in
   let lines = String.split_on_char '\n' full in
   let n_lines = List.length lines in
   for keep = 0 to n_lines - 2 do
     let prefix = String.concat "\n" (List.filteri (fun i _ -> i < keep) lines) ^ "\n" in
-    match Trace_io.of_string prefix with
+    match Trace_io.of_string_packed prefix with
     | exception Failure msg ->
         Alcotest.(check bool)
           (Printf.sprintf "Trace_io-prefixed error at %d lines" keep)
@@ -379,16 +382,18 @@ let test_trace_io_truncation_is_clean () =
   List.iter
     (fun s ->
       Alcotest.(check bool) "clean failure" true
-        (match Trace_io.of_string s with
+        (match Trace_io.of_string_packed s with
         | exception Failure msg -> String.sub msg 0 9 = "Trace_io:"
         | exception _ -> false
         | _ -> false))
     [
-      "siesta-trace v1\nnranks x\n";
-      "siesta-trace v1\nnranks 1\ncompute-table -4\n";
-      "siesta-trace v1\nnranks 1\ncompute-table 1\n0 bad floats\n";
-      "siesta-trace v1\nnranks 1\ncompute-table 0\nrank 0 2\nS:0:0:i:8\nnot-an-event\n";
-      "siesta-trace v1\nnranks 1\ncompute-table 0\nrank 0 -1\n";
+      "siesta-trace v2\nnranks x\n";
+      "siesta-trace v2\nnranks 1\ncompute-table -4\n";
+      "siesta-trace v2\nnranks 1\ncompute-table 1\n0 bad floats\n";
+      "siesta-trace v2\nnranks 1\ncompute-table 0\nevents 2\nS:0:0:i:8\nnot-an-event\n";
+      "siesta-trace v2\nnranks 1\ncompute-table 0\nevents -1\n";
+      "siesta-trace v2\nnranks 1\ncompute-table 0\nevents 0\nrank 0 -1\n";
+      "siesta-trace v2\nnranks 1\ncompute-table 0\nevents 1\nS:0:0:i:8\nrank 0 1\nchunk 1\nx\n";
     ]
 
 let test_trace_io_compute_table_restored () =
@@ -467,8 +472,12 @@ let prop_trace_io_roundtrip =
          in
          return (nranks, streams)))
     (fun (nranks, streams) ->
-      let t = { Trace_io.nranks; streams; centroids = [||] } in
-      (Trace_io.of_string (Trace_io.to_string t)).Trace_io.streams = streams)
+      let pk = Trace_io.to_packed { Trace_io.nranks; streams; centroids = [||] } in
+      let pk' = Trace_io.of_string_packed (Trace_io.to_string_packed pk) in
+      (* the packed form itself survives: same definitions, same codes *)
+      pk'.Trace_io.p_defs = pk.Trace_io.p_defs
+      && Array.map Soa.to_array pk'.Trace_io.p_codes = Array.map Soa.to_array pk.Trace_io.p_codes
+      && (Trace_io.of_packed pk').Trace_io.streams = streams)
 
 (* As above but with a non-empty compute table: centroids (printed with
    %.17g) and member counts must survive the text round-trip exactly. *)
@@ -489,7 +498,10 @@ let prop_trace_io_roundtrip_centroids =
          in
          return { Trace_io.nranks; streams; centroids }))
     (fun t ->
-      let t' = Trace_io.of_string (Trace_io.to_string t) in
+      let t' =
+        Trace_io.of_packed
+          (Trace_io.of_string_packed (Trace_io.to_string_packed (Trace_io.to_packed t)))
+      in
       t'.Trace_io.streams = t.Trace_io.streams
       && Array.length t'.Trace_io.centroids = Array.length t.Trace_io.centroids
       && Array.for_all2
