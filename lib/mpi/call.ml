@@ -210,6 +210,99 @@ let to_string = function
   | File_read_at { file; dt; count } ->
       Printf.sprintf "File_read_at(file=%d,dt=%s,count=%d)" file (Datatype.name dt) count
 
+(* [record_bytes] runs once per simulated call, so it sums widths
+   instead of building the [to_string] text: each format's literal part
+   (written below as the format with its conversions removed) plus the
+   printed width of every field.  The trace tests check it against
+   [String.length (to_string t)] on every constructor. *)
+
+(* Length of [string_of_int n].  Divides towards zero without negating,
+   so [min_int] needs no special case. *)
+let int_width n =
+  let rec go n w = if n > -10 && n < 10 then w else go (n / 10) (w + 1) in
+  go n (if n < 0 then 2 else 1)
+
+(* Length of the comma-separated decimal list of [xs]; [fold] is the
+   container's [fold_left]. *)
+let ints_width fold xs = max 0 (fold (fun w x -> w + 1 + int_width x) (-1) xs)
+
+let dt_width dt = String.length (Datatype.name dt)
+let op_width op = String.length (Op.name op)
+
+(* [p2p_str] without its tag name *)
+let p2p_width p =
+  String.length "(peer=,tag=,dt=,count=)"
+  + int_width p.peer + int_width p.tag + dt_width p.dt + int_width p.count
+
+let text_width = function
+  | Send p -> String.length "Send" + p2p_width p
+  | Recv p -> String.length "Recv" + p2p_width p
+  | Isend (p, req) -> String.length "Isend[req=]" + p2p_width p + int_width req
+  | Irecv (p, req) -> String.length "Irecv[req=]" + p2p_width p + int_width req
+  | Wait req -> String.length "Wait(req=)" + int_width req
+  | Waitall reqs -> String.length "Waitall()" + ints_width List.fold_left reqs
+  | Sendrecv { send; recv } -> String.length "Sendrecv(s,r)" + p2p_width send + p2p_width recv
+  | Barrier { comm } -> String.length "Barrier(comm=)" + int_width comm
+  | Bcast { comm; root; dt; count } ->
+      String.length "Bcast(comm=,root=,dt=,count=)"
+      + int_width comm + int_width root + dt_width dt + int_width count
+  | Reduce { comm; root; dt; count; op } ->
+      String.length "Reduce(comm=,root=,dt=,count=,op=)"
+      + int_width comm + int_width root + dt_width dt + int_width count + op_width op
+  | Allreduce { comm; dt; count; op } ->
+      String.length "Allreduce(comm=,dt=,count=,op=)"
+      + int_width comm + dt_width dt + int_width count + op_width op
+  | Alltoall { comm; dt; count } ->
+      String.length "Alltoall(comm=,dt=,count=)" + int_width comm + dt_width dt + int_width count
+  | Alltoallv { comm; dt; send_counts } ->
+      String.length "Alltoallv(comm=,dt=,counts=)"
+      + int_width comm + dt_width dt + ints_width Array.fold_left send_counts
+  | Allgather { comm; dt; count } ->
+      String.length "Allgather(comm=,dt=,count=)" + int_width comm + dt_width dt + int_width count
+  | Gather { comm; root; dt; count } ->
+      String.length "Gather(comm=,root=,dt=,count=)"
+      + int_width comm + int_width root + dt_width dt + int_width count
+  | Scatter { comm; root; dt; count } ->
+      String.length "Scatter(comm=,root=,dt=,count=)"
+      + int_width comm + int_width root + dt_width dt + int_width count
+  | Scan { comm; dt; count; op } ->
+      String.length "Scan(comm=,dt=,count=,op=)"
+      + int_width comm + dt_width dt + int_width count + op_width op
+  | Exscan { comm; dt; count; op } ->
+      String.length "Exscan(comm=,dt=,count=,op=)"
+      + int_width comm + dt_width dt + int_width count + op_width op
+  | Reduce_scatter { comm; dt; count; op } ->
+      String.length "ReduceScatter(comm=,dt=,count=,op=)"
+      + int_width comm + dt_width dt + int_width count + op_width op
+  | Ibarrier { comm; req } -> String.length "Ibarrier(comm=)[req=]" + int_width comm + int_width req
+  | Ibcast { comm; root; dt; count; req } ->
+      String.length "Ibcast(comm=,root=,dt=,count=)[req=]"
+      + int_width comm + int_width root + dt_width dt + int_width count + int_width req
+  | Iallreduce { comm; dt; count; op; req } ->
+      String.length "Iallreduce(comm=,dt=,count=,op=)[req=]"
+      + int_width comm + dt_width dt + int_width count + op_width op + int_width req
+  | Comm_split { comm; color; key; newcomm } ->
+      String.length "Comm_split(comm=,color=,key=,new=)"
+      + int_width comm + int_width color + int_width key + int_width newcomm
+  | Comm_dup { comm; newcomm } ->
+      String.length "Comm_dup(comm=,new=)" + int_width comm + int_width newcomm
+  | Comm_free { comm } -> String.length "Comm_free(comm=)" + int_width comm
+  | File_open { comm; file } ->
+      String.length "File_open(comm=,file=)" + int_width comm + int_width file
+  | File_close { file } -> String.length "File_close(file=)" + int_width file
+  | File_write_all { file; dt; count } ->
+      String.length "File_write_all(file=,dt=,count=)" + int_width file + dt_width dt
+      + int_width count
+  | File_read_all { file; dt; count } ->
+      String.length "File_read_all(file=,dt=,count=)" + int_width file + dt_width dt
+      + int_width count
+  | File_write_at { file; dt; count } ->
+      String.length "File_write_at(file=,dt=,count=)" + int_width file + dt_width dt
+      + int_width count
+  | File_read_at { file; dt; count } ->
+      String.length "File_read_at(file=,dt=,count=)" + int_width file + dt_width dt
+      + int_width count
+
 (* 24 bytes of per-record timestamp + rank + counter snapshot fields, as a
    binary trace would carry. *)
-let record_bytes t = String.length (to_string t) + 24
+let record_bytes t = text_width t + 24

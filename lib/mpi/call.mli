@@ -72,9 +72,13 @@ val is_blocking_p2p : t -> bool
 
 val record_bytes : t -> int
 (** Size of this call's record in an uncompressed textual trace; used for
-    the "Trace size" column of Table 3.  Computed as the length of
-    {!to_string} plus a fixed timestamp/counter field. *)
+    the "Trace size" column of Table 3.  Equals
+    [String.length (to_string t) + 24] (the text plus a fixed
+    timestamp/counter field), but is computed from the field widths
+    without building the string, so it is cheap enough to run on every
+    traced call. *)
 
 val to_string : t -> string
-(** Canonical serialization (stable across runs; used as hash key and for
-    trace-size accounting). *)
+(** Canonical text of the call (stable across runs).  The reference
+    definition of {!record_bytes}: the trace tests check that
+    [record_bytes t = String.length (to_string t) + 24]. *)

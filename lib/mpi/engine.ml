@@ -41,6 +41,15 @@ type posted = {
 
 type status = Fresh | Runnable | Running | Blocked | Done
 
+(* What a suspended rank is blocked on.  Kept unformatted: the text is
+   built only for a [Deadlock] message, not on every suspend. *)
+type blocker = Not_blocked | Request of int | Collective of string
+
+let blocker_text = function
+  | Not_blocked -> ""
+  | Request id -> Printf.sprintf "request %d" id
+  | Collective kind -> "collective " ^ kind
+
 type proc = {
   rank : int;
   papi : Papi.t;
@@ -50,7 +59,7 @@ type proc = {
   mutable resume_clock : float;  (* target clock adopted after a collective resume *)
   mutable split_result : comm option;
   mutable file_result : int;
-  mutable blocked_on : string;
+  mutable blocked_on : blocker;
   coll_seq : (int, int) Hashtbl.t;  (* comm id -> next collective index *)
 }
 
@@ -393,7 +402,7 @@ let wait_request ctx req =
   | Some t -> ctx.proc.clock <- max ctx.proc.clock t
   | None -> begin
       req.r_waiter <- Some ctx.proc.rank;
-      suspend ctx ~on:(Printf.sprintf "request %d" req.r_id);
+      suspend ctx ~on:(Request req.r_id);
       match req.r_done with
       | Some t -> ctx.proc.clock <- max ctx.proc.clock t
       | None -> assert false
@@ -616,7 +625,7 @@ let coll_finish ?(advance_self = true) ctx comm cp cp_key ~kind =
 
 let coll_wait ctx cp =
   cp.cp_waiters <- ctx.proc.rank :: cp.cp_waiters;
-  suspend ctx ~on:("collective " ^ cp.cp_kind);
+  suspend ctx ~on:(Collective cp.cp_kind);
   ctx.proc.clock <- max ctx.proc.clock ctx.proc.resume_clock
 
 let simple_collective ctx comm ~kind ~bytes =
@@ -838,7 +847,7 @@ let run ~platform ~impl ~nranks ?hook ?observer ?(seed = 42) ?(counter_noise = 0
           resume_clock = 0.0;
           split_result = None;
           file_result = -1;
-          blocked_on = "";
+          blocked_on = Not_blocked;
           coll_seq = Hashtbl.create 4;
         })
   in
@@ -917,7 +926,7 @@ let run ~platform ~impl ~nranks ?hook ?observer ?(seed = 42) ?(counter_noise = 0
         let blocked =
           Array.to_list procs
           |> List.filter (fun p -> p.status <> Done)
-          |> List.map (fun p -> Printf.sprintf "rank %d on %s" p.rank p.blocked_on)
+          |> List.map (fun p -> Printf.sprintf "rank %d on %s" p.rank (blocker_text p.blocked_on))
         in
         if blocked <> [] then
           raise

@@ -298,18 +298,22 @@ let test_collective_mismatch_detected () =
   | () -> Alcotest.fail "mismatch not detected"
   | exception E.Collective_mismatch _ -> ()
 
-let contains s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  m = 0 || go 0
+(* The [Deadlock] message names every blocked rank and what it waits on:
+   a request id, or the kind of collective it joined. *)
+let check_deadlock ~expected act =
+  match act () with
+  | _ -> Alcotest.fail "deadlock not detected"
+  | exception E.Deadlock msg -> Alcotest.(check string) "deadlock message" expected msg
 
 let test_deadlock_unmatched_recv () =
-  match
-    run ~nranks:2 (fun ctx -> if E.rank ctx = 0 then E.recv ctx ~src:1 ~tag:1 ~dt:D.Int ~count:1)
-  with
-  | _ -> Alcotest.fail "deadlock not detected"
-  | exception E.Deadlock msg ->
-      Alcotest.(check bool) "names the blocked rank" true (contains msg "rank 0")
+  check_deadlock ~expected:"1 rank(s) blocked: rank 0 on request 0" (fun () ->
+      run ~nranks:2 (fun ctx -> if E.rank ctx = 0 then E.recv ctx ~src:1 ~tag:1 ~dt:D.Int ~count:1))
+
+let test_deadlock_skipped_barrier () =
+  (* ranks 0 and 1 wait in a barrier that rank 2 never joins *)
+  check_deadlock
+    ~expected:"2 rank(s) blocked: rank 0 on collective barrier; rank 1 on collective barrier"
+    (fun () -> run ~nranks:3 (fun ctx -> if E.rank ctx < 2 then E.barrier ctx (E.comm_world ctx)))
 
 let test_deadlock_circular_rendezvous () =
   (* both ranks issue rendezvous-size blocking sends head-to-head *)
@@ -319,9 +323,7 @@ let test_deadlock_circular_rendezvous () =
         E.send ctx ~dest:peer ~tag:1 ~dt:D.Double ~count:1_000_000;
         E.recv ctx ~src:peer ~tag:1 ~dt:D.Double ~count:1_000_000)
   in
-  match act () with
-  | _ -> Alcotest.fail "circular rendezvous should deadlock"
-  | exception E.Deadlock _ -> ()
+  check_deadlock ~expected:"2 rank(s) blocked: rank 0 on request 0; rank 1 on request 1" act
 
 let test_eager_head_to_head_completes () =
   (* the same pattern below the eager threshold must complete *)
@@ -533,6 +535,7 @@ let suite =
     ("comm_dup", `Quick, test_comm_dup);
     ("collective mismatch detected", `Quick, test_collective_mismatch_detected);
     ("deadlock: unmatched recv", `Quick, test_deadlock_unmatched_recv);
+    ("deadlock: skipped barrier", `Quick, test_deadlock_skipped_barrier);
     ("deadlock: circular rendezvous sends", `Quick, test_deadlock_circular_rendezvous);
     ("eager head-to-head completes", `Quick, test_eager_head_to_head_completes);
     ("determinism per seed", `Quick, test_determinism);

@@ -177,7 +177,6 @@ let test_call_metadata () =
   Alcotest.(check bool) "blocking p2p" true (Call.is_blocking_p2p call);
   Alcotest.(check bool) "isend not blocking" false
     (Call.is_blocking_p2p (Call.Isend ({ peer = 3; tag = 7; dt = D.Double; count = 1 }, 0)));
-  Alcotest.(check bool) "record bytes positive" true (Call.record_bytes call > 24);
   Alcotest.(check bool) "to_string informative" true
     (String.length (Call.to_string call) > 10)
 
@@ -456,6 +455,116 @@ let random_event_gen =
         map (fun c -> Event.Compute c) (0 -- 500);
       ])
 
+(* qcheck: [Call.record_bytes] sums field widths instead of printing;
+   it must equal the length of the [Call.to_string] text plus the fixed
+   24-byte field.  The generator picks the constructor by its dense
+   index, so every one of the [Call.n_kinds] kinds is drawn. *)
+let random_call_gen =
+  QCheck.Gen.(
+    let edge = oneofl [ min_int; max_int; -1; 0; 9; 10 ] in
+    let decimal_boundary =
+      (* 10^k - 1 and 10^k, either sign: where the printed width steps *)
+      let* k = 0 -- 18 and* below = bool and* neg = bool in
+      let p = int_of_float (10. ** float_of_int k) in
+      let v = if below then p - 1 else p in
+      return (if neg then -v else v)
+    in
+    let i = frequency [ (2, edge); (2, decimal_boundary); (1, small_signed_int); (2, int) ] in
+    let dt = oneofl [ D.Byte; D.Int; D.Float; D.Double ] in
+    let op = oneofl [ Op.Sum; Op.Max; Op.Min; Op.Prod ] in
+    let p2p =
+      let* peer = i and* tag = i and* dt = dt and* count = i in
+      return { Call.peer; tag; dt; count }
+    in
+    (* empty, singleton and long lists *)
+    let ints = list_size (oneof [ return 0; return 1; 2 -- 64 ]) i in
+    let call = function
+      | 0 -> map (fun p -> Call.Send p) p2p
+      | 1 -> map (fun p -> Call.Recv p) p2p
+      | 2 -> map2 (fun p r -> Call.Isend (p, r)) p2p i
+      | 3 -> map2 (fun p r -> Call.Irecv (p, r)) p2p i
+      | 4 -> map (fun r -> Call.Wait r) i
+      | 5 -> map (fun rs -> Call.Waitall rs) ints
+      | 6 -> map2 (fun send recv -> Call.Sendrecv { send; recv }) p2p p2p
+      | 7 -> map (fun comm -> Call.Barrier { comm }) i
+      | 8 ->
+          let* comm = i and* root = i and* dt = dt and* count = i in
+          return (Call.Bcast { comm; root; dt; count })
+      | 9 ->
+          let* comm = i and* root = i and* dt = dt and* count = i and* op = op in
+          return (Call.Reduce { comm; root; dt; count; op })
+      | 10 ->
+          let* comm = i and* dt = dt and* count = i and* op = op in
+          return (Call.Allreduce { comm; dt; count; op })
+      | 11 ->
+          let* comm = i and* dt = dt and* count = i in
+          return (Call.Alltoall { comm; dt; count })
+      | 12 ->
+          let* comm = i and* dt = dt and* counts = ints in
+          return (Call.Alltoallv { comm; dt; send_counts = Array.of_list counts })
+      | 13 ->
+          let* comm = i and* dt = dt and* count = i in
+          return (Call.Allgather { comm; dt; count })
+      | 14 ->
+          let* comm = i and* root = i and* dt = dt and* count = i in
+          return (Call.Gather { comm; root; dt; count })
+      | 15 ->
+          let* comm = i and* root = i and* dt = dt and* count = i in
+          return (Call.Scatter { comm; root; dt; count })
+      | 16 ->
+          let* comm = i and* dt = dt and* count = i and* op = op in
+          return (Call.Scan { comm; dt; count; op })
+      | 17 ->
+          let* comm = i and* dt = dt and* count = i and* op = op in
+          return (Call.Exscan { comm; dt; count; op })
+      | 18 ->
+          let* comm = i and* dt = dt and* count = i and* op = op in
+          return (Call.Reduce_scatter { comm; dt; count; op })
+      | 19 ->
+          let* comm = i and* req = i in
+          return (Call.Ibarrier { comm; req })
+      | 20 ->
+          let* comm = i and* root = i and* dt = dt and* count = i and* req = i in
+          return (Call.Ibcast { comm; root; dt; count; req })
+      | 21 ->
+          let* comm = i and* dt = dt and* count = i and* op = op and* req = i in
+          return (Call.Iallreduce { comm; dt; count; op; req })
+      | 22 ->
+          let* comm = i and* color = i and* key = i and* newcomm = i in
+          return (Call.Comm_split { comm; color; key; newcomm })
+      | 23 ->
+          let* comm = i and* newcomm = i in
+          return (Call.Comm_dup { comm; newcomm })
+      | 24 -> map (fun comm -> Call.Comm_free { comm }) i
+      | 25 ->
+          let* comm = i and* file = i in
+          return (Call.File_open { comm; file })
+      | 26 -> map (fun file -> Call.File_close { file }) i
+      | 27 ->
+          let* file = i and* dt = dt and* count = i in
+          return (Call.File_write_all { file; dt; count })
+      | 28 ->
+          let* file = i and* dt = dt and* count = i in
+          return (Call.File_read_all { file; dt; count })
+      | 29 ->
+          let* file = i and* dt = dt and* count = i in
+          return (Call.File_write_at { file; dt; count })
+      | 30 ->
+          let* file = i and* dt = dt and* count = i in
+          return (Call.File_read_at { file; dt; count })
+      | k -> invalid_arg (Printf.sprintf "random_call_gen: no generator for kind %d" k)
+    in
+    let* k = 0 -- (Call.n_kinds - 1) in
+    let* c = call k in
+    (* a generator filed under the wrong index would leave its kind untested *)
+    assert (Call.index c = k);
+    return c)
+
+let prop_record_bytes_is_text_length =
+  QCheck.Test.make ~count:3000 ~name:"record_bytes = length of to_string + 24"
+    (QCheck.make ~print:Call.to_string random_call_gen)
+    (fun c -> Call.record_bytes c = String.length (Call.to_string c) + 24)
+
 let prop_event_key_roundtrip =
   QCheck.Test.make ~count:500 ~name:"random event keys round-trip"
     (QCheck.make ~print:Event.to_key random_event_gen)
@@ -573,6 +682,7 @@ let suite =
     ("trace_io truncation gives clean errors", `Quick, test_trace_io_truncation_is_clean);
     ("trace_io restores the compute table", `Quick, test_trace_io_compute_table_restored);
     ("mpiP-style report", `Quick, test_mpip_report);
+    QCheck_alcotest.to_alcotest prop_record_bytes_is_text_length;
     QCheck_alcotest.to_alcotest prop_event_key_roundtrip;
     QCheck_alcotest.to_alcotest prop_trace_io_roundtrip;
     QCheck_alcotest.to_alcotest prop_trace_io_roundtrip_centroids;
