@@ -1,8 +1,11 @@
 (* Golden content hashes of the pipeline's outputs.  For every registry
-   workload at 4 ranks, plus CG@16 and StirTurb@64, the digests of the
-   per-rank online Sequitur grammars, the generated proxy.c, the
-   static-check JSON, the proxy-vs-original diff JSON and the stored
-   trace blob are pinned.  Any change to the engine, the recorder, the
+   workload at 4 ranks, plus CG@16, StirTurb@64 and StirTurb@512, the
+   digests of the per-rank online Sequitur grammars, the generated
+   proxy.c, the static-check JSON, the proxy-vs-original diff JSON and
+   the stored trace blob are pinned.  StirTurb@512 is the wide_ranks
+   benchmark spec at seed 42: its 512 distinct main rules each form
+   their own cluster, so it is the only row whose main-rule clustering
+   compares hundreds of mains.  Any change to the engine, the recorder, the
    grammar builder, the merge, the search or codegen that alters a
    single output byte fails here; a deliberate output change must update
    the table. *)
@@ -66,6 +69,8 @@ let golden =
       "463111673e45e48eae3d2d17c58f7a09 71049d5b80d29852b291911278011b81 c0eb4377f4b66e4bf4679a1b054c48e5 d06b6061cee82517816e164e9133ba01 5d057af57a4e02b96b50bc514841c5b0");
     ("StirTurb", 64,
       "db73b9f3b73c0f4670ae653391e2c96b dacebadf68c5fe09360fe3b312838b6b e480d558309c0936f07f56d7681f7aa1 5db4c695481e82505069239543712fa4 84cc49a8ee43ee537a77e7466f111a36");
+    ("StirTurb", 512,
+      "cf1d7af77a6d87ed6a3158f1aef671be 8e411e384cd15bad1519f635bdcd2078 1b6d345525cc6168e019d8e8ff39cc1b abbae34814f59af75214870c72e938be e0f71c3cbc3088f1829be1b6e5e88899");
   ]
 
 let case (workload, nranks, expected) =
