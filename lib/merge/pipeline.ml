@@ -350,6 +350,7 @@ let lcs_merge (merged : Merged.mentry list) (variant : pos array) (vids : int ar
 
 type cluster = {
   rep_ids : int array;  (* interned ids of the first variant seen *)
+  rep_sorted : int array;  (* [rep_ids] in ascending order *)
   mutable entries : Merged.mentry list;
   mutable ranks : Rank_list.t;
 }
@@ -392,18 +393,31 @@ let merge_mains ~threshold (mains : pos array array) (main_ids : int array array
     !clusters.(!ncl) <- c;
     incr ncl
   in
-  let find_close ids =
+  (* An LCS is never longer than the multiset intersection [h] of its
+     inputs, so (n + m - 2h) / (n + m), computed with the same float
+     expression as [Lcs.normalized_distance_int], is a lower bound on the
+     distance: the LCS only runs for pairs this bound cannot rule out.
+     Of StirTurb@512's 130,816 pairs of distinct mains, one gets past it. *)
+  let find_close ids sorted =
     let rec go i =
       if i >= !ncl then None
       else
         let c = !clusters.(i) in
-        if Lcs.normalized_distance_int c.rep_ids ids <= threshold then Some c else go (i + 1)
+        let total = Array.length c.rep_ids + Array.length ids in
+        let h = Lcs.multiset_common_int c.rep_sorted sorted in
+        let bound =
+          if total = 0 then 0.0 else float_of_int (total - (2 * h)) /. float_of_int total
+        in
+        if bound <= threshold && Lcs.normalized_distance_int c.rep_ids ids <= threshold then Some c
+        else go (i + 1)
     in
     go 0
   in
   List.iter
     (fun (ps, ids, ranks) ->
-      match find_close ids with
+      let sorted = Array.copy ids in
+      Array.sort Int.compare sorted;
+      match find_close ids sorted with
       | Some c ->
           c.entries <- lcs_merge c.entries ps ids ranks;
           c.ranks <- Rank_list.union c.ranks ranks
@@ -412,7 +426,7 @@ let merge_mains ~threshold (mains : pos array array) (main_ids : int array array
             Array.to_list
               (Array.map (fun p -> { Merged.sym = p.p_sym; reps = p.p_reps; ranks }) ps)
           in
-          push { rep_ids = ids; entries; ranks })
+          push { rep_ids = ids; rep_sorted = sorted; entries; ranks })
     variants;
   ( Array.init !ncl (fun i -> !clusters.(i).entries),
     Array.init !ncl (fun i -> !clusters.(i).ranks) )

@@ -9,7 +9,11 @@
       deeper rules can refer to already-merged ids;
     + group main rules into clusters by normalized edit distance (merging
       dissimilar mains would inflate branch statements — Section 2.6.2),
-      then LCS-merge each cluster's mains, attaching rank lists.
+      then LCS-merge each cluster's mains, attaching rank lists.  Each
+      distinct main joins the oldest cluster whose first main is within
+      the threshold; a pair that the multiset bound
+      ({!Lcs.multiset_common_int}) already puts above the threshold skips
+      the LCS.
 
     The per-rank stages (Sequitur construction, main-rule positioning,
     exact-main keying) are embarrassingly parallel and fan out over a
@@ -38,7 +42,8 @@ type config = {
           overrides [domains], is {e not} shut down by the merge, and the
           caller may read {!Siesta_util.Parallel.stats} afterwards (used
           by the bench drivers to measure per-domain efficiency).
-          Default [None]: a transient pool is created per call. *)
+          Default [None]: [domains] chooses the pool, so by default the
+          warm {!Siesta_util.Parallel.global} pool is borrowed. *)
   arity : int;
       (** fan-in of the hierarchical non-terminal merge tree (default 2:
           pairwise).  Any arity >= 2 produces the identical merged
