@@ -242,19 +242,6 @@ let print_cache_status (st : Pipeline.cache_status) =
         root)
     st.Pipeline.cs_root
 
-let print_merge_sched (sy : Pipeline.synthesis) =
-  match sy.Pipeline.sy_merge_sched with
-  | None ->
-      if sy.Pipeline.sy_status.Pipeline.cs_merge = Pipeline.Cache_hit then
-        Printf.printf "merge scheduler: idle (merged program served from cache)\n"
-      else Printf.printf "merge scheduler: sequential (no domain pool)\n"
-  | Some m ->
-      Printf.printf
-        "merge scheduler: %d domains (requested %d%s), %d inline / %d dispatched jobs\n"
-        m.Pipeline.ms_effective m.Pipeline.ms_requested
-        (if m.Pipeline.ms_clamped then ", clamped" else "")
-        m.Pipeline.ms_inline_jobs m.Pipeline.ms_dispatched_jobs
-
 let spec_of workload nranks iters platform impl seed =
   match
     Pipeline.spec ?iters ~platform ~impl ~seed ~workload ~nranks ()
@@ -449,7 +436,6 @@ let synth_cmd =
             ~mode:(mode_of_boxed boxed) s
         in
         print_cache_status sy.Pipeline.sy_status;
-        print_merge_sched sy;
         let path =
           match output with
           | Some p -> p

@@ -13,7 +13,6 @@ module Clock = Siesta_obs.Clock
 module Timeline = Siesta_analysis.Timeline
 module Divergence = Siesta_analysis.Divergence
 module Comm_check = Siesta_analysis.Comm_check
-module Parallel = Siesta_util.Parallel
 module Store = Siesta_store.Store
 module Codec = Siesta_store.Codec
 module Trace_io = Siesta_trace.Trace_io
@@ -115,64 +114,6 @@ let trace ?(mode = Recorder.Streamed) s =
         ] ));
   { run_spec = s; original; instrumented; recorder; overhead; timings = [ t_orig; t_instr ] }
 
-type merge_sched = {
-  ms_requested : int;
-  ms_effective : int;
-  ms_clamped : bool;
-  ms_inline_jobs : int;
-  ms_dispatched_jobs : int;
-  ms_est_item_cost_s : float;
-}
-
-(* Resolve the merge stage's pool so its scheduling decisions (clamp,
-   gate, estimator) can be snapshotted and surfaced in the report.
-   [None] borrows the shared warm pool — repeated synthesize calls stop
-   paying Domain.spawn per merge; an explicit [Some d > 1] gets a raw
-   transient pool (the determinism cross-checks need the exact domain
-   count). *)
-let with_merge_pool domains f =
-  match domains with
-  | Some d when d > 1 -> Parallel.with_pool ~domains:d (fun p -> f (Some p))
-  | Some _ -> f None
-  | None ->
-      let p = Parallel.global () in
-      f (if Parallel.size p > 1 then Some p else None)
-
-let merge_config ~rle pool =
-  {
-    Merge_pipeline.default_config with
-    rle;
-    pool;
-    domains = (match pool with None -> Some 1 | Some _ -> None);
-  }
-
-let sched_snapshot pool before =
-  match (pool, before) with
-  | Some p, Some b ->
-      let a = Parallel.stats p in
-      Some
-        {
-          ms_requested = a.Parallel.requested;
-          ms_effective = a.Parallel.domains;
-          ms_clamped = a.Parallel.clamped;
-          ms_inline_jobs = a.Parallel.inline_jobs - b.Parallel.inline_jobs;
-          ms_dispatched_jobs = a.Parallel.dispatched_jobs - b.Parallel.dispatched_jobs;
-          ms_est_item_cost_s = a.Parallel.est_item_cost_s;
-        }
-  | _ -> None
-
-let sched_kvs = function
-  | None -> []
-  | Some m ->
-      [
-        ("requested", float_of_int m.ms_requested);
-        ("effective", float_of_int m.ms_effective);
-        ("clamped", if m.ms_clamped then 1.0 else 0.0);
-        ("inline_jobs", float_of_int m.ms_inline_jobs);
-        ("dispatched_jobs", float_of_int m.ms_dispatched_jobs);
-        ("est_item_cost_s", m.ms_est_item_cost_s);
-      ]
-
 let run_original s ~platform ~impl =
   Engine.run ~platform ~impl ~nranks:s.nranks ~seed:s.seed (program_of s)
 
@@ -273,7 +214,6 @@ type synthesis = {
   sy_merged : Merged.t;
   sy_proxy : Proxy_ir.t;
   sy_factor : float;
-  sy_merge_sched : merge_sched option;
   sy_timings : (string * float) list;
   sy_status : cache_status;
 }
@@ -403,21 +343,20 @@ let trace_stage ?(cache = false) ?store ?mode s =
 (* Merge and proxy search over a trace stage: the one path every
    synthesis runs, cold or cached.  A stage key includes the blob hash of
    the stage before it, which exists whenever a store does. *)
-let merge_and_search store ~factor ~rle ?domains ts =
+let merge_and_search store ~factor ~rle ts =
   let s = ts.ts_spec in
-  let (merged, merge_sched), merge_hash, m_outcome, m_timings =
+  let merged, merge_hash, m_outcome, m_timings =
     memo store ~stage:"merge" ~span:"merge" ~kind:"merged" s
       ~key:(fun () -> Cache.merge_key ~trace_hash:(Option.get ts.ts_hash) ~rle ())
-      ~decode:(fun blob -> (Codec.decode_merged blob, None))
-      ~encode:(fun (merged, _) -> Codec.encode_merged merged)
+      ~decode:Codec.decode_merged ~encode:Codec.encode_merged
       (fun () ->
-        with_merge_pool domains @@ fun pool ->
-        let before = Option.map Parallel.stats pool in
         let merged, t_merge =
           stage "merge" (fun () ->
-              Merge_pipeline.merge_packed ~config:(merge_config ~rle pool) ts.ts_trace)
+              Merge_pipeline.merge_packed
+                ~config:{ Merge_pipeline.default_config with rle }
+                ts.ts_trace)
         in
-        ((merged, sched_snapshot pool before), [ t_merge ]))
+        (merged, [ t_merge ]))
   in
   let proxy, _, p_outcome, p_timings =
     memo store ~stage:"proxy" ~span:"synthesize" ~kind:"proxy" s
@@ -444,8 +383,6 @@ let merge_and_search store ~factor ~rle ?domains ts =
           ("workload", s.workload.Registry.name);
           ("factor", Printf.sprintf "%g" factor);
           ("merged", Merged.stats merged);
-          ( "merge_domains",
-            match merge_sched with None -> "1" | Some m -> string_of_int m.ms_effective );
         ]
         @ List.map
             (fun (name, t) -> (name ^ "_s", Printf.sprintf "%.6f" t))
@@ -455,7 +392,6 @@ let merge_and_search store ~factor ~rle ?domains ts =
     sy_merged = merged;
     sy_proxy = proxy;
     sy_factor = factor;
-    sy_merge_sched = merge_sched;
     sy_timings = ts.ts_timings @ m_timings @ p_timings;
     sy_status =
       {
@@ -466,12 +402,12 @@ let merge_and_search store ~factor ~rle ?domains ts =
       };
   }
 
-let synthesize ?(factor = 1.0) ?(rle = true) ?domains traced =
-  merge_and_search None ~factor ~rle ?domains (stage_of_traced traced)
+let synthesize ?(factor = 1.0) ?(rle = true) traced =
+  merge_and_search None ~factor ~rle (stage_of_traced traced)
 
-let synthesize_spec ?(cache = false) ?store ?(factor = 1.0) ?(rle = true) ?domains ?mode s =
+let synthesize_spec ?(cache = false) ?store ?(factor = 1.0) ?(rle = true) ?mode s =
   let store = store_of ~cache store in
-  let sy = merge_and_search store ~factor ~rle ?domains (run_trace_stage ?mode store s) in
+  let sy = merge_and_search store ~factor ~rle (run_trace_stage ?mode store s) in
   Ledger.emit (fun () ->
       let st = sy.sy_status in
       let cache =
@@ -485,8 +421,7 @@ let synthesize_spec ?(cache = false) ?store ?(factor = 1.0) ?(rle = true) ?domai
       in
       Ledger.make ~kind:"synth"
         ~spec:(("factor", Printf.sprintf "%g" factor) :: spec_kvs s)
-        ~cache ~timings:sy.sy_timings
-        ~sched:(sched_kvs sy.sy_merge_sched) ());
+        ~cache ~timings:sy.sy_timings ());
   sy
 
 let run_proxy sy ~platform ~impl =

@@ -62,21 +62,6 @@ val trace : ?mode:Siesta_trace.Recorder.mode -> spec -> traced
     either way (the [make check] smoke asserts this at 10⁶-event
     scale). *)
 
-type merge_sched = {
-  ms_requested : int;  (** domain count asked of the scheduler *)
-  ms_effective : int;  (** domains actually running after the clamp *)
-  ms_clamped : bool;
-      (** implicit sizing was reduced to the host's recommended count *)
-  ms_inline_jobs : int;
-      (** jobs the cost gate ran serially during this merge *)
-  ms_dispatched_jobs : int;  (** jobs fanned out to the pool *)
-  ms_est_item_cost_s : float;
-      (** the pool's calibrated per-item cost (EWMA); [nan] before the
-          first measured job *)
-}
-(** Snapshot of the {!Siesta_util.Parallel} scheduling decisions taken by
-    the merge stage — what [siesta report] prints as the scheduler line. *)
-
 val run_original :
   spec ->
   platform:Siesta_platform.Spec.t ->
@@ -194,32 +179,22 @@ type synthesis = {
   sy_merged : Siesta_merge.Merged.t;
   sy_proxy : Siesta_synth.Proxy_ir.t;
   sy_factor : float;
-  sy_merge_sched : merge_sched option;
-      (** [None] when no domain pool ran: the merge was served from cache,
-          or ran sequentially ([~domains:1] or a 1-domain warm pool) *)
   sy_timings : (string * float) list;
       (** cached stages appear as "<stage>.cached" lookup times *)
   sy_status : cache_status;
 }
 
-val synthesize : ?factor:float -> ?rle:bool -> ?domains:int -> traced -> synthesis
+val synthesize : ?factor:float -> ?rle:bool -> traced -> synthesis
 (** Compress, merge and search computation proxies for a live run, with
     every stage [Cache_off].  [factor] (default 1) produces a shrunk
     proxy; [rle] (default true) controls the Sequitur run-length
-    constraint (ablation); [domains] sizes the merge stage's domain pool.
-    Default ([None]) borrows the process-wide warm pool
-    ({!Siesta_util.Parallel.global}), whose implicit sizing is clamped to
-    the host's recommended domain count — repeated calls pay no
-    [Domain.spawn].  An explicit [~domains:d] with [d > 1] creates a raw
-    transient pool of exactly [d] domains (no clamp; the determinism
-    cross-checks rely on it); [~domains:1] forces the sequential path. *)
+    constraint (ablation). *)
 
 val synthesize_spec :
   ?cache:bool ->
   ?store:Siesta_store.Store.t ->
   ?factor:float ->
   ?rle:bool ->
-  ?domains:int ->
   ?mode:Siesta_trace.Recorder.mode ->
   spec ->
   synthesis

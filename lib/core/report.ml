@@ -167,22 +167,6 @@ let generate (sy : Pipeline.synthesis) =
     sy.Pipeline.sy_timings;
   p "| total | %.4f | |\n" total;
   p "\n(one clock source — `Siesta_obs.Clock` — shared with `--trace-out` spans and the bench drivers; \"<stage>.cached\" rows are store lookups that replaced the stage)\n";
-  (match sy.Pipeline.sy_merge_sched with
-  | None ->
-      if sy.Pipeline.sy_status.Pipeline.cs_merge = Pipeline.Cache_hit then
-        p "\n- merge scheduler: idle (merged program served from cache)\n"
-      else p "\n- merge scheduler: sequential (no domain pool)\n"
-  | Some m ->
-      p "\n- merge scheduler: %d domain%s (requested %d%s), %d job%s inline / %d dispatched%s\n"
-        m.Pipeline.ms_effective
-        (if m.Pipeline.ms_effective = 1 then "" else "s")
-        m.Pipeline.ms_requested
-        (if m.Pipeline.ms_clamped then ", clamped to host" else "")
-        m.Pipeline.ms_inline_jobs
-        (if m.Pipeline.ms_inline_jobs = 1 then "" else "s")
-        m.Pipeline.ms_dispatched_jobs
-        (if Float.is_nan m.Pipeline.ms_est_item_cost_s then ""
-         else Printf.sprintf ", est item cost %.2e s" m.Pipeline.ms_est_item_cost_s));
   p "\n## Validation (replay on the generation platform)\n\n";
   let t_orig = original_run.Engine.elapsed in
   let t_proxy = sy.Pipeline.sy_factor *. proxy_run.Engine.elapsed in

@@ -26,8 +26,9 @@ type t = {
 }
 
 val equal : t -> t -> bool
-(** Structural equality (rank lists compared as sets).  Used by the
-    parallel/sequential determinism checks. *)
+(** Structural equality (rank lists compared as sets).  Used to check
+    the streamed merge against the batch merge, and cached merges
+    against fresh ones. *)
 
 val cluster_of_rank : t -> int -> int
 (** Index into [mains] for a rank.  @raise Not_found if uncovered. *)

@@ -86,7 +86,7 @@ let git_describe =
 let captured_env () =
   List.filter_map
     (fun k -> Option.map (fun v -> (k, v)) (Sys.getenv_opt k))
-    [ "SIESTA_STORE"; "SIESTA_NUM_DOMAINS"; "SIESTA_LOG"; "SIESTA_RUN_ID" ]
+    [ "SIESTA_STORE"; "SIESTA_LOG"; "SIESTA_RUN_ID" ]
 
 (* Allocation words are the reliable signals from [Gc.quick_stat] on a
    multicore runtime (the heap_words fields can read 0 there); both are

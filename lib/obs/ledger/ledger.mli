@@ -75,7 +75,10 @@ type record = {
   r_spec : (string * string) list;  (** workload, nranks, seed, ... *)
   r_cache : (string * string) list;  (** per-stage outcomes, keys, hashes *)
   r_timings : (string * float) list;  (** stage wall seconds, in order *)
-  r_sched : (string * float) list;  (** flattened merge_sched deltas *)
+  r_sched : (string * float) list;
+      (** named figures outside the timings; the pipeline-scale bench
+          stores its streaming ratio and heap here, and pipeline records
+          leave it empty *)
   r_heap : (string * float) list;  (** [Gc.quick_stat] highlights *)
   r_metrics : Siesta_obs.Json.t;  (** full [Metrics.to_json] snapshot *)
   r_fidelity : fidelity option;  (** present on ["diff"] records *)

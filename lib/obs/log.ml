@@ -27,7 +27,7 @@ let initial_level =
   | None -> Warn
 
 (* The current level is read on every call site; a plain [ref] read would
-   be a data race under the domain pool, so it lives in an [Atomic] (an
+   be a data race across domains, so it lives in an [Atomic] (an
    immediate, so reads stay branch-cheap). *)
 let current = Atomic.make initial_level
 

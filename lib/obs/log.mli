@@ -3,7 +3,7 @@
     Lines are [key=value] structured, written atomically to stderr or a
     file sink:
 
-    {v [0.004217] [info] parallel.pool domains=8 source=recommended v}
+    {v [0.004217] [info] pipeline.cache stage=merge workload=CG nranks=8 outcome=hit v}
 
     The level comes from the [SIESTA_LOG] environment variable
     ([debug|info|warn|off], default [warn]) and can be overridden

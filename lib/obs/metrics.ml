@@ -54,28 +54,9 @@ module Histo = struct
   let count h = Atomic.get h.total
   let sum h = Atomic.get h.sum
 
-  (* Bucket-level bulk insert: [c] observations landing in bucket [i],
-     accounted exactly as [c] calls to [observe (sum_bound i)] would be
-     (the replay idiom this replaces was O(total observations)).  The
-     overflow bucket's upper bound is infinite; its sum contribution is
-     taken at the largest finite bound so a single overflow observation
-     cannot turn the whole sum into [inf]. *)
+  (* The overflow bucket's upper bound is infinite; [quantile] takes it
+     at the largest finite bound so its result is always finite. *)
   let sum_bound i = if i >= scaled + 1 then bucket_upper scaled else bucket_upper i
-
-  let add_count h i c =
-    if i < 0 || i >= nbuckets then invalid_arg "Histo.add_count: bucket index out of range";
-    if c < 0 then invalid_arg "Histo.add_count: negative count";
-    if c > 0 then begin
-      ignore (Atomic.fetch_and_add h.counts.(i) c);
-      ignore (Atomic.fetch_and_add h.total c);
-      add_float h.sum (float_of_int c *. sum_bound i)
-    end
-
-  let merge_into ~src ~dst =
-    for i = 0 to nbuckets - 1 do
-      let c = Atomic.get src.counts.(i) in
-      if c > 0 then add_count dst i c
-    done
 
   let nonzero_buckets h =
     let out = ref [] in
@@ -179,7 +160,6 @@ let incr c n = if Atomic.get on then ignore (Atomic.fetch_and_add c n)
 let set g v = if Atomic.get on then Atomic.set g v
 let observe h v = if Atomic.get on then Histo.observe h v
 let observe_histo h v = if Atomic.get on then Histo.observe h v
-let add_histo ~src dst = if Atomic.get on then Histo.merge_into ~src ~dst
 
 let counter_value c = Atomic.get c
 let gauge_value g = Atomic.get g

@@ -3,8 +3,8 @@
 
     Metrics are named, created idempotently ([counter "x"] twice returns
     the same cell) and domain-safe: counters and histogram buckets are
-    atomics, so concurrent increments from the {!Siesta_util.Parallel}
-    pool never lose updates.  Recording is gated on a global enable flag
+    atomics, so concurrent increments from several domains or threads
+    never lose updates.  Recording is gated on a global enable flag
     — when disabled ({!enabled}[ () = false], the default) every
     operation is a single branch and no allocation happens, so
     instrumented hot paths cost nothing.
@@ -37,7 +37,7 @@ val observe : histogram -> float -> unit
 val counter_value : counter -> int
 val gauge_value : gauge -> float
 
-(** {1 Histogram internals (exposed for tests and [Parallel.stats])} *)
+(** {1 Histogram internals (exposed for tests and {!snapshot} readers)} *)
 
 module Histo : sig
   type t
@@ -58,21 +58,6 @@ module Histo : sig
   val nonzero_buckets : t -> (int * float * int) list
   (** [(index, upper_bound, count)] for buckets with at least one hit. *)
 
-  val add_count : t -> int -> int -> unit
-  (** [add_count h i c] records [c] observations in bucket [i] in O(1) —
-      bucket counts, total and sum end up exactly as [c] calls to
-      [observe (bucket_upper i)] would leave them (the overflow bucket's
-      sum contribution is taken at the largest {e finite} bound, so one
-      overflow observation cannot turn the whole sum into [inf]).
-      Raises [Invalid_argument] on an out-of-range bucket or negative
-      count. *)
-
-  val merge_into : src:t -> dst:t -> unit
-  (** Bucket-level merge of [src] into [dst]: one {!add_count} per
-      nonzero bucket, O(buckets) instead of O(observations).  [dst]'s
-      sum accounts merged observations at their bucket upper bounds
-      (identical to the replay idiom this replaces). *)
-
   val quantile : t -> float -> float
   (** [quantile h q] estimates the [q]-quantile with linear
       interpolation inside the covering bucket (so p50 and p99 separate
@@ -86,12 +71,6 @@ end
 val observe_histo : Histo.t -> float -> unit
 (** Gated variant of {!Histo.observe} for shared-path instrumentation:
     records only when the registry is {!enabled}. *)
-
-val add_histo : src:Histo.t -> histogram -> unit
-(** Gated bucket-level merge of a standalone histogram into a registry
-    histogram ({!Histo.merge_into}); a no-op unless {!enabled}.  Used by
-    [Parallel.publish_stats] to fold a pool's queue-wait histogram into
-    the registry in O(buckets). *)
 
 (** {1 Snapshots} *)
 

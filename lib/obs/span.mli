@@ -1,9 +1,9 @@
 (** Nestable timing spans exported as Chrome [trace_event] JSON.
 
     [with_ ~name f] times [f] and records a complete ("ph":"X") event
-    with the current domain's id as the thread id, so the
-    {!Siesta_util.Parallel} pool's workers render as separate tracks in
-    [chrome://tracing] / Perfetto.  Nesting falls out of the format:
+    with the current domain's id as the thread id, so spans from
+    different domains render as separate tracks in [chrome://tracing] /
+    Perfetto.  Nesting falls out of the format:
     complete events on one track whose time ranges enclose each other
     are drawn stacked.
 

@@ -180,7 +180,10 @@ type t = {
   mutable threads : Thread.t list;
   mutable running : int;
   executed : int Atomic.t;
-  sweep_mu : Mutex.t;  (* sweeps borrow the global domain pool: one at a time *)
+  sweep_mu : Mutex.t;
+      (* one sweep at a time: [Sweep.run] parks the process-wide ledger
+         sink for its whole schedule and restores it afterwards, so two
+         overlapping sweeps could restore each other's parked [None] *)
 }
 
 let g_depth () = Metrics.gauge "serve.queue_depth"
@@ -210,12 +213,6 @@ let ctype_of name =
 let artifact_descr job_id name = Printf.sprintf "serve artifact v1 job=%s name=%s" job_id name
 let artifact_key job_id name = Hash.content_hash (artifact_descr job_id name)
 
-(* Pipeline executions must not overlap on the process-wide domain pool
-   ({!Siesta_util.Parallel.global} refuses concurrent jobs), so with
-   more than one worker each synthesis runs its merge sequentially; the
-   single-worker default keeps the warm pool. *)
-let merge_domains t = if t.nworkers > 1 then Some 1 else None
-
 let run_job t job =
   let started = now () in
   with_mu t (fun () ->
@@ -227,8 +224,7 @@ let run_job t job =
   (try
      let r = job.request in
      let sy =
-       Pipeline.synthesize_spec ~cache:true ~store:t.store ~factor:r.r_factor
-         ?domains:(merge_domains t) r.r_spec
+       Pipeline.synthesize_spec ~cache:true ~store:t.store ~factor:r.r_factor r.r_spec
      in
      let arts = ref [] in
      let add name content =

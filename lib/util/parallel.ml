@@ -1,480 +1,4 @@
-(* Domain pool: Domain.spawn workers around a range-chunked work queue
-   guarded by a Mutex/Condition pair.  No dependencies beyond the stdlib
-   (plus the in-tree Siesta_obs telemetry layer).
+type pool = int
 
-   Scheduler policy (the "never slower than serial" contract):
-
-   - Adaptive sizing.  Implicit sizing (create with [?domains = None],
-     or the [SIESTA_NUM_DOMAINS] environment variable) is clamped to
-     [Domain.recommended_domain_count]: spawning more domains than the
-     host has usable cores makes every chunk wait for a timeslice, not
-     for work (measured as queue-wait p95 on the order of the whole
-     merge wall on a 1-core CI host).  An explicit [~domains] request
-     stays raw — the determinism cross-checks deliberately exercise the
-     oversubscribed parallel code path.  [requested]/[effective]/
-     [clamped] are recorded in [stats], the pool-creation log line and
-     the Metrics registry.
-
-   - Cost-gated dispatch.  Each pool keeps an EWMA estimate of the
-     per-item cost, updated online from every job's measured busy time.
-     A job whose estimated work (items x est cost) falls under
-     [gate_threshold_s] executes inline on slot 0 — no posting, no
-     wakeups, no queue-wait — so small ranks/workloads never pay
-     dispatch overhead.  Uncalibrated pools dispatch (and thereby
-     calibrate).  [~gate:false] disables the gate for callers that need
-     the queued path unconditionally (benches, scheduling tests).
-
-   - Adaptive chunking.  Workers claim *ranges* of items whose size
-     adapts to the measured per-chunk time of the current job: chunks
-     finishing under [t_chunk_lo] double the claim size (bounding queue
-     traffic), chunks over [t_chunk_hi] halve it, and every claim is
-     capped at a 1/domains share of the remaining range (bounding tail
-     imbalance, guided-self-scheduling style).  The initial chunk size
-     comes from the cost estimate when calibrated.
-
-   - Shared warm pool.  [global ()] lazily creates one process-wide
-     implicitly-sized pool, shut down at exit, so repeated pipeline
-     invocations stop paying Domain.spawn per merge.
-
-   Lifecycle: [create] spawns the workers, which block on [work] until a
-   job is posted or [stop] is raised; [run]/[run_range] post a job,
-   participate in chunk execution, then block on [finished] until the
-   last item completes; [shutdown] raises [stop] and joins.  One job at
-   a time — the pipeline's stages are sequential phases, each internally
-   parallel.
-
-   Observability: each pool carries per-slot busy-time/chunk counters
-   and a queue-wait histogram (time from job posting to a chunk's
-   execution start), exposed via [stats] and published to the
-   Siesta_obs.Metrics registry on [shutdown].  Slot 0 is the submitting
-   caller, slots 1..d-1 the spawned workers.  The per-chunk clock reads
-   are two monotonic reads per claimed range; ranges are deliberately
-   coarse, so this stays invisible next to the work.  Per-chunk spans
-   are emitted only when Siesta_obs.Span is enabled, rendering each
-   domain as its own track in the Chrome trace. *)
-
-module Obs_log = Siesta_obs.Log
-module Obs_span = Siesta_obs.Span
-module Obs_metrics = Siesta_obs.Metrics
-module Histo = Siesta_obs.Metrics.Histo
-module Clock = Siesta_obs.Clock
-
-(* --- scheduler tuning ------------------------------------------------ *)
-
-(* Jobs whose estimated total work is below this execute inline on the
-   caller: posting a job costs a mutex round plus worker wakeups, and on
-   a loaded host potentially a timeslice per spawned domain — tens to
-   hundreds of microseconds that a small job can never win back. *)
-let gate_threshold_s = 200e-6
-
-(* Per-chunk time window the adaptive splitter steers into: fast chunks
-   double the claim size (amortizing queue traffic), slow chunks halve
-   it (bounding tail imbalance). *)
-let t_chunk_lo = 5e-4
-let t_chunk_hi = 1e-2
-
-(* Target duration used to size the first chunk from the calibrated
-   per-item estimate. *)
-let t_chunk_target = 2e-3
-
-(* EWMA weight of the newest per-item cost sample. *)
-let ewma_alpha = 0.3
-
-type job = {
-  body : int -> int -> unit;  (* executes the item range [lo, hi) *)
-  items : int;
-  posted_at : float;  (* Clock.now_s at posting, for queue-wait accounting *)
-  min_chunk : int;
-  mutable next : int;  (* next unclaimed item *)
-  mutable live : int;  (* items not yet completed *)
-  mutable chunk : int;  (* current adaptive claim size, in items *)
-  mutable busy : float;  (* summed chunk-body seconds, for the estimator *)
-  mutable failed : exn option;
-}
-
-type pool = {
-  lock : Mutex.t;
-  work : Condition.t;  (* workers: a job was posted / shutdown *)
-  finished : Condition.t;  (* submitter: the job completed *)
-  mutable job : job option;
-  mutable stop : bool;
-  mutable workers : unit Domain.t list;
-  total : int;  (* effective size: workers + the participating caller *)
-  requested : int;  (* what sizing asked for, before clamping *)
-  clamped : bool;  (* effective < requested (implicit sizing only) *)
-  gate : bool;  (* cost-gated dispatch enabled *)
-  (* --- scheduler state --- *)
-  mutable est_item_cost : float;  (* EWMA seconds/item; < 0 = uncalibrated *)
-  mutable inline_jobs : int;  (* jobs executed on slot 0 without queueing *)
-  mutable dispatched_jobs : int;  (* jobs posted to the worker queue *)
-  (* --- telemetry (slot 0 = caller, 1.. = workers) --- *)
-  busy_s : float array;  (* per-slot seconds inside chunk bodies *)
-  chunks_done : int array;  (* per-slot claimed ranges executed *)
-  queue_wait : Histo.t;  (* posting -> chunk start, seconds *)
-  mutable jobs : int;  (* jobs submitted *)
-}
-
-type stats = {
-  domains : int;
-  requested : int;
-  clamped : bool;
-  jobs : int;
-  inline_jobs : int;
-  dispatched_jobs : int;
-  est_item_cost_s : float;
-  busy_s : float array;
-  chunks_done : int array;
-  queue_wait : Histo.t;
-}
-
-(* --- sizing ---------------------------------------------------------- *)
-
-let recommended () = max 1 (Domain.recommended_domain_count ())
-
-type sizing = { s_requested : int; s_effective : int; s_clamped : bool; s_source : string }
-
-(* Implicit sizing: SIESTA_NUM_DOMAINS when set to a positive integer
-   (clamped to the recommended count), else the recommended count.  An
-   empty value counts as unset; anything else invalid is rejected with a
-   warning naming the value — a silent fallback hid misconfiguration. *)
-let implicit_sizing () =
-  let r = recommended () in
-  let from_recommended = { s_requested = r; s_effective = r; s_clamped = false; s_source = "recommended" } in
-  match Sys.getenv_opt "SIESTA_NUM_DOMAINS" with
-  | None -> from_recommended
-  | Some s when String.trim s = "" -> from_recommended
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n >= 1 ->
-          let e = min n r in
-          { s_requested = n; s_effective = e; s_clamped = e < n; s_source = "SIESTA_NUM_DOMAINS" }
-      | Some _ | None ->
-          Obs_log.warn (fun () ->
-              ( "parallel.num_domains.invalid",
-                [ ("SIESTA_NUM_DOMAINS", s); ("fallback", string_of_int r) ] ));
-          from_recommended)
-
-let num_domains_with_source () =
-  let s = implicit_sizing () in
-  (s.s_effective, s.s_source)
-
-let num_domains () = fst (num_domains_with_source ())
-
-(* --- chunk claiming -------------------------------------------------- *)
-
-(* Claim-and-execute loop.  Called (and returns) with [pool.lock] held.
-   [slot] identifies the executing domain for busy-time attribution. *)
-let claim_chunks pool ~slot j =
-  while j.next < j.items do
-    let lo = j.next in
-    (* tail-balance cap: never claim more than a 1/domains share of what
-       remains, so the last chunks stay splittable across the pool *)
-    let cap = max j.min_chunk ((j.items - lo + pool.total - 1) / pool.total) in
-    let len = min (min j.chunk cap) (j.items - lo) in
-    let hi = lo + len in
-    j.next <- hi;
-    Mutex.unlock pool.lock;
-    let t0 = Clock.now_s () in
-    Histo.observe pool.queue_wait (t0 -. j.posted_at);
-    let error =
-      try
-        if Obs_span.enabled () then
-          Obs_span.with_ ~cat:"pool"
-            ~attrs:
-              [
-                ("lo", string_of_int lo);
-                ("items", string_of_int len);
-                ("slot", string_of_int slot);
-              ]
-            "parallel.chunk" (fun () -> j.body lo hi)
-        else j.body lo hi;
-        None
-      with e -> Some e
-    in
-    let dt = Clock.now_s () -. t0 in
-    pool.busy_s.(slot) <- pool.busy_s.(slot) +. dt;
-    pool.chunks_done.(slot) <- pool.chunks_done.(slot) + 1;
-    Mutex.lock pool.lock;
-    j.busy <- j.busy +. dt;
-    (* re-split the remaining range around the measured per-chunk time:
-       too fast -> coarser claims (less queue traffic), too slow ->
-       finer claims (less tail imbalance) *)
-    (if error = None then
-       if dt < t_chunk_lo then j.chunk <- j.chunk * 2
-       else if dt > t_chunk_hi && j.chunk > j.min_chunk then
-         j.chunk <- max j.min_chunk (j.chunk / 2));
-    (match error with
-    | None -> ()
-    | Some e ->
-        if j.failed = None then j.failed <- Some e;
-        (* abandon unclaimed items so the job can terminate *)
-        let unclaimed = j.items - j.next in
-        j.next <- j.items;
-        j.live <- j.live - unclaimed);
-    j.live <- j.live - len;
-    if j.live = 0 then begin
-      pool.job <- None;
-      Condition.broadcast pool.finished
-    end
-  done
-
-let worker pool ~slot () =
-  Mutex.lock pool.lock;
-  let rec loop () =
-    if pool.stop then Mutex.unlock pool.lock
-    else
-      match pool.job with
-      | Some j when j.next < j.items ->
-          claim_chunks pool ~slot j;
-          loop ()
-      | Some _ | None ->
-          Condition.wait pool.work pool.lock;
-          loop ()
-  in
-  loop ()
-
-let create ?domains ?(gate = true) () =
-  let sizing =
-    match domains with
-    | Some d ->
-        let d = max 1 d in
-        { s_requested = d; s_effective = d; s_clamped = false; s_source = "explicit" }
-    | None -> implicit_sizing ()
-  in
-  Obs_log.info (fun () ->
-      ( "parallel.pool",
-        [
-          ("requested", string_of_int sizing.s_requested);
-          ("effective", string_of_int sizing.s_effective);
-          ("clamped", string_of_bool sizing.s_clamped);
-          ("source", sizing.s_source);
-          ("gate", string_of_bool gate);
-          ("recommended", string_of_int (Domain.recommended_domain_count ()));
-        ] ));
-  let total = sizing.s_effective in
-  let pool =
-    {
-      lock = Mutex.create ();
-      work = Condition.create ();
-      finished = Condition.create ();
-      job = None;
-      stop = false;
-      workers = [];
-      total;
-      requested = sizing.s_requested;
-      clamped = sizing.s_clamped;
-      gate;
-      est_item_cost = -1.0;
-      inline_jobs = 0;
-      dispatched_jobs = 0;
-      busy_s = Array.make total 0.0;
-      chunks_done = Array.make total 0;
-      queue_wait = Histo.create ();
-      jobs = 0;
-    }
-  in
-  pool.workers <- List.init (total - 1) (fun i -> Domain.spawn (worker pool ~slot:(i + 1)));
-  pool
-
-let size pool = pool.total
-
-let stats (pool : pool) : stats =
-  {
-    domains = pool.total;
-    requested = pool.requested;
-    clamped = pool.clamped;
-    jobs = pool.jobs;
-    inline_jobs = pool.inline_jobs;
-    dispatched_jobs = pool.dispatched_jobs;
-    est_item_cost_s = (if pool.est_item_cost < 0.0 then Float.nan else pool.est_item_cost);
-    busy_s = Array.copy pool.busy_s;
-    chunks_done = Array.copy pool.chunks_done;
-    queue_wait = pool.queue_wait;
-  }
-
-(* Publish the pool's lifetime totals into the global registry (no-op
-   when metrics are disabled). *)
-let publish_stats (pool : pool) =
-  if Obs_metrics.enabled () then begin
-    Obs_metrics.incr (Obs_metrics.counter "parallel.pools") 1;
-    if pool.clamped then Obs_metrics.incr (Obs_metrics.counter "parallel.pools_clamped") 1;
-    Obs_metrics.set
-      (Obs_metrics.gauge "parallel.requested_domains")
-      (float_of_int pool.requested);
-    Obs_metrics.set (Obs_metrics.gauge "parallel.effective_domains") (float_of_int pool.total);
-    Obs_metrics.incr (Obs_metrics.counter "parallel.jobs") pool.jobs;
-    Obs_metrics.incr (Obs_metrics.counter "parallel.jobs_inline") pool.inline_jobs;
-    Obs_metrics.incr (Obs_metrics.counter "parallel.jobs_dispatched") pool.dispatched_jobs;
-    Obs_metrics.incr
-      (Obs_metrics.counter "parallel.chunks")
-      (Array.fold_left ( + ) 0 pool.chunks_done);
-    let busy = Array.fold_left ( +. ) 0.0 pool.busy_s in
-    Obs_metrics.observe (Obs_metrics.histogram "parallel.busy_s_per_pool") busy;
-    (* bucket-level merge: O(nonzero buckets), not O(total observations) *)
-    Obs_metrics.add_histo ~src:pool.queue_wait
-      (Obs_metrics.histogram "parallel.queue_wait_s")
-  end
-
-let shutdown pool =
-  Mutex.lock pool.lock;
-  pool.stop <- true;
-  Condition.broadcast pool.work;
-  Mutex.unlock pool.lock;
-  List.iter Domain.join pool.workers;
-  pool.workers <- [];
-  publish_stats pool;
-  Obs_log.debug (fun () ->
-      let s = stats pool in
-      ( "parallel.pool.shutdown",
-        [
-          ("domains", string_of_int s.domains);
-          ("jobs", string_of_int s.jobs);
-          ("inline", string_of_int s.inline_jobs);
-          ("dispatched", string_of_int s.dispatched_jobs);
-          ("chunks", string_of_int (Array.fold_left ( + ) 0 s.chunks_done));
-          ("busy_s", Printf.sprintf "%.6f" (Array.fold_left ( +. ) 0.0 s.busy_s));
-        ] ))
-
-let with_pool ?domains ?gate f =
-  let pool = create ?domains ?gate () in
-  Fun.protect ~finally:(fun () -> shutdown pool) (fun () -> f pool)
-
-(* --- shared warm pool ------------------------------------------------ *)
-
-let global_lock = Mutex.create ()
-let global_ref = ref None
-
-let global () =
-  Mutex.protect global_lock (fun () ->
-      match !global_ref with
-      | Some p -> p
-      | None ->
-          let p = create () in
-          at_exit (fun () -> shutdown p);
-          global_ref := Some p;
-          p)
-
-(* --- job submission -------------------------------------------------- *)
-
-(* Fold a finished job's measured busy time into the per-item cost
-   estimate.  Only the submitting domain calls this, once per job. *)
-let note_job_cost (pool : pool) ~items busy =
-  if items > 0 && busy >= 0.0 then begin
-    let sample = busy /. float_of_int items in
-    pool.est_item_cost <-
-      (if pool.est_item_cost < 0.0 then sample
-       else ((1.0 -. ewma_alpha) *. pool.est_item_cost) +. (ewma_alpha *. sample))
-  end
-
-(* The serial gate: no workers to hand work to, or the calibrated work
-   estimate says dispatch overhead would dominate. *)
-let should_inline (pool : pool) ~items =
-  pool.workers = []
-  || (pool.gate && pool.est_item_cost >= 0.0
-     && pool.est_item_cost *. float_of_int items < gate_threshold_s)
-
-(* Inline execution on slot 0.  [Fun.protect] keeps the accounting
-   honest when [body] raises: busy time and the chunk count land in the
-   stats either way (they previously leaked on the exception path). *)
-let run_inline (pool : pool) ~items body =
-  pool.jobs <- pool.jobs + 1;
-  pool.inline_jobs <- pool.inline_jobs + 1;
-  let t0 = Clock.now_s () in
-  Fun.protect
-    ~finally:(fun () ->
-      let dt = Clock.now_s () -. t0 in
-      pool.busy_s.(0) <- pool.busy_s.(0) +. dt;
-      pool.chunks_done.(0) <- pool.chunks_done.(0) + 1;
-      note_job_cost pool ~items dt)
-    (fun () -> body 0 items)
-
-(* First claim size: from the calibrated estimate when available
-   (targeting [t_chunk_target] per chunk), bounded by a guided
-   ~4-chunks-per-domain split so a bad estimate cannot serialize the
-   job. *)
-let initial_chunk (pool : pool) ~items ~min_chunk =
-  let guided = max 1 (items / (4 * pool.total)) in
-  let c =
-    if pool.est_item_cost > 0.0 then
-      let by_time = int_of_float (Float.ceil (t_chunk_target /. pool.est_item_cost)) in
-      max 1 (min guided by_time)
-    else guided
-  in
-  max min_chunk c
-
-let run_range (pool : pool) ?(min_chunk = 1) ~items body =
-  if items > 0 then
-    if should_inline pool ~items then begin
-      if pool.gate && pool.workers <> [] then
-        Obs_log.debug (fun () ->
-            ( "parallel.gate.inline",
-              [
-                ("items", string_of_int items);
-                ("est_item_cost_s", Printf.sprintf "%.3e" pool.est_item_cost);
-              ] ));
-      run_inline pool ~items body
-    end
-    else begin
-      let j =
-        {
-          body;
-          items;
-          posted_at = Clock.now_s ();
-          min_chunk = max 1 min_chunk;
-          next = 0;
-          live = items;
-          chunk = initial_chunk pool ~items ~min_chunk:(max 1 min_chunk);
-          busy = 0.0;
-          failed = None;
-        }
-      in
-      Mutex.lock pool.lock;
-      if pool.job <> None then begin
-        Mutex.unlock pool.lock;
-        invalid_arg "Parallel.run: pool already has a job in flight"
-      end;
-      pool.jobs <- pool.jobs + 1;
-      pool.dispatched_jobs <- pool.dispatched_jobs + 1;
-      pool.job <- Some j;
-      Condition.broadcast pool.work;
-      (* the caller participates *)
-      claim_chunks pool ~slot:0 j;
-      while j.live > 0 do
-        Condition.wait pool.finished pool.lock
-      done;
-      note_job_cost pool ~items j.busy;
-      Mutex.unlock pool.lock;
-      match j.failed with Some e -> raise e | None -> ()
-    end
-
-let run pool ~chunks body =
-  run_range pool ~items:chunks (fun lo hi ->
-      for i = lo to hi - 1 do
-        body i
-      done)
-
-let map_with_pool pool ?(min_chunk = 1) f a =
-  let n = Array.length a in
-  let out = Array.make n None in
-  run_range pool ~min_chunk ~items:n (fun lo hi ->
-      for i = lo to hi - 1 do
-        out.(i) <- Some (f i a.(i))
-      done);
-  Array.map (function Some v -> v | None -> assert false) out
-
-let map ?pool ?domains ?min_chunk f a =
-  let n = Array.length a in
-  match pool with
-  | Some p when size p > 1 && n > 1 -> map_with_pool p ?min_chunk f a
-  | Some _ -> Array.mapi f a
-  | None -> (
-      match domains with
-      | Some d ->
-          let d = max 1 d in
-          if d <= 1 || n <= 1 then Array.mapi f a
-          else with_pool ~domains:(min d n) (fun p -> map_with_pool p ?min_chunk f a)
-      | None ->
-          if n <= 1 then Array.mapi f a
-          else
-            let p = global () in
-            if size p > 1 then map_with_pool p ?min_chunk f a else Array.mapi f a)
+let global () = Domain.recommended_domain_count ()
+let size pool = pool

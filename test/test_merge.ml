@@ -412,26 +412,6 @@ let prop_merge_lossless =
       Array.for_all Fun.id
         (Array.init nranks (fun r -> Merged.expand_for_rank merged r = seqs.(r))))
 
-let prop_merge_parallel_equals_sequential =
-  (* The tentpole determinism guarantee: merge_streams produces the same
-     Merged.t under every scheduler configuration — sequential, the
-     default (clamped warm pool), an explicitly oversubscribed raw pool,
-     and a borrowed external pool. *)
-  QCheck.Test.make
-    ~name:"merge identical across {serial, default, oversubscribed, borrowed} schedulers"
-    ~count:60 arb_bundle
-    (fun (nranks, streams) ->
-      let merge config = MPipe.merge_streams ~config ~nranks streams in
-      let reference = merge { MPipe.default_config with MPipe.domains = Some 1 } in
-      let default_warm = merge MPipe.default_config in
-      let oversub = merge { MPipe.default_config with MPipe.domains = Some 4 } in
-      let borrowed =
-        merge { MPipe.default_config with MPipe.pool = Some (Siesta_util.Parallel.global ()) }
-      in
-      Merged.equal reference default_warm
-      && Merged.equal reference oversub
-      && Merged.equal reference borrowed)
-
 let prop_merge_size_bounded =
   QCheck.Test.make ~name:"merged size never exceeds raw streams" ~count:150 arb_bundle
     (fun (nranks, streams) ->
@@ -451,7 +431,6 @@ let qcheck_tests =
       prop_union_associative;
       prop_union_membership;
       prop_merge_lossless;
-      prop_merge_parallel_equals_sequential;
       prop_merge_size_bounded;
       prop_length_int_matches_generic;
       prop_pairs_int_is_an_lcs;

@@ -15,7 +15,6 @@ module Json = Siesta_obs.Json
 module Span = Siesta_obs.Span
 module Metrics = Siesta_obs.Metrics
 module Log = Siesta_obs.Log
-module Parallel = Siesta_util.Parallel
 module Pipeline = Siesta.Pipeline
 module Codegen = Siesta_synth.Codegen_c
 
@@ -247,75 +246,6 @@ let test_histogram_bucket_boundaries () =
   let nz = H.nonzero_buckets h in
   Alcotest.(check int) "nonzero bucket hits total" 4
     (List.fold_left (fun a (_, _, c) -> a + c) 0 nz)
-
-let test_histogram_bucket_merge () =
-  let module H = Metrics.Histo in
-  (* a source histogram with hits across several decades (finite
-     buckets; the overflow bucket is checked separately below) *)
-  let src = H.create () in
-  List.iter (H.observe src)
-    [ 0.0; 1e-12; 2e-6; 2e-6; 3.1e-4; 1e-3; 1e-3; 1e-3; 0.02; 0.5; 31.6 ];
-  (* the replay idiom merge_into replaces: one observe at the bucket's
-     upper bound per recorded observation *)
-  let replayed = H.create () in
-  List.iter
-    (fun (_, ub, c) ->
-      for _ = 1 to c do
-        H.observe replayed ub
-      done)
-    (H.nonzero_buckets src);
-  let merged = H.create () in
-  H.merge_into ~src ~dst:merged;
-  (* bucket-for-bucket equality with the replay path *)
-  Alcotest.(check int) "count preserved" (H.count src) (H.count merged);
-  Alcotest.(check int) "count matches replay" (H.count replayed) (H.count merged);
-  Alcotest.(check bool) "buckets match replay" true
-    (H.nonzero_buckets replayed = H.nonzero_buckets merged);
-  Alcotest.(check (float 1e-9)) "sum matches replay" (H.sum replayed) (H.sum merged);
-  (* merging into a non-empty destination accumulates *)
-  H.merge_into ~src ~dst:merged;
-  Alcotest.(check int) "second merge doubles" (2 * H.count src) (H.count merged);
-  (* overflow observations merge at the largest finite bound: the count
-     stays in the overflow bucket but the sum stays finite *)
-  let ovf = H.create () in
-  H.observe ovf 1e9;
-  let ovf_merged = H.create () in
-  H.merge_into ~src:ovf ~dst:ovf_merged;
-  Alcotest.(check int) "overflow count preserved" 1 (H.count ovf_merged);
-  (match H.nonzero_buckets ovf_merged with
-  | [ (i, ub, 1) ] ->
-      Alcotest.(check int) "lands in overflow bucket" (H.nbuckets - 1) i;
-      Alcotest.(check bool) "overflow ub infinite" true (ub = infinity)
-  | _ -> Alcotest.fail "expected a single overflow bucket hit");
-  Alcotest.(check bool) "overflow sum finite" true (Float.is_finite (H.sum ovf_merged));
-  Alcotest.(check (float 1e-9)) "overflow sum at largest finite bound"
-    (H.bucket_upper (H.nbuckets - 2))
-    (H.sum ovf_merged);
-  (* add_count input validation *)
-  let h = H.create () in
-  Alcotest.(check bool) "bad bucket rejected" true
-    (match H.add_count h H.nbuckets 1 with
-    | exception Invalid_argument _ -> true
-    | () -> false);
-  Alcotest.(check bool) "negative count rejected" true
-    (match H.add_count h 0 (-1) with exception Invalid_argument _ -> true | () -> false);
-  H.add_count h 0 0;
-  Alcotest.(check int) "zero count is a no-op" 0 (H.count h);
-  (* the registry-level wrapper is gated on the enable flag *)
-  Metrics.reset ();
-  Metrics.set_enabled false;
-  Metrics.add_histo ~src (Metrics.histogram "test.merge.h");
-  (match List.assoc_opt "test.merge.h" (Metrics.snapshot ()) with
-  | Some (Metrics.Histogram h) -> Alcotest.(check int) "disabled: no-op" 0 (H.count h)
-  | _ -> Alcotest.fail "histogram not registered");
-  Metrics.set_enabled true;
-  Metrics.add_histo ~src (Metrics.histogram "test.merge.h");
-  (match List.assoc_opt "test.merge.h" (Metrics.snapshot ()) with
-  | Some (Metrics.Histogram h) ->
-      Alcotest.(check int) "enabled: merged" (H.count src) (H.count h)
-  | _ -> Alcotest.fail "histogram not registered");
-  Metrics.set_enabled false;
-  Metrics.reset ()
 
 (* Satellite of the run-ledger PR: quantile edge semantics.  Empty
    histograms, q outside [0,1], q in {0,1}, and within-bucket linear
@@ -564,65 +494,6 @@ let test_log_level_parsing () =
   Alcotest.(check string) "name roundtrip" "info" (Log.level_name Log.Info)
 
 (* ------------------------------------------------------------------ *)
-(* Parallel pool stats + per-worker tracks *)
-
-let test_parallel_stats_and_tracks () =
-  Span.reset ();
-  Span.set_enabled true;
-  let items = 32 in
-  (* each item spins ~2ms so the spawned workers get to claim some
-     ranges before the submitting domain drains the queue *)
-  let spin () =
-    let t0 = Clock.now_s () in
-    while Clock.now_s () -. t0 < 0.002 do
-      ignore (Sys.opaque_identity (sqrt 2.0))
-    done
-  in
-  let hits = Array.make items 0 in
-  let stats =
-    Parallel.with_pool ~domains:3 (fun pool ->
-        Parallel.run pool ~chunks:items (fun i ->
-            hits.(i) <- hits.(i) + 1;
-            spin ());
-        Parallel.stats pool)
-  in
-  Span.set_enabled false;
-  Alcotest.(check int) "3 slots" 3 stats.Parallel.domains;
-  Alcotest.(check int) "requested 3" 3 stats.Parallel.requested;
-  Alcotest.(check bool) "explicit sizing never clamped" false stats.Parallel.clamped;
-  Alcotest.(check int) "one job" 1 stats.Parallel.jobs;
-  (* a fresh pool is uncalibrated, so the cost gate dispatches *)
-  Alcotest.(check int) "dispatched" 1 stats.Parallel.dispatched_jobs;
-  Alcotest.(check int) "nothing inlined" 0 stats.Parallel.inline_jobs;
-  Alcotest.(check bool) "each item exactly once" true (Array.for_all (( = ) 1) hits);
-  let ranges = Array.fold_left ( + ) 0 stats.Parallel.chunks_done in
-  (* ranges are adaptive: at least one, at most one per item *)
-  Alcotest.(check bool)
-    (Printf.sprintf "claimed ranges in [1, %d] (got %d)" items ranges)
-    true
-    (ranges >= 1 && ranges <= items);
-  Alcotest.(check bool) "busy time non-negative" true
-    (Array.for_all (fun s -> s >= 0.0) stats.Parallel.busy_s);
-  Alcotest.(check bool) "estimator calibrated" false
-    (Float.is_nan stats.Parallel.est_item_cost_s);
-  Alcotest.(check int) "queue-wait observed per claimed range" ranges
-    (Metrics.Histo.count stats.Parallel.queue_wait);
-  (* the per-chunk spans must land on more than one track: the pool's
-     workers each carry their own domain id *)
-  let evs = complete_events (Span.to_chrome_json ()) in
-  let chunk_tids =
-    List.sort_uniq compare
-      (List.filter_map
-         (fun (n, _, _, _, tid) -> if n = "parallel.chunk" then Some tid else None)
-         evs)
-  in
-  Alcotest.(check bool) "chunk spans recorded" true (chunk_tids <> []);
-  Alcotest.(check bool)
-    (Printf.sprintf "chunk spans on >1 track (got %d)" (List.length chunk_tids))
-    true
-    (List.length chunk_tids > 1)
-
-(* ------------------------------------------------------------------ *)
 (* End-to-end: the --trace-out path *)
 
 let test_pipeline_trace_out_smoke () =
@@ -693,8 +564,6 @@ let suite =
     Alcotest.test_case "chrome json shape" `Quick (protecting test_span_chrome_json_shape);
     Alcotest.test_case "histogram bucket boundaries" `Quick
       (protecting test_histogram_bucket_boundaries);
-    Alcotest.test_case "histogram bucket-level merge" `Quick
-      (protecting test_histogram_bucket_merge);
     Alcotest.test_case "quantile edge semantics" `Quick (protecting test_quantile_edges);
     Alcotest.test_case "metrics json roundtrip" `Quick (protecting test_metrics_json_roundtrip);
     Alcotest.test_case "run id correlation" `Quick (protecting test_run_id_correlation);
@@ -702,8 +571,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_concurrent_counter_exact;
     Alcotest.test_case "log level filtering" `Quick (protecting test_log_level_filtering);
     Alcotest.test_case "log level parsing" `Quick (protecting test_log_level_parsing);
-    Alcotest.test_case "parallel stats and worker tracks" `Quick
-      (protecting test_parallel_stats_and_tracks);
     Alcotest.test_case "pipeline trace-out smoke" `Slow
       (protecting test_pipeline_trace_out_smoke);
   ]
