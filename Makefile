@@ -195,14 +195,13 @@ smoke: build
 	@rm -rf $(SMOKE_STORE) $(SMOKE_SWEEP_STORE) $(SMOKE_SERVE_STORE)
 
 # regression gates, failing the build instead of printing a warning:
-# telemetry overhead budget (<= 3%), parallel-merge determinism,
-# merge_no_regression (default-config merge_speedup >= 0.95 vs serial
-# on every workload — the Parallel scheduler's "never slower than
-# serial" contract; three remeasurement attempts absorb host noise),
-# streaming_throughput (streamed trace+grammar >= 0.95x the boxed
-# trace-then-batch-grammar events/sec at >= 10^6 events) and
-# streaming_heap_bounded (streamed retained heap stays flat across a
-# 4x event growth — memory tracks grammar size, not trace length), and
+# telemetry overhead budget (<= 3%), merge determinism (the streamed
+# pipeline's merge equals the batch merge of the same events), a warm
+# re-run served entirely from the bench store, streaming_throughput
+# (streamed trace+grammar >= 0.95x the boxed trace-then-batch-grammar
+# events/sec at >= 10^6 events) and streaming_heap_bounded (streamed
+# retained heap stays flat across a 4x event growth — memory tracks
+# grammar size, not trace length), and
 # sweep-warm (a warm fidelity re-sweep is pure cache replay: every
 # per-factor point hit/hit/hit with the same curve as the cold sweep).
 bench-check: build
