@@ -1,20 +1,22 @@
 (* Golden content hashes of the pipeline's outputs.  For every registry
    workload at 4 ranks, plus CG@16, StirTurb@64 and StirTurb@512, the
-   digests of the per-rank online Sequitur grammars, the generated
-   proxy.c, the static-check JSON, the proxy-vs-original diff JSON, the
-   stored trace blob and the encoded merged grammar are pinned.  The
-   merged digest fixes the global rule numbering, the rank lists and the
-   terminal table the merge produces, independent of codegen.  StirTurb@512 is the wide_ranks
-   benchmark spec at seed 42: its 512 distinct main rules each form
-   their own cluster, so it is the only row whose main-rule clustering
-   compares hundreds of mains.  Any change to the engine, the recorder, the
-   grammar builder, the merge, the search or codegen that alters a
-   single output byte fails here; a deliberate output change must update
-   the table. *)
+   digests of the per-rank Sequitur grammars of the recorded codes, the
+   generated proxy.c, the static-check JSON, the proxy-vs-original diff
+   JSON, the stored trace blob and the encoded merged grammar are
+   pinned.  The merged digest fixes the global rule numbering, the rank
+   lists and the terminal table the merge produces, independent of
+   codegen.  StirTurb@512 is the wide_ranks benchmark spec at seed 42:
+   its 512 distinct main rules each form their own cluster, so it is the
+   only row whose main-rule clustering compares hundreds of mains.  Any
+   change to the engine, the recorder, the grammar builder, the merge,
+   the search or codegen that alters a single output byte fails here; a
+   deliberate output change must update the table. *)
 
 module Pipeline = Siesta.Pipeline
 module Recorder = Siesta_trace.Recorder
+module Soa = Siesta_trace.Soa
 module Grammar = Siesta_grammar.Grammar
+module Sequitur = Siesta_grammar.Sequitur
 module Codegen_c = Siesta_synth.Codegen_c
 module Comm_check = Siesta_analysis.Comm_check
 module Divergence = Siesta_analysis.Divergence
@@ -33,9 +35,10 @@ let digests ~workload ~nranks =
   let spec = Pipeline.spec ~workload ~nranks () in
   let traced = Pipeline.trace spec in
   let sy = Pipeline.synthesize traced in
+  let recorder = traced.Pipeline.recorder in
   let grammars =
-    Recorder.online_grammars traced.Pipeline.recorder
-    |> Array.to_list
+    List.init (Recorder.nranks recorder) (fun r ->
+        Sequitur.of_seq ~rle:true (Soa.to_array (Recorder.codes recorder r)))
     |> List.map (Format.asprintf "%a" Grammar.pp)
     |> String.concat "\n--\n"
   in
