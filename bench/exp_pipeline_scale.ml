@@ -1,9 +1,9 @@
 (* Pipeline scaling experiment: end-to-end wall-clock of trace -> merge
    -> synthesize, cold and warm through the content-addressed store, one
    timing of the batch merge, and a check that the merge the pipeline
-   ships (streamed recorder, canonicalized terminals, rebased online
-   grammars) equals the batch merge of the same events.  Results go to
-   stdout as a table and to [BENCH_pipeline.json] for downstream
+   ships (streamed recorder, canonicalized terminals, one Sequitur run
+   per rank shape) equals the batch merge of the same events.  Results
+   go to stdout as a table and to [BENCH_pipeline.json] for downstream
    tooling.  Walls are taken on [Siesta_obs.Clock] (monotonic, shared
    with the span layer). *)
 
@@ -111,26 +111,26 @@ let measure ~store (workload, nranks) =
      - streaming_throughput: the streamed path sustains at least
        [gate_threshold] (0.95) of the boxed path's events/sec, with
        both sides timed to the same semantic milestone: per-rank
-       grammars built.  The streamed recorder folds Sequitur into the
-       trace loop, so its wall already contains grammar construction
-       ([Recorder.online_grammars] is a finalize that only seals open
-       rules); the boxed reference must pay the batch equivalent
-       afterwards — per-rank event extraction, terminal interning and
-       [Sequitur.of_seq].  Comparing raw trace walls instead would
-       charge the streamed path for work the boxed path merely defers;
+       grammars built.  Each side builds them after recording, the way
+       its merge does: the streamed side through the merge's shape pass
+       ([MPipe.rank_grammars], one Sequitur run per distinct rank
+       shape), the boxed side through per-rank event extraction,
+       terminal interning and [Sequitur.of_seq] per rank.  Comparing
+       raw trace walls instead would leave out the grammar work, where
+       the two paths differ most;
      - streaming_heap_bounded: the streamed trace's *retained* heap
        delta at 4x the event count stays within 2x the small-size delta
        (plus an absolute floor for GC granularity) — memory must track
-       grammar size, not trace length.
+       the number of distinct events, not trace length.
 
    Heap deltas are measured compacted ([Gc.compact] before and after,
    [Gc.quick_stat ().heap_words] while the trace is still live), which
    makes them insensitive to whatever peaks earlier experiments left in
    [top_heap_words].  The SoA code buffers are Bigarray-backed and
    off-heap by design, so what remains visible to the GC is exactly the
-   claim under test: definitions + grammars + compute table.  The boxed
-   runs come last so their O(events) lists cannot inflate the streamed
-   measurements. *)
+   claim under test: definitions + compute table + per-rank handle
+   tables.  The boxed runs come last so their O(events) lists cannot
+   inflate the streamed measurements. *)
 
 type streaming = {
   st_workload : string;
@@ -184,7 +184,8 @@ let measure_streaming () =
           let traced = trace_mode mode large_iters in
           let grammars =
             match mode with
-            | Recorder.Streamed -> Recorder.online_grammars traced.Pipeline.recorder
+            | Recorder.Streamed ->
+                MPipe.rank_grammars ~rle:true (Trace_io.pack traced.Pipeline.recorder)
             | Recorder.Boxed ->
                 let streams =
                   Array.init nranks (Recorder.events traced.Pipeline.recorder)

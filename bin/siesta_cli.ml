@@ -321,9 +321,9 @@ let run_cmd =
     Term.(const run $ obs_term $ spec_term workload_arg)
 
 (* Recorder mode flag shared by the tracing subcommands.  Streamed (the
-   default) interns events into SoA code buffers and builds per-rank
-   grammars online; --boxed-trace keeps the original boxed event lists
-   (equivalence baseline — the proxy is byte-identical either way). *)
+   default) interns events into SoA code buffers; --boxed-trace keeps the
+   original boxed event lists (equivalence baseline — the proxy is
+   byte-identical either way). *)
 let boxed_trace_arg =
   let doc =
     "Record boxed event lists instead of the streaming SoA representation \
@@ -1183,14 +1183,11 @@ let check_trace_cmd =
     Arg.(value & opt int 0 & info [ "min-tracks" ] ~docv:"N" ~doc)
   in
   let summarize_packed what (pk : Siesta_trace.Trace_io.packed) =
-    Printf.printf "%s: %d ranks, %d events (%d distinct), %d centroids%s\n" what
+    Printf.printf "%s: %d ranks, %d events (%d distinct), %d centroids\n" what
       pk.Siesta_trace.Trace_io.p_nranks
       (Siesta_trace.Trace_io.packed_total_events pk)
       (Array.length pk.Siesta_trace.Trace_io.p_defs)
       (Array.length pk.Siesta_trace.Trace_io.p_centroids)
-      (match pk.Siesta_trace.Trace_io.p_grammars with
-      | Some _ -> ", online per-rank grammars"
-      | None -> "")
   in
   let run file min_spans min_tracks =
     let contents =

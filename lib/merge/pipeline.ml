@@ -238,8 +238,9 @@ let merge_mains ~threshold (mains : pos array array) (main_ids : int array array
 (* ------------------------------------------------------------------ *)
 
 (* From per-rank grammars over the canonical terminal numbering to the
-   merged program grammar. *)
-let merge_grammars ~config ~nranks ~terminals grammars =
+   merged program grammar.  [shapes] is the number of Sequitur runs that
+   built [grammars]. *)
+let merge_grammars ~config ~nranks ~terminals ~shapes grammars =
   let { global_rules; rule_maps } =
     Span.with_ ~cat:"merge" "merge.nonterminals" (fun () -> merge_nonterminals grammars)
   in
@@ -255,6 +256,7 @@ let merge_grammars ~config ~nranks ~terminals grammars =
         merge_mains ~threshold:config.cluster_threshold mains main_ids)
   in
   if Metrics.enabled () then begin
+    Metrics.incr (Metrics.counter "merge.shapes") shapes;
     Metrics.incr (Metrics.counter "merge.rules_global") (Array.length global_rules);
     Metrics.incr (Metrics.counter "merge.clusters") (Array.length mains)
   end;
@@ -262,6 +264,7 @@ let merge_grammars ~config ~nranks ~terminals grammars =
       ( "merge.done",
         [
           ("nranks", string_of_int nranks);
+          ("shapes", string_of_int shapes);
           ("rules", string_of_int (Array.length global_rules));
           ("clusters", string_of_int (Array.length mains));
         ] ));
@@ -282,7 +285,112 @@ let merge_streams ?(config = default_config) ~nranks streams =
     Span.with_ ~cat:"merge" "merge.sequitur" (fun () ->
         Array.map (Sequitur.of_seq ~rle:config.rle) seqs)
   in
-  merge_grammars ~config ~nranks ~terminals:(Terminal_table.terminals table) grammars
+  merge_grammars ~config ~nranks ~terminals:(Terminal_table.terminals table) ~shapes:nranks
+    grammars
+
+(* ------------------------------------------------------------------ *)
+(* Per-rank grammars of a packed trace                                  *)
+
+(* Canonicalize terminal codes.  Record-time interning numbers events in
+   engine-interleaving order; the batch path numbers them by first
+   occurrence scanning rank 0, 1, … ({!Terminal_table.build}).  One
+   sequential integer scan over the code buffers rebuilds that exact
+   numbering: [canon.(c)] is code [c]'s canonical id, or -1 if no rank
+   uses [c]. *)
+let canonical_ids (pk : Trace_io.packed) =
+  let canon = Array.make (Array.length pk.Trace_io.p_defs) (-1) in
+  let n = ref 0 in
+  Array.iter
+    (Soa.iter (fun c ->
+         if canon.(c) < 0 then begin
+           canon.(c) <- !n;
+           incr n
+         end))
+    pk.Trace_io.p_codes;
+  (canon, !n)
+
+(* Two ranks share a shape when a bijection of event codes maps one's
+   stream onto the other's.  Sequitur's construction commutes with such
+   renamings ({!Grammar.map_terminals}), so only the first rank of each
+   shape, its leader, runs Sequitur; every later rank of the shape
+   renames the terminals of the leader's grammar.  A hash of the stream
+   under first-occurrence renaming, with the length, only picks the
+   candidate leaders: a rank shares a grammar after an exact check that
+   a bijection maps the leader's codes onto its own.  Returns the
+   grammars over the canonical numbering and the number of leaders. *)
+let shape_grammars ~rle canon (codes : Soa.buf array) =
+  let ndefs = Array.length canon in
+  let code_of = Array.make ndefs 0 in
+  Array.iteri (fun c id -> if id >= 0 then code_of.(id) <- c) canon;
+  (* Code -> code maps, -1 where unset.  Each use records the codes it
+     sets in [touched] and resets only those. *)
+  let local = Array.make ndefs (-1) and fwd = Array.make ndefs (-1) in
+  let bwd = Array.make ndefs (-1) and touched = Array.make ndefs 0 in
+  let shape_hash b =
+    let h = ref 0 and n = ref 0 in
+    for i = 0 to Soa.length b - 1 do
+      let c = Soa.unsafe_get b i in
+      if local.(c) < 0 then begin
+        local.(c) <- !n;
+        touched.(!n) <- c;
+        incr n
+      end;
+      let x = (!h lxor local.(c)) * 0x2545F4914F6CDD1D in
+      h := x lxor (x lsr 29)
+    done;
+    for k = 0 to !n - 1 do
+      local.(touched.(k)) <- -1
+    done;
+    !h
+  in
+  (* The leader's grammar renamed for [b], if [fwd] (leader code -> code
+     of [b]) and [bwd] (its inverse) stay functions along both streams. *)
+  let renamed b (leader, g) =
+    let len = Soa.length b in
+    let n = ref 0 and i = ref 0 and ok = ref (Soa.length leader = len) in
+    while !ok && !i < len do
+      let x = Soa.unsafe_get leader !i and y = Soa.unsafe_get b !i in
+      if fwd.(x) < 0 && bwd.(y) < 0 then begin
+        fwd.(x) <- y;
+        bwd.(y) <- x;
+        touched.(!n) <- x;
+        incr n
+      end
+      else ok := fwd.(x) = y && bwd.(y) = x;
+      incr i
+    done;
+    let g =
+      if !ok then Some (Grammar.map_terminals (fun t -> canon.(fwd.(code_of.(t)))) g) else None
+    in
+    for k = 0 to !n - 1 do
+      let x = touched.(k) in
+      bwd.(fwd.(x)) <- -1;
+      fwd.(x) <- -1
+    done;
+    g
+  in
+  let leaders = Hashtbl.create 16 in
+  let shapes = ref 0 in
+  let grammars =
+    Array.map
+      (fun b ->
+        let key = (Soa.length b, shape_hash b) in
+        let candidates = Option.value ~default:[] (Hashtbl.find_opt leaders key) in
+        match List.find_map (renamed b) candidates with
+        | Some g -> g
+        | None ->
+            let s = Sequitur.create ~rle () in
+            Soa.iter (fun c -> Sequitur.push s canon.(c)) b;
+            let g = Sequitur.finalize s in
+            Hashtbl.replace leaders key ((b, g) :: candidates);
+            incr shapes;
+            g)
+      codes
+  in
+  (grammars, !shapes)
+
+let rank_grammars ~rle (pk : Trace_io.packed) =
+  fst (shape_grammars ~rle (fst (canonical_ids pk)) pk.Trace_io.p_codes)
 
 let merge_packed ?(config = default_config) (pk : Trace_io.packed) =
   let nranks = pk.Trace_io.p_nranks in
@@ -293,49 +401,18 @@ let merge_packed ?(config = default_config) (pk : Trace_io.packed) =
     Metrics.incr (Metrics.counter "merge.invocations") 1;
     Metrics.incr (Metrics.counter "merge.events_in") (Trace_io.packed_total_events pk)
   end;
-  (* Canonicalize terminal codes.  Record-time interning numbers events
-     in engine-interleaving order; the batch path numbers them by first
-     occurrence scanning rank 0, 1, … (Terminal_table.build).  One
-     sequential integer scan over the code buffers rebuilds that exact
-     numbering, and because Sequitur's construction commutes with
-     terminal bijections ({!Grammar.map_terminals}), rebasing the online
-     grammars afterwards yields bit-for-bit the batch grammars. *)
   let defs = pk.Trace_io.p_defs in
-  let canon = Array.make (Array.length defs) (-1) in
-  let n_canon = ref 0 in
-  Span.with_ ~cat:"merge" "merge.canon" (fun () ->
-      Array.iter
-        (fun codes ->
-          Soa.iter
-            (fun c ->
-              if canon.(c) < 0 then begin
-                canon.(c) <- !n_canon;
-                incr n_canon
-              end)
-            codes)
-        pk.Trace_io.p_codes);
+  let canon, n_canon = Span.with_ ~cat:"merge" "merge.canon" (fun () -> canonical_ids pk) in
   let terminals =
-    if !n_canon = 0 then [||]
+    if n_canon = 0 then [||]
     else begin
-      let t = Array.make !n_canon defs.(0) in
+      let t = Array.make n_canon defs.(0) in
       Array.iteri (fun c id -> if id >= 0 then t.(id) <- defs.(c)) canon;
       t
     end
   in
-  let grammars =
+  let grammars, shapes =
     Span.with_ ~cat:"merge" "merge.sequitur" (fun () ->
-        match pk.Trace_io.p_grammars with
-        | Some gs when config.rle ->
-            (* Grammars already built online during recording (always
-               with the run-length constraint on): just rebase their
-               terminals. *)
-            Array.map (Grammar.map_terminals (fun c -> canon.(c))) gs
-        | Some _ | None ->
-            Array.map
-              (fun codes ->
-                let b = Sequitur.create ~rle:config.rle () in
-                Soa.iter (fun c -> Sequitur.push b canon.(c)) codes;
-                Sequitur.finalize b)
-              pk.Trace_io.p_codes)
+        shape_grammars ~rle:config.rle canon pk.Trace_io.p_codes)
   in
-  merge_grammars ~config ~nranks ~terminals grammars
+  merge_grammars ~config ~nranks ~terminals ~shapes grammars

@@ -384,7 +384,6 @@ let decode_trace blob =
       p_defs = defs;
       p_codes;
       p_centroids = centroids;
-      p_grammars = None;
     } )
 
 (* ------------------------------------------------------------------ *)

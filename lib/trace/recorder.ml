@@ -2,20 +2,16 @@ module Call = Siesta_mpi.Call
 module Engine = Siesta_mpi.Engine
 module Papi = Siesta_perf.Papi
 module Counters = Siesta_perf.Counters
-module Sequitur = Siesta_grammar.Sequitur
 
 type mode = Streamed | Boxed
 
-(* Streamed per-rank state: the dense-code stream and the online Sequitur
-   builder it feeds.  The boxed [Event.t] values exist only transiently
-   inside [on_event]; what persists is the off-heap code buffer plus the
-   grammar under construction, so GC-visible memory stays proportional to
-   grammar size. *)
-type stream_state = { codes : Soa.buf; seq : Sequitur.t }
-
 type rank_state = {
   mutable events_rev : Event.t list;  (* Boxed mode only *)
-  stream : stream_state option;  (* Streamed mode only *)
+  (* Streamed mode only: the dense-code stream.  The boxed [Event.t]
+     values exist only transiently inside [on_event]; what persists is
+     the off-heap code buffer, so GC-visible memory stays proportional to
+     the number of distinct events. *)
+  codes : Soa.buf option;
   mutable n_events : int;
   mutable raw_bytes : int;
   req_pool : Pools.t;
@@ -49,10 +45,7 @@ let create ~nranks ?(cluster_threshold = 0.05) ?(per_event_overhead = 0.6e-6)
     Hashtbl.replace comm_map 0 (Pools.acquire comm_pool);
     {
       events_rev = [];
-      stream =
-        (match mode with
-        | Boxed -> None
-        | Streamed -> Some { codes = Soa.create (); seq = Sequitur.create ~rle:true () });
+      codes = (match mode with Boxed -> None | Streamed -> Some (Soa.create ()));
       n_events = 0;
       raw_bytes = 0;
       req_pool = Pools.create ();
@@ -192,13 +185,11 @@ let encode t ~rank (call : Call.t) : Event.t =
         { file = Option.value ~default:0 (Hashtbl.find_opt st.file_map file); dt; count }
 
 let push t st ev bytes =
-  (match st.stream with
-  | Some ss ->
-      (* Streamed: intern to a dense code, append it off-heap, feed the
-         online grammar.  The boxed [ev] becomes garbage immediately. *)
-      let code = Soa.Intern.intern t.intern ev in
-      Soa.append ss.codes code;
-      Sequitur.push ss.seq code
+  (match st.codes with
+  | Some codes ->
+      (* Streamed: intern to a dense code and append it off-heap.  The
+         boxed [ev] becomes garbage immediately. *)
+      Soa.append codes (Soa.Intern.intern t.intern ev)
   | None -> st.events_rev <- ev :: st.events_rev);
   st.n_events <- st.n_events + 1;
   st.raw_bytes <- st.raw_bytes + bytes
@@ -222,11 +213,11 @@ let mode t = t.mode
 
 let events t rank =
   let st = t.ranks.(rank) in
-  match st.stream with
+  match st.codes with
   | None -> Array.of_list (List.rev st.events_rev)
-  | Some ss ->
+  | Some codes ->
       let defs = Soa.Intern.defs t.intern in
-      Array.init (Soa.length ss.codes) (fun i -> defs.(Soa.unsafe_get ss.codes i))
+      Array.init (Soa.length codes) (fun i -> defs.(Soa.unsafe_get codes i))
 
 let event_defs t =
   match t.mode with
@@ -234,18 +225,9 @@ let event_defs t =
   | Boxed -> invalid_arg "Recorder.event_defs: boxed-mode recorder"
 
 let codes t rank =
-  match t.ranks.(rank).stream with
-  | Some ss -> ss.codes
+  match t.ranks.(rank).codes with
+  | Some codes -> codes
   | None -> invalid_arg "Recorder.codes: boxed-mode recorder"
-
-let online_grammars t =
-  match t.mode with
-  | Boxed -> invalid_arg "Recorder.online_grammars: boxed-mode recorder"
-  | Streamed ->
-      Array.map
-        (fun st ->
-          match st.stream with Some ss -> Sequitur.finalize ss.seq | None -> assert false)
-        t.ranks
 
 let compute_table t = t.table
 let raw_trace_bytes t = Array.fold_left (fun acc st -> acc + st.raw_bytes) 0 t.ranks

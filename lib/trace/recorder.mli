@@ -13,11 +13,10 @@ type t
 
 type mode =
   | Streamed
-      (** Events are interned to dense int codes on arrival, appended to
-          off-heap {!Soa} buffers and fed straight into an online
-          {!Siesta_grammar.Sequitur} builder per rank, so grammar
-          construction overlaps the simulation and GC-visible memory
-          scales with grammar size rather than trace length.  The
+      (** Events are interned to dense int codes on arrival and appended
+          to off-heap {!Soa} buffers, so GC-visible memory scales with
+          the number of distinct events rather than trace length.  The
+          per-rank grammars are built afterwards, by the merge.  The
           default. *)
   | Boxed
       (** The historical representation: one [Event.t] list per rank,
@@ -56,12 +55,6 @@ val event_defs : t -> Event.t array
 
 val codes : t -> int -> Soa.buf
 (** One rank's dense-code stream.
-    @raise Invalid_argument on a {!Boxed}-mode recorder. *)
-
-val online_grammars : t -> Siesta_grammar.Grammar.t array
-(** Per-rank grammars built online during recording, over record-order
-    terminal codes (the merge rebases them onto the canonical numbering
-    via {!Siesta_grammar.Grammar.map_terminals}).
     @raise Invalid_argument on a {!Boxed}-mode recorder. *)
 
 val compute_table : t -> Compute_table.t

@@ -1,5 +1,4 @@
 module Counters = Siesta_perf.Counters
-module Grammar = Siesta_grammar.Grammar
 
 type t = {
   nranks : int;
@@ -12,7 +11,6 @@ type packed = {
   p_defs : Event.t array;
   p_codes : Soa.buf array;
   p_centroids : (Counters.t * int) array;
-  p_grammars : Grammar.t array option;
 }
 
 let centroids_of_recorder recorder =
@@ -37,7 +35,6 @@ let pack recorder =
         p_defs = Recorder.event_defs recorder;
         p_codes = Array.init nranks (Recorder.codes recorder);
         p_centroids = centroids_of_recorder recorder;
-        p_grammars = Some (Recorder.online_grammars recorder);
       }
   | Recorder.Boxed ->
       let intern = Soa.Intern.create () in
@@ -53,7 +50,6 @@ let pack recorder =
         p_defs = Soa.Intern.defs intern;
         p_codes;
         p_centroids = centroids_of_recorder recorder;
-        p_grammars = None;
       }
 
 let of_packed p =
@@ -82,7 +78,6 @@ let to_packed t =
     p_defs = Soa.Intern.defs intern;
     p_codes;
     p_centroids = t.centroids;
-    p_grammars = None;
   }
 
 let compute_table t = Compute_table.restore t.centroids
@@ -209,7 +204,7 @@ let parse_v2 next =
         done;
         b)
   in
-  { p_nranks; p_defs; p_codes; p_centroids; p_grammars = None }
+  { p_nranks; p_defs; p_codes; p_centroids }
 
 let of_string_packed s =
   wrap_parse @@ fun () ->

@@ -37,10 +37,6 @@ type packed = {
   p_defs : Event.t array;  (** distinct events, indexed by code *)
   p_codes : Soa.buf array;  (** per-rank dense-code streams *)
   p_centroids : (Siesta_perf.Counters.t * int) array;
-  p_grammars : Siesta_grammar.Grammar.t array option;
-      (** per-rank grammars built online during recording, over
-          record-order codes; [None] when the trace was loaded or
-          decoded rather than freshly recorded *)
 }
 (** The struct-of-arrays trace: the streaming pipeline's native
     representation.  Boxed [Event.t] values exist only in [p_defs] (one
@@ -51,15 +47,14 @@ val of_recorder : Recorder.t -> t
 
 val pack : Recorder.t -> packed
 (** Zero-copy from a {!Recorder.Streamed} recorder (code buffers are
-    shared, online grammars carried along); a {!Recorder.Boxed} recorder
-    is interned on the spot (grammars [None]). *)
+    shared); a {!Recorder.Boxed} recorder is interned on the spot. *)
 
 val of_packed : packed -> t
 (** Materialize boxed streams — for reports, extrapolation and the
     equivalence tests, not the hot path. *)
 
 val to_packed : t -> packed
-(** Intern boxed streams to the SoA representation (grammars [None]). *)
+(** Intern boxed streams to the SoA representation. *)
 
 val compute_table : t -> Compute_table.t
 (** Rebuild a {!Compute_table} with the loaded centroids (cluster ids are
