@@ -8,9 +8,10 @@
    - Fig. 8/9 -> the LCS main-rule merge of two rank variants;
    - ablations-> the engine itself: one traced CG@16 execution;
 
-   plus hot-path micro-comparisons for the multicore merge work:
+   plus hot-path micro-comparisons for the merge:
 
-   - online Sequitur, fed one symbol at a time as the recorder does;
+   - Sequitur fed one symbol at a time, as the merge feeds each rank
+     whose shape it has not seen;
    - generic DP LCS length vs the bit-parallel Myers length;
    - Hirschberg linear-memory LCS backtracking on ~1500-element inputs. *)
 

@@ -47,9 +47,10 @@ val map_terminals : (int -> int) -> t -> t
     leaving the rule structure untouched.  Sequitur's construction
     depends only on symbol {e equality}, never on code values, so for a
     bijection [f] this commutes with construction:
-    [map_terminals f (of_seq s) = of_seq (map f s)].  The streaming
-    recorder relies on this to rebase record-order event codes onto the
-    canonical rank-major numbering at merge time. *)
+    [map_terminals f (of_seq s) = of_seq (map f s)].  The merge relies
+    on this to give every rank the renamed grammar of the first rank
+    whose code stream maps onto its own, instead of running Sequitur
+    again. *)
 
 val serialized_bytes : t -> int
 (** Export size of the grammar structure: 6 bytes per entry (4-byte symbol

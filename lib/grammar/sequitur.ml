@@ -414,8 +414,8 @@ let append t v =
 
 let append_seq t a = Array.iter (append t) a
 
-(* Streaming alias: [push] is [append] under the name the recorder's
-   online path uses. *)
+(* Streaming alias: [push] is [append] under the name the merge's
+   per-rank pass uses. *)
 let push = append
 
 let node_capacity t = Array.length t.nodes / node_size
