@@ -9,7 +9,7 @@ SMOKE_METRICS := /tmp/siesta_smoke_metrics.json
 SMOKE_STORE := /tmp/siesta_smoke_store
 SMOKE_PROXY_STREAMED := /tmp/siesta_smoke_proxy_streamed.c
 SMOKE_PROXY_BOXED := /tmp/siesta_smoke_proxy_boxed.c
-SMOKE_DUMP := /tmp/siesta_smoke_dump.txt
+SMOKE_DUMP := /tmp/siesta_smoke_dump.ssb
 SMOKE_PROXY_FROM := /tmp/siesta_smoke_proxy_from.c
 SMOKE_PROXY_LIVE := /tmp/siesta_smoke_proxy_live.c
 SMOKE_TREND_HTML := /tmp/siesta_smoke_trends.html
@@ -50,14 +50,40 @@ smoke: build
 		--timeline-html $(SMOKE_TIMELINE_HTML)
 	@grep -q 'timeline-data' $(SMOKE_TIMELINE_HTML) \
 		|| { echo "smoke: timeline HTML missing its data block" >&2; exit 1; }
-	@# Text trace format: a --dump must validate, and synthesizing from
-	@# it with --from must emit the proxy a live run does, byte for byte.
+	@# Trace dumps are framed trace blobs: a --dump must validate, and
+	@# synthesizing from it with --from must emit the proxy a live run
+	@# does, byte for byte.  A dump cut to 100 bytes must make both
+	@# check-trace and --from exit 1.
 	dune exec bin/siesta_cli.exe -- trace CG -n 8 --dump $(SMOKE_DUMP)
 	dune exec bin/siesta_cli.exe -- check-trace $(SMOKE_DUMP)
 	dune exec bin/siesta_cli.exe -- synth CG -n 8 --from $(SMOKE_DUMP) \
 		-o $(SMOKE_PROXY_FROM)
 	dune exec bin/siesta_cli.exe -- synth CG -n 8 -o $(SMOKE_PROXY_LIVE)
 	cmp $(SMOKE_PROXY_FROM) $(SMOKE_PROXY_LIVE)
+	head -c 100 $(SMOKE_DUMP) > $(SMOKE_DUMP).cut
+	@dune exec bin/siesta_cli.exe -- check-trace $(SMOKE_DUMP).cut 2>/dev/null; \
+		st=$$?; [ $$st -eq 1 ] \
+		|| { echo "smoke: expected check-trace exit 1 on a cut dump, got $$st" >&2; exit 1; }
+	@dune exec bin/siesta_cli.exe -- synth CG -n 8 --from $(SMOKE_DUMP).cut \
+		-o $(SMOKE_PROXY_FROM) 2>/dev/null; \
+		st=$$?; [ $$st -eq 1 ] \
+		|| { echo "smoke: expected synth --from exit 1 on a cut dump, got $$st" >&2; exit 1; }
+	@# A dump is the trace object a --cache run keeps: in a fresh store
+	@# it equals the object named by the run record's trace_hash, and
+	@# --from on that object emits the live proxy.
+	rm -rf $(SMOKE_STORE)
+	SIESTA_STORE=$(SMOKE_STORE) dune exec bin/siesta_cli.exe -- trace CG -n 8 \
+		--cache --dump $(SMOKE_DUMP)
+	@set -e; \
+	h=$$(SIESTA_STORE=$(SMOKE_STORE) dune exec bin/siesta_cli.exe -- runs show 1 \
+		| sed -n 's/.*trace_hash=\([0-9a-f]*\).*/\1/p'); \
+	[ -n "$$h" ] || { echo "smoke: run #1 records no trace_hash" >&2; exit 1; }; \
+	obj=$(SMOKE_STORE)/objects/$$(printf %s $$h | cut -c1-2)/$$(printf %s $$h | cut -c3-); \
+	cmp $(SMOKE_DUMP) $$obj \
+		|| { echo "smoke: dump differs from the store's trace object" >&2; exit 1; }; \
+	dune exec bin/siesta_cli.exe -- synth CG -n 8 --from $$obj -o $(SMOKE_PROXY_FROM); \
+	cmp $(SMOKE_PROXY_FROM) $(SMOKE_PROXY_LIVE) \
+		|| { echo "smoke: --from on the store's trace object differs from the live proxy" >&2; exit 1; }
 	@# Incremental cache: a cold run populates the store, the warm run
 	@# must report cache hits and reproduce the proxy byte-for-byte,
 	@# and the store it built must verify clean with nothing to sweep.
@@ -187,6 +213,7 @@ smoke: build
 	[ ! -e $(SMOKE_SERVE_SOCK) ] || { echo "smoke: serve daemon left its socket behind" >&2; exit 1; }; \
 	echo "smoke: serve cold job + coalesced id + warm all-hit replay + blob cmp + clean SIGTERM drain OK"
 	@rm -f $(SMOKE_TRACE) $(SMOKE_TIMELINE) $(SMOKE_TIMELINE_HTML) \
+		$(SMOKE_DUMP) $(SMOKE_DUMP).cut $(SMOKE_PROXY_FROM) $(SMOKE_PROXY_LIVE) \
 		$(SMOKE_PROXY) $(SMOKE_PROXY_WARM) $(SMOKE_METRICS) \
 		$(SMOKE_PROXY_STREAMED) $(SMOKE_PROXY_BOXED) $(SMOKE_TREND_HTML) \
 		$(SMOKE_SWEEP_HTML) $(SMOKE_SWEEP_METRICS) \

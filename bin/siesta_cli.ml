@@ -12,7 +12,7 @@
      diff        -w <workload>    proxy-vs-original fidelity report
      sweep       <workload>       fidelity-vs-factor curve over a factor schedule
      check       <workload>       static communication-correctness check
-     check-trace <file>           validate a --trace-out / --timeline-out trace
+     check-trace <file>           validate a --trace-out / --timeline-out / --dump trace
      store       ls|verify|gc|rm  inspect / maintain the artifact store
      runs        ls|show|compare|gc|html
                                   browse / regress / chart the run ledger
@@ -62,7 +62,7 @@ type obs = { trace_out : string option; metrics_out : string option; verbosity :
 let obs_term =
   let trace_out_arg =
     let doc =
-      "Write a Chrome trace_event JSON of pipeline/merge/pool spans to $(docv) \
+      "Write a Chrome trace_event JSON of pipeline and merge spans to $(docv) \
        (load it in chrome://tracing or https://ui.perfetto.dev)."
     in
     Arg.(value & opt (some string) None & info [ "trace-out" ] ~docv:"FILE" ~doc)
@@ -335,7 +335,11 @@ let mode_of_boxed boxed = if boxed then Recorder.Boxed else Recorder.Streamed
 
 let trace_cmd =
   let dump_arg =
-    let doc = "Save the encoded trace to $(docv) (reload with `siesta synth --from`)." in
+    let doc =
+      "Save the trace to $(docv) as a framed binary trace blob with its run measurements, \
+       the bytes a --cache run keeps as its trace object (validate it with `siesta \
+       check-trace`, synthesize from it with `siesta synth --from`)."
+    in
     Arg.(value & opt (some string) None & info [ "dump" ] ~docv:"FILE" ~doc)
   in
   let report_arg =
@@ -375,7 +379,9 @@ let trace_cmd =
     end;
     match dump with
     | Some path ->
-        Siesta_trace.Trace_io.save_packed ts.Pipeline.ts_trace ~path;
+        Out_channel.with_open_bin path (fun oc ->
+            Out_channel.output_string oc
+              (Siesta_store.Codec.encode_trace ~meta ts.Pipeline.ts_trace));
         Printf.printf "trace saved to %s\n" path
     | None -> ()
   in
@@ -390,18 +396,48 @@ let synth_cmd =
     Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE" ~doc)
   in
   let from_arg =
-    let doc = "Synthesize from a trace file saved by `siesta trace --dump` instead of re-running the workload." in
+    let doc =
+      "Synthesize from a trace blob saved by `siesta trace --dump` (or a store's trace \
+       object) instead of re-running the workload; --cache does not apply."
+    in
     Arg.(value & opt (some string) None & info [ "from" ] ~docv:"FILE" ~doc)
   in
   let bundle_arg =
     let doc = "Write a ready-to-build bundle (proxy.c, Makefile, README) into $(docv)." in
     Arg.(value & opt (some string) None & info [ "bundle" ] ~docv:"DIR" ~doc)
   in
-  let emit ~proxy ~merged ~path ~bundle =
-    Printf.printf "merged grammar: %s\n" (Siesta_merge.Merged.stats merged);
+  let run obs s output factor from bundle boxed store =
+    with_obs obs @@ fun () ->
+    let sy =
+      match from with
+      | Some trace_path -> (
+          match
+            Pipeline.synthesize_blob ~factor s
+              (In_channel.with_open_bin trace_path In_channel.input_all)
+          with
+          | sy -> sy
+          | exception (Sys_error msg | Siesta_store.Codec.Corrupt msg) ->
+              Printf.eprintf "synth: %s: %s\n" trace_path msg;
+              exit 1)
+      | None ->
+          Pipeline.synthesize_spec ~cache:(Option.is_some store) ?store ~factor
+            ~mode:(mode_of_boxed boxed) s
+    in
+    print_cache_status sy.Pipeline.sy_status;
+    let proxy = sy.Pipeline.sy_proxy in
+    Printf.printf "merged grammar: %s\n" (Siesta_merge.Merged.stats sy.Pipeline.sy_merged);
     Printf.printf "size_C: %s | mean computation-proxy error: %.2f%%\n"
       (Siesta_util.Bytes_fmt.to_string (Siesta_synth.Proxy_ir.size_c_bytes proxy))
       (100.0 *. Siesta_synth.Proxy_ir.mean_combo_error proxy);
+    let path =
+      match (output, from) with
+      | Some p, _ -> p
+      | None, Some trace_path -> trace_path ^ ".proxy.c"
+      | None, None ->
+          Printf.sprintf "%s_%d_proxy.c"
+            (String.lowercase_ascii (workload_name s))
+            s.Pipeline.nranks
+    in
     match bundle with
     | Some dir ->
         let name = Filename.remove_extension (Filename.basename path) in
@@ -410,41 +446,6 @@ let synth_cmd =
     | None ->
         Siesta_synth.Codegen_c.write_file proxy ~path;
         Printf.printf "wrote %s\n" path
-  in
-  let run obs s output factor from bundle boxed store =
-    with_obs obs @@ fun () ->
-    match from with
-    | Some trace_path ->
-        let pk =
-          match Siesta_trace.Trace_io.load_packed ~path:trace_path with
-          | pk -> pk
-          | exception (Failure msg | Sys_error msg) ->
-              Printf.eprintf "synth: %s: %s\n" trace_path msg;
-              exit 1
-        in
-        let merged = Siesta_merge.Pipeline.merge_packed pk in
-        let proxy =
-          Siesta_synth.Proxy_ir.synthesize ~platform:s.Pipeline.platform ~impl:s.Pipeline.impl
-            ~factor ~merged
-            ~compute_table:(Siesta_trace.Trace_io.packed_compute_table pk) ()
-        in
-        let path = Option.value ~default:(trace_path ^ ".proxy.c") output in
-        emit ~proxy ~merged ~path ~bundle
-    | None ->
-        let sy =
-          Pipeline.synthesize_spec ~cache:(Option.is_some store) ?store ~factor
-            ~mode:(mode_of_boxed boxed) s
-        in
-        print_cache_status sy.Pipeline.sy_status;
-        let path =
-          match output with
-          | Some p -> p
-          | None ->
-              Printf.sprintf "%s_%d_proxy.c"
-                (String.lowercase_ascii (workload_name s))
-                s.Pipeline.nranks
-        in
-        emit ~proxy:sy.Pipeline.sy_proxy ~merged:sy.Pipeline.sy_merged ~path ~bundle
   in
   Cmd.v (Cmd.info "synth" ~doc:"Synthesize a C proxy-app from a traced execution")
     Term.(
@@ -1161,16 +1162,16 @@ let runs_cmd =
     [ ls_cmd; show_cmd; compare_cmd; gc_cmd; html_cmd ]
 
 (* check-trace: validate any trace artifact the toolchain emits.  The
-   file is sniffed by prefix: "SSB1" store blobs are decoded with the
-   binary codec, "siesta-trace" dumps with the text loader, anything
+   file is sniffed by prefix: "SSB1" trace blobs (`trace --dump` files
+   and store trace objects) are decoded with the binary codec, anything
    else is parsed as a Chrome trace_event JSON from --trace-out /
-   --timeline-out.  Exercised by `make check` so all three formats are
+   --timeline-out.  Exercised by `make check` so every format is
    smoke-tested on every run. *)
 let check_trace_cmd =
   let file_arg =
     let doc =
-      "Trace file: Chrome trace JSON (--trace-out), a `siesta trace --dump` file, or a \
-       binary store blob."
+      "Trace file: Chrome trace JSON (--trace-out, --timeline-out) or a binary trace blob \
+       (a `siesta trace --dump` file or a store's trace object)."
     in
     Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE" ~doc)
   in
@@ -1182,38 +1183,19 @@ let check_trace_cmd =
     let doc = "Fail unless at least $(docv) distinct thread tracks are present." in
     Arg.(value & opt int 0 & info [ "min-tracks" ] ~docv:"N" ~doc)
   in
-  let summarize_packed what (pk : Siesta_trace.Trace_io.packed) =
-    Printf.printf "%s: %d ranks, %d events (%d distinct), %d centroids\n" what
-      pk.Siesta_trace.Trace_io.p_nranks
-      (Siesta_trace.Trace_io.packed_total_events pk)
-      (Array.length pk.Siesta_trace.Trace_io.p_defs)
-      (Array.length pk.Siesta_trace.Trace_io.p_centroids)
-  in
   let run file min_spans min_tracks =
-    let contents =
-      let ic = open_in_bin file in
-      let n = in_channel_length ic in
-      let s = really_input_string ic n in
-      close_in ic;
-      s
-    in
+    let contents = In_channel.with_open_bin file In_channel.input_all in
     if String.length contents >= 4 && String.sub contents 0 4 = "SSB1" then begin
-      (* binary artifact-store blob: validate frame + chunked payload *)
+      (* binary trace blob: validate frame + chunked payload *)
       match Siesta_store.Codec.decode_trace contents with
-      | meta, pk ->
-          summarize_packed (Printf.sprintf "%s: store trace blob" file) pk;
-          ignore meta
+      | _meta, pk ->
+          Printf.printf "%s: trace blob: %d ranks, %d events (%d distinct), %d centroids\n"
+            file pk.Siesta_trace.Trace_io.p_nranks
+            (Siesta_trace.Trace_io.packed_total_events pk)
+            (Array.length pk.Siesta_trace.Trace_io.p_defs)
+            (Array.length pk.Siesta_trace.Trace_io.p_centroids)
       | exception Siesta_store.Codec.Corrupt msg ->
-          Printf.eprintf "check-trace: %s: corrupt store blob: %s\n" file msg;
-          exit 1
-    end
-    else if
-      String.length contents >= 12 && String.sub contents 0 12 = "siesta-trace"
-    then begin
-      match Siesta_trace.Trace_io.of_string_packed contents with
-      | pk -> summarize_packed (Printf.sprintf "%s: trace dump" file) pk
-      | exception Failure msg ->
-          Printf.eprintf "check-trace: %s: %s\n" file msg;
+          Printf.eprintf "check-trace: %s: corrupt trace blob: %s\n" file msg;
           exit 1
     end
     else
@@ -1282,7 +1264,8 @@ let check_trace_cmd =
             end)
   in
   Cmd.v
-    (Cmd.info "check-trace" ~doc:"Validate a --trace-out Chrome trace_event file")
+    (Cmd.info "check-trace"
+       ~doc:"Validate a Chrome trace_event file or a `siesta trace --dump` trace blob")
     Term.(const run $ file_arg $ min_spans_arg $ min_tracks_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -1370,7 +1353,7 @@ let serve_cmd =
    without curl's --unix-socket) can script the API. *)
 let http_cmd =
   let meth_arg =
-    let doc = "HTTP method (GET, HEAD, POST, PUT)." in
+    let doc = "HTTP method (GET, HEAD, POST)." in
     Arg.(required & pos 0 (some string) None & info [] ~docv:"METHOD" ~doc)
   in
   let path_arg =

@@ -405,6 +405,10 @@ let merge_and_search store ~factor ~rle ts =
 let synthesize ?(factor = 1.0) ?(rle = true) traced =
   merge_and_search None ~factor ~rle (stage_of_traced traced)
 
+let synthesize_blob ?(factor = 1.0) s blob =
+  let meta, pk = Codec.decode_trace blob in
+  merge_and_search None ~factor ~rle:true (trace_stage_of s meta pk None)
+
 let synthesize_spec ?(cache = false) ?store ?(factor = 1.0) ?(rle = true) ?mode s =
   let store = store_of ~cache store in
   let sy = merge_and_search store ~factor ~rle (run_trace_stage ?mode store s) in

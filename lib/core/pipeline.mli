@@ -10,9 +10,10 @@
       let replayed = Pipeline.run_proxy sy ~platform ~impl in
     ]}
 
-    Every synthesis, from a live run ({!synthesize}) or from a spec with
-    optional stage memoization ({!synthesize_spec}), runs the same three
-    stages and returns a {!synthesis}. *)
+    Every synthesis, from a live run ({!synthesize}), from a spec with
+    optional stage memoization ({!synthesize_spec}) or from a dumped
+    trace blob ({!synthesize_blob}), runs the same stages and returns a
+    {!synthesis}. *)
 
 type spec = {
   workload : Siesta_workloads.Registry.t;
@@ -172,7 +173,9 @@ val trace_stage :
     false (always run); [store] defaults to opening
     {!Siesta_store.Store.default_root}.  [mode] is the recorder mode on
     a live run (default streamed); it does not enter the cache key,
-    because both modes produce the identical packed trace. *)
+    because both modes record the same event sequence: their packed
+    traces are equal up to a renaming of codes, which the merge
+    canonicalizes. *)
 
 type synthesis = {
   sy_trace : trace_stage;
@@ -189,6 +192,16 @@ val synthesize : ?factor:float -> ?rle:bool -> traced -> synthesis
     every stage [Cache_off].  [factor] (default 1) produces a shrunk
     proxy; [rle] (default true) controls the Sequitur run-length
     constraint (ablation). *)
+
+val synthesize_blob : ?factor:float -> spec -> string -> synthesis
+(** Merge and search computation proxies for a framed trace blob
+    ({!Siesta_store.Codec.encode_trace}: a [siesta trace --dump] file or
+    a store's trace object), with every stage [Cache_off] and no ledger
+    record.  The trace, its compute table and its run measurements come
+    from the blob; [spec] supplies the platform and implementation the
+    proxy is searched for.  A blob of a run of [spec] yields the
+    synthesis {!synthesize} gives for that run.
+    @raise Siesta_store.Codec.Corrupt on a damaged or foreign file. *)
 
 val synthesize_spec :
   ?cache:bool ->

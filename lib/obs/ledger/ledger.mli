@@ -7,8 +7,8 @@
     descriptor, [run #<seq> <kind> id=<id> t=<time>].  Records carry
     everything needed to compare two runs after the fact: provenance
     (git describe, argv, the SIESTA_* environment), the spec that ran,
-    per-stage cache keys and outcomes, stage timings, merge-scheduler
-    deltas, heap statistics, the full metrics snapshot, and the
+    per-stage cache keys and outcomes, stage timings, named bench
+    figures, heap statistics, the full metrics snapshot, and the
     divergence verdict when one was computed.
 
     Emission is gated exactly like the other telemetry streams: library

@@ -159,10 +159,8 @@ let histogram name =
 let incr c n = if Atomic.get on then ignore (Atomic.fetch_and_add c n)
 let set g v = if Atomic.get on then Atomic.set g v
 let observe h v = if Atomic.get on then Histo.observe h v
-let observe_histo h v = if Atomic.get on then Histo.observe h v
 
 let counter_value c = Atomic.get c
-let gauge_value g = Atomic.get g
 
 let snapshot () =
   let entries =

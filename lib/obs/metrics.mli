@@ -35,7 +35,6 @@ val set : gauge -> float -> unit
 val observe : histogram -> float -> unit
 
 val counter_value : counter -> int
-val gauge_value : gauge -> float
 
 (** {1 Histogram internals (exposed for tests and {!snapshot} readers)} *)
 
@@ -67,10 +66,6 @@ module Histo : sig
       taken at its largest finite bound, so the result is always
       finite).  [nan] when the histogram is empty. *)
 end
-
-val observe_histo : Histo.t -> float -> unit
-(** Gated variant of {!Histo.observe} for shared-path instrumentation:
-    records only when the registry is {!enabled}. *)
 
 (** {1 Snapshots} *)
 

@@ -26,27 +26,20 @@ let push_locked e =
   events := e :: !events;
   incr nevents
 
-let meta_thread_name_locked ~tid name =
-  push_locked
-    { e_name = "thread_name"; e_cat = "__metadata"; e_ph = 'M'; e_ts_us = 0.0; e_dur_us = 0.0;
-      e_tid = tid; e_args = [ ("name", name) ] }
-
+(* The first event on a domain's track labels it ("main" for domain 0). *)
 let ensure_tid_locked tid =
   if not (Hashtbl.mem seen_tids tid) then begin
     Hashtbl.add seen_tids tid ();
-    meta_thread_name_locked ~tid (if tid = 0 then "main" else Printf.sprintf "domain-%d" tid)
+    let name = if tid = 0 then "main" else Printf.sprintf "domain-%d" tid in
+    push_locked
+      { e_name = "thread_name"; e_cat = "__metadata"; e_ph = 'M'; e_ts_us = 0.0; e_dur_us = 0.0;
+        e_tid = tid; e_args = [ ("name", name) ] }
   end
 
 let record e =
   Mutex.protect lock (fun () ->
       ensure_tid_locked e.e_tid;
       push_locked e)
-
-let set_thread_name name =
-  let tid = tid () in
-  Mutex.protect lock (fun () ->
-      Hashtbl.replace seen_tids tid ();
-      meta_thread_name_locked ~tid name)
 
 let with_ ?(cat = "siesta") ?(attrs = []) name f =
   if not (Atomic.get on) then f ()

@@ -36,10 +36,6 @@ val with_ : ?cat:string -> ?attrs:(string * string) list -> string -> (unit -> '
 val instant : ?cat:string -> ?attrs:(string * string) list -> string -> unit
 (** A zero-duration marker ("ph":"i"). *)
 
-val set_thread_name : string -> unit
-(** Label the current domain's track (defaults to ["domain-<id>"], with
-    domain 0 as ["main"]). *)
-
 val event_count : unit -> int
 (** Events buffered so far. *)
 

@@ -109,7 +109,7 @@ let submit_response t (req : Http.request) =
                     ("coalesced", Json.Bool (how = `Coalesced));
                   ])))
 
-let blob_response t meth hash body =
+let blob_response t meth hash =
   if not (String.length hash = 32 && Hash.is_hex hash) then
     Http.response 400 (json_err "blob hashes are 32 hex characters")
   else
@@ -118,14 +118,7 @@ let blob_response t meth hash body =
         match Store.get t.store hash with
         | Some blob -> Http.response ~content_type:"application/octet-stream" 200 blob
         | None -> Http.response 404 (json_err "no such blob"))
-    | "PUT" ->
-        if Hash.content_hash body <> hash then
-          Http.response 409 (json_err "content does not hash to the requested id")
-        else (
-          match Store.put_validated t.store body with
-          | Error msg -> Http.response 400 (json_err msg)
-          | Ok h -> Http.response 200 (Printf.sprintf {|{"hash":%S}|} h))
-    | _ -> Http.response 405 (json_err "use GET, HEAD or PUT on /blobs")
+    | _ -> Http.response 405 (json_err "use GET or HEAD on /blobs")
 
 let job_response t id =
   match Jobs.find t.jobs id with
@@ -164,7 +157,7 @@ let dispatch t (req : Http.request) =
   | ("GET" | "HEAD"), [ "jobs" ] -> Http.response 200 (Jobs.list_json t.jobs)
   | ("GET" | "HEAD"), [ "jobs"; id ] -> job_response t id
   | ("GET" | "HEAD"), [ "jobs"; id; name ] -> artifact_response t id name
-  | meth, [ "blobs"; hash ] -> blob_response t meth hash req.Http.body
+  | meth, [ "blobs"; hash ] -> blob_response t meth hash
   | _ -> Http.response 404 (json_err "no such route")
 
 let route_label (req : Http.request) =

@@ -12,9 +12,9 @@
       ([proxy.c], [report.md], [check.json], optional [diff.json] /
       [timeline.html] / [sweep.json] / [sweep.html]) under its own
       content type.
-    - [GET|HEAD|PUT /blobs/<hash>] — raw framed store blobs by content
-      hash (octet-stream); PUT verifies the hash and the SSB1 frame
-      (409 / 400), enabling remote cache sharing.
+    - [GET|HEAD /blobs/<hash>] — raw framed store blobs by content
+      hash (octet-stream); a trace blob served here is a file
+      [siesta synth --from] accepts.  Other methods get 405.
     - [GET /healthz], [GET /metricsz] — liveness and the full
       {!Siesta_obs.Metrics} registry.
 

@@ -98,10 +98,13 @@ end
 open Wire
 
 (* Length-checked counts: every repeated structure is preceded by a
-   count that must be sane before we Array.init over it. *)
-let r_count ?(max = 1 lsl 30) r what =
+   count that must be sane before we Array.init over it.  Each counted
+   element takes at least one payload byte, so a count above the bytes
+   left is forged or truncated, and a blob of n bytes never makes a
+   decoder allocate for more than n elements. *)
+let r_count r what =
   let n = r_varint r in
-  if n < 0 || n > max then corrupt "implausible %s count %d" what n;
+  if n < 0 || n > String.length r.s - r.pos then corrupt "implausible %s count %d" what n;
   n
 
 (* ------------------------------------------------------------------ *)
@@ -120,9 +123,14 @@ let frame ~kind payload =
   w_int64_le b2 (Hash.fnv64 body);
   Buffer.contents b2
 
+(* The magic is checked before the checksum, so a file that is not a
+   blob at all (a text file, a JSON trace) is named as such rather than
+   reported as a damaged one. *)
 let unframe blob =
   let len = String.length blob in
   if len < String.length magic + 8 then corrupt "blob too short (%d bytes)" len;
+  let m = String.sub blob 0 (String.length magic) in
+  if m <> magic then corrupt "bad magic %S" m;
   let body = String.sub blob 0 (len - 8) in
   let stored =
     let r = reader (String.sub blob (len - 8) 8) in
@@ -131,9 +139,6 @@ let unframe blob =
   if not (Int64.equal stored (Hash.fnv64 body)) then
     corrupt "checksum mismatch (stored %Lx, computed %Lx)" stored (Hash.fnv64 body);
   let r = reader body in
-  need r (String.length magic);
-  let m = String.sub r.s 0 (String.length magic) in
-  if m <> magic then corrupt "bad magic %S" m;
   r.pos <- String.length magic;
   let v = r_varint r in
   if v <> schema_version then
@@ -143,18 +148,6 @@ let unframe blob =
   if n < 0 || r.pos + n <> String.length body then
     corrupt "payload length %d does not match frame" n;
   (kind, String.sub body r.pos n)
-
-let kind_of blob =
-  match
-    let r = reader blob in
-    need r (String.length magic);
-    if String.sub r.s 0 (String.length magic) <> magic then corrupt "bad magic";
-    r.pos <- String.length magic;
-    let _v = r_varint r in
-    r_string r
-  with
-  | kind -> Some kind
-  | exception Corrupt _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* Shared sub-codecs *)
@@ -385,35 +378,6 @@ let decode_trace blob =
       p_codes;
       p_centroids = centroids;
     } )
-
-(* ------------------------------------------------------------------ *)
-(* Per-rank grammar set *)
-
-let encode_grammars (gs : Grammar.t array) =
-  let b = writer () in
-  w_varint b (Array.length gs);
-  Array.iter
-    (fun (g : Grammar.t) ->
-      w_rule b g.Grammar.main;
-      w_varint b (Array.length g.Grammar.rules);
-      Array.iter (w_rule b) g.Grammar.rules)
-    gs;
-  frame ~kind:"grammars" (contents b)
-
-let decode_grammars blob =
-  let kind, payload = unframe blob in
-  if kind <> "grammars" then corrupt "expected a grammars blob, got %S" kind;
-  let r = reader payload in
-  let n = r_count r "grammar" in
-  let gs =
-    Array.init n (fun _ ->
-        let main = r_rule r in
-        let nrules = r_count r "rule" in
-        let rules = Array.init nrules (fun _ -> r_rule r) in
-        { Grammar.main; rules })
-  in
-  if not (at_end r) then corrupt "trailing bytes after grammars payload";
-  gs
 
 (* ------------------------------------------------------------------ *)
 (* Merged program *)

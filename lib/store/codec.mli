@@ -21,7 +21,9 @@
     segfault-y) when damaged.
 
     All decoders raise {!Corrupt} on malformed, truncated or
-    wrong-schema input. *)
+    wrong-schema input.  A count is rejected when it exceeds the bytes
+    left to read, so a decoder never allocates for more elements than
+    its blob has bytes. *)
 
 exception Corrupt of string
 
@@ -44,10 +46,6 @@ val unframe : string -> string * string
     @raise Corrupt on bad magic, checksum mismatch, schema mismatch or
     truncation. *)
 
-val kind_of : string -> string option
-(** The frame's kind without verifying the checksum (cheap peek for
-    [store ls]); [None] if the header is unreadable. *)
-
 (** {1 Stage artifacts} *)
 
 type trace_meta = {
@@ -69,16 +67,14 @@ val meta_overhead : trace_meta -> float
 val encode_trace : meta:trace_meta -> Siesta_trace.Trace_io.packed -> string
 (** Framed; the distinct-event definition table is written once and the
     per-rank streams as chunks of varint codes, read straight out of the
-    SoA buffers — encoding never materializes boxed events. *)
+    SoA buffers — encoding never materializes boxed events.  This is the
+    one on-disk trace format: the store's trace object, the file
+    [siesta trace --dump] writes and [siesta synth --from] reads. *)
 
 val decode_trace : string -> trace_meta * Siesta_trace.Trace_io.packed
 (** Decodes chunk by chunk into fresh SoA buffers (codes validated
     against the definition table; truncated chunks raise {!Corrupt}). *)
 
-val encode_grammars : Siesta_grammar.Grammar.t array -> string
-(** The per-rank grammar set (one Sequitur grammar per rank). *)
-
-val decode_grammars : string -> Siesta_grammar.Grammar.t array
 val encode_merged : Siesta_merge.Merged.t -> string
 val decode_merged : string -> Siesta_merge.Merged.t
 

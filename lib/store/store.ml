@@ -166,15 +166,6 @@ let get t hash =
 
 let contains t hash = Sys.file_exists (object_path t hash)
 
-(* The HTTP blob-upload path: never trust bytes off the wire.  A blob
-   must be a well-formed codec frame (magic, schema, checksum) before it
-   is admitted — otherwise a remote peer could seed the store with
-   garbage that every later reader trips over. *)
-let put_validated t blob =
-  match Codec.unframe blob with
-  | exception Codec.Corrupt msg -> Error (Printf.sprintf "corrupt frame: %s" msg)
-  | _kind, _payload -> Ok (put t blob)
-
 (* ------------------------------------------------------------------ *)
 (* Manifest operations *)
 

@@ -47,11 +47,6 @@ val get : t -> string -> string option
 
 val contains : t -> string -> bool
 
-val put_validated : t -> string -> (string, string) result
-(** {!put}, but the blob must first unframe cleanly (magic, schema
-    version, checksum) — the admission path for bytes received over the
-    wire ([PUT /blobs/...]).  [Error] carries the corruption reason. *)
-
 (** {1 Manifest} *)
 
 type entry = {

@@ -1,29 +1,14 @@
-(** Trace (de)serialization.
+(** The two in-memory shapes of a recorded trace: per-rank encoded
+    event streams plus the computation-event table.
 
-    A recorded trace — per-rank encoded event streams plus the
-    computation-event table — can be saved to a portable text file and
-    reloaded later, so tracing and synthesis can run as separate steps
-    (the workflow of the real tool: trace on the cluster, synthesize on a
-    workstation).  The format ("siesta-trace v2") is line-oriented: the
-    distinct event definitions once, then per-rank dense-code chunks,
-    mirroring the in-memory SoA layout so neither writer nor reader
-    materializes boxed events:
-
-    {v
-    siesta-trace v2
-    nranks <P>
-    compute-table <n>
-    <id> <ins> <cyc> <lst> <l1_dcm> <br_cn> <msp> <members>
-    ...
-    events <K>
-    <event key per line, in code order>
-    rank <r> <ncodes>
-    chunk <len>
-    <len space-separated codes>
-    ...
-    v}
-
-    The older one-key-per-line "siesta-trace v1" layout is rejected. *)
+    {!t} holds boxed event streams, for reports, extrapolation and the
+    equivalence tests; {!packed} is the struct-of-arrays form the
+    pipeline runs on.  A trace has one on-disk form, the store codec's
+    framed trace blob ([Siesta_store.Codec.encode_trace]), which also
+    carries the run measurements: [siesta trace --dump] writes it, a
+    cached run keeps it as its trace object, and [siesta synth --from]
+    reads it back, so tracing and synthesis can run as separate steps
+    (trace on the cluster, synthesize on a workstation). *)
 
 type t = {
   nranks : int;
@@ -57,20 +42,8 @@ val to_packed : t -> packed
 (** Intern boxed streams to the SoA representation. *)
 
 val compute_table : t -> Compute_table.t
-(** Rebuild a {!Compute_table} with the loaded centroids (cluster ids are
-    preserved). *)
+(** Rebuild a {!Compute_table} with the trace's centroids (cluster ids
+    are preserved). *)
 
 val packed_compute_table : packed -> Compute_table.t
 val packed_total_events : packed -> int
-
-val save_packed : packed -> path:string -> unit
-val load_packed : path:string -> packed
-(** @raise Failure on a malformed or wrong-version file, as
-    {!of_string_packed}. *)
-
-val to_string_packed : packed -> string
-
-val of_string_packed : string -> packed
-(** Parse v2 text.  A v1 dump and a binary store blob ("SSB1" magic) are
-    rejected with a pointed diagnostic. @raise Failure on malformed
-    input, always with a ["Trace_io: ..."] message. *)

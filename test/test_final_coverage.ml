@@ -11,6 +11,7 @@ module Impl = Siesta_platform.Mpi_impl
 module Event = Siesta_trace.Event
 module Recorder = Siesta_trace.Recorder
 module Trace_io = Siesta_trace.Trace_io
+module Codec = Siesta_store.Codec
 module Rank_list = Siesta_merge.Rank_list
 module Scalabench = Siesta_baselines.Scalabench
 module G = Siesta_grammar.Grammar
@@ -80,14 +81,22 @@ let test_nbc_recorded_with_pooled_requests () =
   in
   Alcotest.(check (list int)) "pool slot 0 reused each iteration" [ 0; 0; 0 ] iallreduces
 
-let test_nbc_event_roundtrip_through_trace_io () =
+let test_nbc_event_roundtrip_through_codec () =
   let recorder = traced_nbc () in
   let t = Trace_io.of_recorder recorder in
-  let t' =
-    Trace_io.of_packed
-      (Trace_io.of_string_packed (Trace_io.to_string_packed (Trace_io.pack recorder)))
+  let meta =
+    {
+      Codec.tm_original_elapsed = 0.0;
+      tm_instrumented_elapsed = 0.0;
+      tm_original_calls = 0;
+      tm_instrumented_calls = 0;
+      tm_total_events = Recorder.total_events recorder;
+      tm_raw_bytes = Recorder.raw_trace_bytes recorder;
+    }
   in
-  Alcotest.(check bool) "streams equal" true (t.Trace_io.streams = t'.Trace_io.streams)
+  let _, pk = Codec.decode_trace (Codec.encode_trace ~meta (Trace_io.pack recorder)) in
+  Alcotest.(check bool) "streams equal" true
+    (t.Trace_io.streams = (Trace_io.of_packed pk).Trace_io.streams)
 
 let test_scalabench_converts_nbc_to_blocking () =
   let recorder = traced_nbc () in
@@ -167,7 +176,7 @@ let suite =
     ("impl profiles: eager thresholds behave", `Quick, test_impl_eager_thresholds_differ_behaviour);
     ("impl profiles: collective factors visible", `Quick, test_impl_collective_factors_visible);
     ("NBC: pooled request numbering", `Quick, test_nbc_recorded_with_pooled_requests);
-    ("NBC: trace_io roundtrip", `Quick, test_nbc_event_roundtrip_through_trace_io);
+    ("NBC: trace_io roundtrip", `Quick, test_nbc_event_roundtrip_through_codec);
     ("NBC: baseline loses overlap", `Quick, test_scalabench_converts_nbc_to_blocking);
     ("rank-list export sizes", `Quick, test_rank_list_serialized_bytes);
     ("dot export of an empty grammar", `Quick, test_dot_export_empty_grammar);

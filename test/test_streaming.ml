@@ -292,81 +292,6 @@ let test_shape_sharing () =
     (MPipe.rank_grammars ~rle:true pk)
 
 (* ------------------------------------------------------------------ *)
-(* Packed trace text format (v2) *)
-
-let prop_packed_text_roundtrip =
-  QCheck.Test.make ~count:60 ~name:"packed traces round-trip through the v2 text format"
-    (QCheck.make
-       ~print:(fun (n, _) -> Printf.sprintf "%d ranks" n)
-       QCheck.Gen.(
-         let* nranks = 1 -- 6 in
-         let* streams =
-           array_size (return nranks) (array_size (0 -- 40) Test_trace.random_event_gen)
-         in
-         return (nranks, streams)))
-    (fun (nranks, streams) ->
-      let pk = Trace_io.to_packed { Trace_io.nranks; streams; centroids = [||] } in
-      let s = Trace_io.to_string_packed pk in
-      String.length s >= 15
-      && String.sub s 0 15 = "siesta-trace v2"
-      && (Trace_io.of_packed (Trace_io.of_string_packed s)).Trace_io.streams = streams)
-
-let contains_substring ~needle hay =
-  let nl = String.length needle and hl = String.length hay in
-  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-  go 0
-
-let test_v2_loader_rejects_v1 () =
-  let v1 = "siesta-trace v1\nnranks 1\ncompute-table 0\nrank 0 1\nC:0\n" in
-  match Trace_io.of_string_packed v1 with
-  | exception Failure msg ->
-      Alcotest.(check bool) (Printf.sprintf "Trace_io error naming v1: %s" msg) true
-        (String.length msg >= 9
-        && String.sub msg 0 9 = "Trace_io:"
-        && contains_substring ~needle:"v1" msg)
-  | exception e -> Alcotest.failf "leaked %s" (Printexc.to_string e)
-  | _ -> Alcotest.fail "v1 text accepted"
-
-let test_v2_truncation_clean_errors () =
-  let streams = Array.make 3 (Array.init 50 (fun i -> Event.Compute (i mod 5))) in
-  let full = Trace_io.to_string_packed (Trace_io.to_packed { Trace_io.nranks = 3; streams; centroids = [||] }) in
-  (* cut inside the chunked section at several points: always a clean
-     Trace_io failure, never a leaked Scanf/Invalid_argument *)
-  List.iter
-    (fun frac ->
-      let len = String.length full * frac / 10 in
-      match Trace_io.of_string_packed (String.sub full 0 len) with
-      | exception Failure msg ->
-          if String.length msg < 9 || String.sub msg 0 9 <> "Trace_io:" then
-            Alcotest.failf "unprefixed failure: %s" msg
-      | exception e -> Alcotest.failf "leaked %s" (Printexc.to_string e)
-      | _ -> Alcotest.fail "accepted truncated v2 input")
-    [ 3; 5; 7; 9 ];
-  (* a declared-vs-got chunk mismatch names the rank and the counts *)
-  let truncated =
-    "siesta-trace v2\nnranks 1\ncompute-table 0\nevents 1\nC:0\nrank 0 4\nchunk 4\n0 0 0\n"
-  in
-  (match Trace_io.of_string_packed truncated with
-  | exception Failure msg ->
-      Alcotest.(check bool) (Printf.sprintf "pointed message: %s" msg) true
-        (String.length msg >= 9 && String.sub msg 0 9 = "Trace_io:")
-  | _ -> Alcotest.fail "accepted short chunk");
-  (* out-of-range codes are rejected, not decoded into garbage events *)
-  let bad_code =
-    "siesta-trace v2\nnranks 1\ncompute-table 0\nevents 1\nC:0\nrank 0 1\nchunk 1\n7\n"
-  in
-  (match Trace_io.of_string_packed bad_code with
-  | exception Failure _ -> ()
-  | _ -> Alcotest.fail "accepted out-of-range code")
-
-let test_store_blob_rejected_by_text_loader () =
-  match Trace_io.of_string_packed "SSB1\x02\x05trace..." with
-  | exception Failure msg ->
-      Alcotest.(check bool) (Printf.sprintf "mentions the store codec: %s" msg) true
-        (contains_substring ~needle:"store" (String.lowercase_ascii msg))
-  | _ -> Alcotest.fail "text loader accepted a binary blob"
-
-(* ------------------------------------------------------------------ *)
 (* End to end: streamed pipeline == boxed pipeline, down to the C *)
 
 let test_end_to_end_streamed_equals_boxed () =
@@ -406,7 +331,6 @@ let qcheck_tests =
       prop_finalize_midstream_harmless;
       prop_construction_commutes_with_bijection;
       prop_shapes_match_per_rank_sequitur;
-      prop_packed_text_roundtrip;
     ]
 
 let suite =
@@ -422,10 +346,6 @@ let suite =
         test_recorder_boxed_rejects_streamed_accessors);
       ("merges agree across modes", `Quick, test_merge_mode_equivalence);
       ("renamed ranks share one Sequitur run", `Quick, test_shape_sharing);
-      ("v2 loader rejects v1 text", `Quick, test_v2_loader_rejects_v1);
-      ("v2 truncation gives clean errors", `Quick, test_v2_truncation_clean_errors);
-      ("text loader rejects binary store blobs", `Quick,
-        test_store_blob_rejected_by_text_loader);
       ("end-to-end streamed equals boxed", `Slow, test_end_to_end_streamed_equals_boxed);
       ("packed memory scales with definitions", `Quick, test_packed_memory_scales_with_defs);
     ]

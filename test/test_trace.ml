@@ -319,81 +319,6 @@ let test_recorder_trace_size_accounting () =
 
 module Trace_io = Siesta_trace.Trace_io
 module Mpip_report = Siesta_trace.Mpip_report
-module Soa = Siesta_trace.Soa
-
-let test_trace_io_roundtrip () =
-  let r = traced_run ring in
-  let t = Trace_io.of_recorder r in
-  let t' =
-    Trace_io.of_packed (Trace_io.of_string_packed (Trace_io.to_string_packed (Trace_io.pack r)))
-  in
-  Alcotest.(check int) "nranks" t.Trace_io.nranks t'.Trace_io.nranks;
-  Alcotest.(check bool) "streams equal" true (t.Trace_io.streams = t'.Trace_io.streams);
-  Alcotest.(check int) "centroids count" (Array.length t.Trace_io.centroids)
-    (Array.length t'.Trace_io.centroids);
-  Array.iteri
-    (fun i (c, m) ->
-      let c', m' = t'.Trace_io.centroids.(i) in
-      Alcotest.(check int) "members" m m';
-      Alcotest.(check bool) "centroid close" true
-        (Counters.mean_relative_error ~actual:c' ~reference:c < 1e-6))
-    t.Trace_io.centroids
-
-let test_trace_io_file_roundtrip () =
-  let r = traced_run ring in
-  let t = Trace_io.of_recorder r in
-  let path = Filename.temp_file "siesta_trace" ".txt" in
-  Trace_io.save_packed (Trace_io.pack r) ~path;
-  let t' = Trace_io.of_packed (Trace_io.load_packed ~path) in
-  Sys.remove path;
-  Alcotest.(check bool) "streams equal" true (t.Trace_io.streams = t'.Trace_io.streams)
-
-let test_trace_io_rejects_garbage () =
-  List.iter
-    (fun s ->
-      Alcotest.(check bool) "rejected" true
-        (match Trace_io.of_string_packed s with exception Failure _ -> true | _ -> false))
-    [ ""; "wrong magic\n"; "siesta-trace v1\nnranks 0\n"; "siesta-trace v2\nnranks 1\n" ]
-
-(* Truncating a valid trace at any line boundary must produce a clean
-   [Failure "Trace_io: …"] — never a leaked Scanf/End_of_file/
-   Invalid_argument from the parser internals. *)
-let test_trace_io_truncation_is_clean () =
-  let r = traced_run ring in
-  let full = Trace_io.to_string_packed (Trace_io.pack r) in
-  let lines = String.split_on_char '\n' full in
-  let n_lines = List.length lines in
-  for keep = 0 to n_lines - 2 do
-    let prefix = String.concat "\n" (List.filteri (fun i _ -> i < keep) lines) ^ "\n" in
-    match Trace_io.of_string_packed prefix with
-    | exception Failure msg ->
-        Alcotest.(check bool)
-          (Printf.sprintf "Trace_io-prefixed error at %d lines" keep)
-          true
-          (String.length msg >= 9 && String.sub msg 0 9 = "Trace_io:")
-    | exception e ->
-        Alcotest.failf "leaked exception at %d lines: %s" keep (Printexc.to_string e)
-    | _ ->
-        (* Only the degenerate whole-file prefix may parse. *)
-        Alcotest.failf "truncated trace (%d/%d lines) parsed" keep n_lines
-  done;
-  (* Field-level damage inside a line, not just missing lines. *)
-  List.iter
-    (fun s ->
-      Alcotest.(check bool) "clean failure" true
-        (match Trace_io.of_string_packed s with
-        | exception Failure msg -> String.sub msg 0 9 = "Trace_io:"
-        | exception _ -> false
-        | _ -> false))
-    [
-      "siesta-trace v2\nnranks x\n";
-      "siesta-trace v2\nnranks 1\ncompute-table -4\n";
-      "siesta-trace v2\nnranks 1\ncompute-table 1\n0 bad floats\n";
-      "siesta-trace v2\nnranks 1\ncompute-table 0\nevents 2\nS:0:0:i:8\nnot-an-event\n";
-      "siesta-trace v2\nnranks 1\ncompute-table 0\nevents -1\n";
-      "siesta-trace v2\nnranks 1\ncompute-table 0\nevents 0\nrank 0 -1\n";
-      "siesta-trace v2\nnranks 1\ncompute-table 0\nevents 1\nS:0:0:i:8\nrank 0 1\nchunk 1\nx\n";
-    ]
 
 let test_trace_io_compute_table_restored () =
   let r = traced_run ring in
@@ -570,53 +495,6 @@ let prop_event_key_roundtrip =
     (QCheck.make ~print:Event.to_key random_event_gen)
     (fun ev -> Event.of_key (Event.to_key ev) = ev)
 
-let prop_trace_io_roundtrip =
-  QCheck.Test.make ~count:60 ~name:"random traces round-trip through Trace_io"
-    (QCheck.make
-       ~print:(fun (n, _) -> Printf.sprintf "%d ranks" n)
-       QCheck.Gen.(
-         let* nranks = 1 -- 6 in
-         let* streams =
-           array_size (return nranks) (array_size (0 -- 40) random_event_gen)
-         in
-         return (nranks, streams)))
-    (fun (nranks, streams) ->
-      let pk = Trace_io.to_packed { Trace_io.nranks; streams; centroids = [||] } in
-      let pk' = Trace_io.of_string_packed (Trace_io.to_string_packed pk) in
-      (* the packed form itself survives: same definitions, same codes *)
-      pk'.Trace_io.p_defs = pk.Trace_io.p_defs
-      && Array.map Soa.to_array pk'.Trace_io.p_codes = Array.map Soa.to_array pk.Trace_io.p_codes
-      && (Trace_io.of_packed pk').Trace_io.streams = streams)
-
-(* As above but with a non-empty compute table: centroids (printed with
-   %.17g) and member counts must survive the text round-trip exactly. *)
-let prop_trace_io_roundtrip_centroids =
-  QCheck.Test.make ~count:60 ~name:"random traces with compute tables round-trip"
-    (QCheck.make
-       ~print:(fun (t : Trace_io.t) ->
-         Printf.sprintf "%d ranks, %d clusters" t.Trace_io.nranks
-           (Array.length t.Trace_io.centroids))
-       QCheck.Gen.(
-         let* nranks = 1 -- 4 in
-         let* streams = array_size (return nranks) (array_size (0 -- 25) random_event_gen) in
-         let* centroids =
-           array_size (1 -- 8)
-             (let* a = array_size (return 6) (float_bound_inclusive 1e9) in
-              let* members = 1 -- 1_000 in
-              return (Counters.of_array a, members))
-         in
-         return { Trace_io.nranks; streams; centroids }))
-    (fun t ->
-      let t' =
-        Trace_io.of_packed
-          (Trace_io.of_string_packed (Trace_io.to_string_packed (Trace_io.to_packed t)))
-      in
-      t'.Trace_io.streams = t.Trace_io.streams
-      && Array.length t'.Trace_io.centroids = Array.length t.Trace_io.centroids
-      && Array.for_all2
-           (fun (c, m) (c', m') -> m = m' && Counters.to_array c = Counters.to_array c')
-           t.Trace_io.centroids t'.Trace_io.centroids)
-
 let test_mpip_report () =
   let r = traced_run ring in
   let rep = Mpip_report.build r in
@@ -676,14 +554,8 @@ let suite =
     ("communicator pool reuses freed numbers", `Quick, test_recorder_comm_pool);
     ("trace size accounting", `Quick, test_recorder_trace_size_accounting);
     ("cluster threshold controls cluster count", `Quick, test_recorder_cluster_threshold_effect);
-    ("trace_io string roundtrip", `Quick, test_trace_io_roundtrip);
-    ("trace_io file roundtrip", `Quick, test_trace_io_file_roundtrip);
-    ("trace_io rejects malformed input", `Quick, test_trace_io_rejects_garbage);
-    ("trace_io truncation gives clean errors", `Quick, test_trace_io_truncation_is_clean);
     ("trace_io restores the compute table", `Quick, test_trace_io_compute_table_restored);
     ("mpiP-style report", `Quick, test_mpip_report);
     QCheck_alcotest.to_alcotest prop_record_bytes_is_text_length;
     QCheck_alcotest.to_alcotest prop_event_key_roundtrip;
-    QCheck_alcotest.to_alcotest prop_trace_io_roundtrip;
-    QCheck_alcotest.to_alcotest prop_trace_io_roundtrip_centroids;
   ]
