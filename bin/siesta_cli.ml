@@ -32,7 +32,6 @@ open Cmdliner
 module Pipeline = Siesta.Pipeline
 module Evaluate = Siesta.Evaluate
 module Engine = Siesta_mpi.Engine
-module Recorder = Siesta_trace.Recorder
 module Registry = Siesta_workloads.Registry
 module Spec = Siesta_platform.Spec
 module Mpi_impl = Siesta_platform.Mpi_impl
@@ -320,19 +319,6 @@ let run_cmd =
   Cmd.v (Cmd.info "run" ~doc:"Execute a workload on the simulated MPI runtime")
     Term.(const run $ obs_term $ spec_term workload_arg)
 
-(* Recorder mode flag shared by the tracing subcommands.  Streamed (the
-   default) interns events into SoA code buffers; --boxed-trace keeps the
-   original boxed event lists (equivalence baseline — the proxy is
-   byte-identical either way). *)
-let boxed_trace_arg =
-  let doc =
-    "Record boxed event lists instead of the streaming SoA representation \
-     (slower, linear memory; the synthesized proxy is byte-identical)."
-  in
-  Arg.(value & flag & info [ "boxed-trace" ] ~doc)
-
-let mode_of_boxed boxed = if boxed then Recorder.Boxed else Recorder.Streamed
-
 let trace_cmd =
   let dump_arg =
     let doc =
@@ -346,11 +332,9 @@ let trace_cmd =
     let doc = "Print an mpiP-style aggregate statistics report." in
     Arg.(value & flag & info [ "report" ] ~doc)
   in
-  let run obs s dump report boxed timeline_out timeline_html store =
+  let run obs s dump report timeline_out timeline_html store =
     with_obs obs @@ fun () ->
-    let ts =
-      Pipeline.trace_stage ~cache:(Option.is_some store) ?store ~mode:(mode_of_boxed boxed) s
-    in
+    let ts = Pipeline.trace_stage ~cache:(Option.is_some store) ?store s in
     emit_timelines
       ~title:
         (Printf.sprintf "Siesta timeline — %s @ %d ranks" (workload_name s) s.Pipeline.nranks)
@@ -387,8 +371,8 @@ let trace_cmd =
   in
   Cmd.v (Cmd.info "trace" ~doc:"Execute a workload under the PMPI tracer")
     Term.(
-      const run $ obs_term $ spec_term workload_arg $ dump_arg $ report_arg $ boxed_trace_arg
-      $ timeline_out_arg $ timeline_html_arg $ cache_term)
+      const run $ obs_term $ spec_term workload_arg $ dump_arg $ report_arg $ timeline_out_arg
+      $ timeline_html_arg $ cache_term)
 
 let synth_cmd =
   let output_arg =
@@ -406,7 +390,7 @@ let synth_cmd =
     let doc = "Write a ready-to-build bundle (proxy.c, Makefile, README) into $(docv)." in
     Arg.(value & opt (some string) None & info [ "bundle" ] ~docv:"DIR" ~doc)
   in
-  let run obs s output factor from bundle boxed store =
+  let run obs s output factor from bundle store =
     with_obs obs @@ fun () ->
     let sy =
       match from with
@@ -416,12 +400,10 @@ let synth_cmd =
               (In_channel.with_open_bin trace_path In_channel.input_all)
           with
           | sy -> sy
-          | exception (Sys_error msg | Siesta_store.Codec.Corrupt msg) ->
+          | exception Siesta_store.Codec.Corrupt msg ->
               Printf.eprintf "synth: %s: %s\n" trace_path msg;
               exit 1)
-      | None ->
-          Pipeline.synthesize_spec ~cache:(Option.is_some store) ?store ~factor
-            ~mode:(mode_of_boxed boxed) s
+      | None -> Pipeline.synthesize_spec ~cache:(Option.is_some store) ?store ~factor s
     in
     print_cache_status sy.Pipeline.sy_status;
     let proxy = sy.Pipeline.sy_proxy in
@@ -450,7 +432,7 @@ let synth_cmd =
   Cmd.v (Cmd.info "synth" ~doc:"Synthesize a C proxy-app from a traced execution")
     Term.(
       const run $ obs_term $ spec_term workload_arg $ output_arg $ factor_arg $ from_arg
-      $ bundle_arg $ boxed_trace_arg $ cache_term)
+      $ bundle_arg $ cache_term)
 
 let replay_cmd =
   let target_platform_arg =
@@ -1205,10 +1187,7 @@ let check_trace_cmd =
         exit 1
     | Ok doc -> (
         match Obs_json.member "traceEvents" doc with
-        | None ->
-            Printf.eprintf "check-trace: %s: no \"traceEvents\" array\n" file;
-            exit 1
-        | Some events ->
+        | Some (Obs_json.Arr events) ->
             (* Both clock domains are accepted: host-time traces from
                --trace-out and simulated-time traces from --timeline-out.
                We report which kind we saw. *)
@@ -1221,7 +1200,6 @@ let check_trace_cmd =
               | Some c -> c
               | None -> "host (unmarked)"
             in
-            let events = Obs_json.to_list events in
             let bad = ref 0 in
             let stage_names = Hashtbl.create 16 in
             let all_names = Hashtbl.create 64 in
@@ -1261,7 +1239,10 @@ let check_trace_cmd =
               Printf.eprintf "check-trace: expected >= %d thread tracks, found %d\n" min_tracks
                 (Hashtbl.length tracks);
               exit 1
-            end)
+            end
+        | _ ->
+            Printf.eprintf "check-trace: %s: no \"traceEvents\" array\n" file;
+            exit 1)
   in
   Cmd.v
     (Cmd.info "check-trace"
@@ -1441,27 +1422,41 @@ let http_cmd =
     Term.(const run $ meth_arg $ path_arg $ socket_arg $ port_arg $ host_arg $ data_arg
           $ out_arg $ extract_arg)
 
+(* Subcommands let exceptions escape to here.  A file the user named that
+   cannot be read or written is a usage error: one line on stderr, exit 1.
+   Anything else is a bug and keeps cmdliner's internal-error report. *)
 let () =
   let doc = "synthesize proxy applications for MPI programs (Siesta)" in
   let info = Cmd.info "siesta" ~version:"1.0.0" ~doc in
+  let cmd =
+    Cmd.group info
+      [
+        list_cmd;
+        run_cmd;
+        trace_cmd;
+        synth_cmd;
+        replay_cmd;
+        analyze_cmd;
+        report_cmd;
+        extrapolate_cmd;
+        diff_cmd;
+        sweep_cmd;
+        check_cmd;
+        store_cmd;
+        runs_cmd;
+        check_trace_cmd;
+        serve_cmd;
+        http_cmd;
+      ]
+  in
   exit
-    (Cmd.eval
-       (Cmd.group info
-          [
-            list_cmd;
-            run_cmd;
-            trace_cmd;
-            synth_cmd;
-            replay_cmd;
-            analyze_cmd;
-            report_cmd;
-            extrapolate_cmd;
-            diff_cmd;
-            sweep_cmd;
-            check_cmd;
-            store_cmd;
-            runs_cmd;
-            check_trace_cmd;
-            serve_cmd;
-            http_cmd;
-          ]))
+    (match Cmd.eval ~catch:false cmd with
+    | code -> code
+    | exception Sys_error msg ->
+        Printf.eprintf "siesta: %s\n" msg;
+        1
+    | exception e ->
+        let bt = Printexc.get_raw_backtrace () in
+        Printf.eprintf "siesta: internal error, uncaught exception:\n        %s\n%s"
+          (Printexc.to_string e) (Printexc.raw_backtrace_to_string bt);
+        Cmd.Exit.internal_error)

@@ -80,15 +80,13 @@ let stage name f =
     Metrics.observe (Metrics.histogram (Printf.sprintf "pipeline.%s_s" name)) s;
   (r, (name, s))
 
-let trace ?(mode = Recorder.Streamed) s =
+let trace s =
   let program = program_of s in
   let original, t_orig =
     stage "trace.original" (fun () ->
         Engine.run ~platform:s.platform ~impl:s.impl ~nranks:s.nranks ~seed:s.seed program)
   in
-  let recorder =
-    Recorder.create ~nranks:s.nranks ~cluster_threshold:s.cluster_threshold ~mode ()
-  in
+  let recorder = Recorder.create ~nranks:s.nranks ~cluster_threshold:s.cluster_threshold () in
   let instrumented, t_instr =
     stage "trace.instrumented" (fun () ->
         Engine.run ~platform:s.platform ~impl:s.impl ~nranks:s.nranks ~seed:s.seed
@@ -305,7 +303,7 @@ let trace_stage_of s meta pk traced =
 let stage_of_traced tr =
   trace_stage_of tr.run_spec (meta_of_traced tr) (Trace_io.pack tr.recorder) (Some tr)
 
-let run_trace_stage ?mode store s =
+let run_trace_stage store s =
   let ts, hash, outcome, timings =
     memo store ~stage:"trace" ~span:"trace" ~kind:"trace" s
       ~key:(fun () ->
@@ -317,7 +315,7 @@ let run_trace_stage ?mode store s =
         trace_stage_of s meta pk None)
       ~encode:(fun ts -> Codec.encode_trace ~meta:ts.ts_meta ts.ts_trace)
       (fun () ->
-        let ts = stage_of_traced (trace ?mode s) in
+        let ts = stage_of_traced (trace s) in
         (ts, ts.ts_timings))
   in
   { ts with ts_hash = hash; ts_outcome = outcome; ts_timings = timings }
@@ -330,8 +328,8 @@ let store_of ~cache store =
 (* One ledger record per public trace invocation.  The synth path runs
    [run_trace_stage] directly, so a synth run appends a single "synth"
    record rather than a "trace" + "synth" pair. *)
-let trace_stage ?(cache = false) ?store ?mode s =
-  let ts = run_trace_stage ?mode (store_of ~cache store) s in
+let trace_stage ?(cache = false) ?store s =
+  let ts = run_trace_stage (store_of ~cache store) s in
   Ledger.emit (fun () ->
       Ledger.make ~kind:"trace" ~spec:(spec_kvs s)
         ~cache:
@@ -409,9 +407,9 @@ let synthesize_blob ?(factor = 1.0) s blob =
   let meta, pk = Codec.decode_trace blob in
   merge_and_search None ~factor ~rle:true (trace_stage_of s meta pk None)
 
-let synthesize_spec ?(cache = false) ?store ?(factor = 1.0) ?(rle = true) ?mode s =
+let synthesize_spec ?(cache = false) ?store ?(factor = 1.0) s =
   let store = store_of ~cache store in
-  let sy = merge_and_search store ~factor ~rle (run_trace_stage ?mode store s) in
+  let sy = merge_and_search store ~factor ~rle:true (run_trace_stage store s) in
   Ledger.emit (fun () ->
       let st = sy.sy_status in
       let cache =

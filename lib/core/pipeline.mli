@@ -54,14 +54,12 @@ type traced = {
           bench drivers use *)
 }
 
-val trace : ?mode:Siesta_trace.Recorder.mode -> spec -> traced
+val trace : spec -> traced
 (** Run the workload twice — bare and instrumented — on the generation
-    platform.  [mode] (default {!Siesta_trace.Recorder.Streamed})
-    selects the recorder's event representation; both modes encode the
-    identical event sequence, and the downstream merge canonicalizes
-    terminal numbering, so the synthesized proxy is byte-identical
-    either way (the [make check] smoke asserts this at 10⁶-event
-    scale). *)
+    platform.  The recorder's decoded events match the engine's calls one
+    to one (a test checks every registry workload), and the [make check]
+    smoke replays a proxy synthesized from a 10⁶-event trace losslessly
+    against the original program. *)
 
 val run_original :
   spec ->
@@ -163,19 +161,10 @@ type trace_stage = {
   ts_timings : (string * float) list;
 }
 
-val trace_stage :
-  ?cache:bool ->
-  ?store:Siesta_store.Store.t ->
-  ?mode:Siesta_trace.Recorder.mode ->
-  spec ->
-  trace_stage
+val trace_stage : ?cache:bool -> ?store:Siesta_store.Store.t -> spec -> trace_stage
 (** The trace stage with optional memoization.  [cache] defaults to
     false (always run); [store] defaults to opening
-    {!Siesta_store.Store.default_root}.  [mode] is the recorder mode on
-    a live run (default streamed); it does not enter the cache key,
-    because both modes record the same event sequence: their packed
-    traces are equal up to a renaming of codes, which the merge
-    canonicalizes. *)
+    {!Siesta_store.Store.default_root}. *)
 
 type synthesis = {
   sy_trace : trace_stage;
@@ -204,13 +193,7 @@ val synthesize_blob : ?factor:float -> spec -> string -> synthesis
     @raise Siesta_store.Codec.Corrupt on a damaged or foreign file. *)
 
 val synthesize_spec :
-  ?cache:bool ->
-  ?store:Siesta_store.Store.t ->
-  ?factor:float ->
-  ?rle:bool ->
-  ?mode:Siesta_trace.Recorder.mode ->
-  spec ->
-  synthesis
+  ?cache:bool -> ?store:Siesta_store.Store.t -> ?factor:float -> spec -> synthesis
 (** The whole pipeline with optional stage memoization, appending a
     ["synth"] ledger record.  With [~cache:false] (the default) this is
     exactly [synthesize (trace s)]; with [~cache:true] each stage first

@@ -3,16 +3,12 @@ module Engine = Siesta_mpi.Engine
 module Papi = Siesta_perf.Papi
 module Counters = Siesta_perf.Counters
 
-type mode = Streamed | Boxed
-
 type rank_state = {
-  mutable events_rev : Event.t list;  (* Boxed mode only *)
-  (* Streamed mode only: the dense-code stream.  The boxed [Event.t]
-     values exist only transiently inside [on_event]; what persists is
-     the off-heap code buffer, so GC-visible memory stays proportional to
-     the number of distinct events. *)
-  codes : Soa.buf option;
-  mutable n_events : int;
+  (* The dense-code stream.  The boxed [Event.t] values exist only
+     transiently inside [on_event]; what persists is the off-heap code
+     buffer, so GC-visible memory stays proportional to the number of
+     distinct events. *)
+  codes : Soa.buf;
   mutable raw_bytes : int;
   req_pool : Pools.t;
   req_map : (int, int) Hashtbl.t;  (* engine request id -> pooled id *)
@@ -24,9 +20,7 @@ type rank_state = {
 
 type t = {
   nranks : int;
-  per_event_overhead : float;
   relative_ranks : bool;
-  mode : mode;
   intern : Soa.Intern.t;  (* shared across ranks; codes are process-global *)
   table : Compute_table.t;
   ranks : rank_state array;
@@ -36,17 +30,18 @@ type t = {
    counters plus a 16-byte header. *)
 let compute_record_bytes = 64
 
-let create ~nranks ?(cluster_threshold = 0.05) ?(per_event_overhead = 0.6e-6)
-    ?(relative_ranks = true) ?(mode = Streamed) () =
+(* Simulated cost of one intercepted call: interception plus two counter
+   reads. *)
+let per_event_overhead = 0.6e-6
+
+let create ~nranks ?(cluster_threshold = 0.05) ?(relative_ranks = true) () =
   let make_rank () =
     let comm_pool = Pools.create () in
     let comm_map = Hashtbl.create 8 in
     (* MPI_COMM_WORLD pre-exists: engine comm 0 -> pool number 0. *)
     Hashtbl.replace comm_map 0 (Pools.acquire comm_pool);
     {
-      events_rev = [];
-      codes = (match mode with Boxed -> None | Streamed -> Some (Soa.create ()));
-      n_events = 0;
+      codes = Soa.create ();
       raw_bytes = 0;
       req_pool = Pools.create ();
       req_map = Hashtbl.create 16;
@@ -58,9 +53,7 @@ let create ~nranks ?(cluster_threshold = 0.05) ?(per_event_overhead = 0.6e-6)
   in
   {
     nranks;
-    per_event_overhead;
     relative_ranks;
-    mode;
     intern = Soa.Intern.create ();
     table = Compute_table.create ~threshold:cluster_threshold;
     ranks = Array.init nranks (fun _ -> make_rank ());
@@ -184,14 +177,10 @@ let encode t ~rank (call : Call.t) : Event.t =
       Event.File_read_at
         { file = Option.value ~default:0 (Hashtbl.find_opt st.file_map file); dt; count }
 
+(* Intern to a dense code and append it off-heap; the boxed [ev] becomes
+   garbage immediately. *)
 let push t st ev bytes =
-  (match st.codes with
-  | Some codes ->
-      (* Streamed: intern to a dense code and append it off-heap.  The
-         boxed [ev] becomes garbage immediately. *)
-      Soa.append codes (Soa.Intern.intern t.intern ev)
-  | None -> st.events_rev <- ev :: st.events_rev);
-  st.n_events <- st.n_events + 1;
+  Soa.append st.codes (Soa.Intern.intern t.intern ev);
   st.raw_bytes <- st.raw_bytes + bytes
 
 let on_event t ~rank ~papi ~call =
@@ -204,32 +193,16 @@ let on_event t ~rank ~papi ~call =
   push t st (encode t ~rank call) (Call.record_bytes call)
 
 let hook t =
-  {
-    Engine.on_event = (fun ~rank ~papi ~call -> on_event t ~rank ~papi ~call);
-    per_event_overhead = t.per_event_overhead;
-  }
-
-let mode t = t.mode
+  { Engine.on_event = (fun ~rank ~papi ~call -> on_event t ~rank ~papi ~call); per_event_overhead }
 
 let events t rank =
-  let st = t.ranks.(rank) in
-  match st.codes with
-  | None -> Array.of_list (List.rev st.events_rev)
-  | Some codes ->
-      let defs = Soa.Intern.defs t.intern in
-      Array.init (Soa.length codes) (fun i -> defs.(Soa.unsafe_get codes i))
+  let codes = t.ranks.(rank).codes in
+  let defs = Soa.Intern.defs t.intern in
+  Array.init (Soa.length codes) (fun i -> defs.(Soa.unsafe_get codes i))
 
-let event_defs t =
-  match t.mode with
-  | Streamed -> Soa.Intern.defs t.intern
-  | Boxed -> invalid_arg "Recorder.event_defs: boxed-mode recorder"
-
-let codes t rank =
-  match t.ranks.(rank).codes with
-  | Some codes -> codes
-  | None -> invalid_arg "Recorder.codes: boxed-mode recorder"
-
+let event_defs t = Soa.Intern.defs t.intern
+let codes t rank = t.ranks.(rank).codes
 let compute_table t = t.table
 let raw_trace_bytes t = Array.fold_left (fun acc st -> acc + st.raw_bytes) 0 t.ranks
-let total_events t = Array.fold_left (fun acc st -> acc + st.n_events) 0 t.ranks
+let total_events t = Array.fold_left (fun acc st -> acc + Soa.length st.codes) 0 t.ranks
 let nranks t = t.nranks

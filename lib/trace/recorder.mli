@@ -6,56 +6,38 @@
     event; (2) re-encodes the call with relative ranks and pooled handles
     and appends it to the rank's event stream.  It also accounts the size
     the uncompressed trace would occupy on disk (the "Trace size" column of
-    Table 3) and charges a configurable per-event instrumentation overhead
-    to the simulated clock (the "Overhead" column). *)
+    Table 3) and charges a fixed per-event instrumentation overhead to the
+    simulated clock (the "Overhead" column). *)
 
 type t
-
-type mode =
-  | Streamed
-      (** Events are interned to dense int codes on arrival and appended
-          to off-heap {!Soa} buffers, so GC-visible memory scales with
-          the number of distinct events rather than trace length.  The
-          per-rank grammars are built afterwards, by the merge.  The
-          default. *)
-  | Boxed
-      (** The historical representation: one [Event.t] list per rank,
-          fully materialized.  Kept as the reference path for the
-          streamed-vs-batch equivalence tests. *)
+(** Events are interned to dense int codes on arrival and appended to
+    off-heap {!Soa} buffers, so GC-visible memory scales with the number
+    of distinct events rather than trace length.  The per-rank grammars
+    are built afterwards, by the merge. *)
 
 val create :
-  nranks:int ->
-  ?cluster_threshold:float ->
-  ?per_event_overhead:float ->
-  ?relative_ranks:bool ->
-  ?mode:mode ->
-  unit ->
-  t
+  nranks:int -> ?cluster_threshold:float -> ?relative_ranks:bool -> unit -> t
 (** [cluster_threshold] defaults to 0.05 (5% mean relative distance);
-    [per_event_overhead] defaults to 0.6 microseconds per intercepted
-    call (interception + two counter reads); [relative_ranks] (default
-    true) can disable the relative-rank encoding for the ablation study —
-    peers are then recorded as absolute ranks, and SPMD neighbour
-    exchanges no longer dedupe across ranks.  [mode] (default
-    {!Streamed}) selects the event representation. *)
+    [relative_ranks] (default true) can disable the relative-rank
+    encoding for the ablation study — peers are then recorded as absolute
+    ranks, and SPMD neighbour exchanges no longer dedupe across ranks. *)
 
 val hook : t -> Siesta_mpi.Engine.hook
-
-val mode : t -> mode
+(** The engine hook that feeds the recorder.  It charges 0.6
+    microseconds per intercepted call (interception + two counter reads)
+    to the simulated clock. *)
 
 val events : t -> int -> Event.t array
-(** The encoded event stream of one rank, in program order.  Works in
-    both modes; in {!Streamed} mode it materializes boxed events from the
-    code stream (intended for reports and tests, not the hot path). *)
+(** The encoded event stream of one rank, in program order, materialized
+    as boxed events from the code stream (for reports and tests, not the
+    hot path). *)
 
 val event_defs : t -> Event.t array
 (** Distinct events in record-interning (first-appearance) order: the
-    definition table the per-rank code streams reference.
-    @raise Invalid_argument on a {!Boxed}-mode recorder. *)
+    definition table the per-rank code streams reference. *)
 
 val codes : t -> int -> Soa.buf
-(** One rank's dense-code stream.
-    @raise Invalid_argument on a {!Boxed}-mode recorder. *)
+(** One rank's dense-code stream. *)
 
 val compute_table : t -> Compute_table.t
 

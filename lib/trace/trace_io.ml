@@ -28,29 +28,12 @@ let of_recorder recorder =
 
 let pack recorder =
   let nranks = Recorder.nranks recorder in
-  match Recorder.mode recorder with
-  | Recorder.Streamed ->
-      {
-        p_nranks = nranks;
-        p_defs = Recorder.event_defs recorder;
-        p_codes = Array.init nranks (Recorder.codes recorder);
-        p_centroids = centroids_of_recorder recorder;
-      }
-  | Recorder.Boxed ->
-      let intern = Soa.Intern.create () in
-      let p_codes =
-        Array.init nranks (fun r ->
-            let evs = Recorder.events recorder r in
-            let b = Soa.create ~capacity:(Array.length evs) () in
-            Array.iter (fun ev -> Soa.append b (Soa.Intern.intern intern ev)) evs;
-            b)
-      in
-      {
-        p_nranks = nranks;
-        p_defs = Soa.Intern.defs intern;
-        p_codes;
-        p_centroids = centroids_of_recorder recorder;
-      }
+  {
+    p_nranks = nranks;
+    p_defs = Recorder.event_defs recorder;
+    p_codes = Array.init nranks (Recorder.codes recorder);
+    p_centroids = centroids_of_recorder recorder;
+  }
 
 let of_packed p =
   {

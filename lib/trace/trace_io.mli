@@ -2,8 +2,8 @@
     event streams plus the computation-event table.
 
     {!t} holds boxed event streams, for reports, extrapolation and the
-    equivalence tests; {!packed} is the struct-of-arrays form the
-    pipeline runs on.  A trace has one on-disk form, the store codec's
+    tests' batch-merge reference; {!packed} is the struct-of-arrays form
+    the pipeline runs on.  A trace has one on-disk form, the store codec's
     framed trace blob ([Siesta_store.Codec.encode_trace]), which also
     carries the run measurements: [siesta trace --dump] writes it, a
     cached run keeps it as its trace object, and [siesta synth --from]
@@ -31,12 +31,12 @@ type packed = {
 val of_recorder : Recorder.t -> t
 
 val pack : Recorder.t -> packed
-(** Zero-copy from a {!Recorder.Streamed} recorder (code buffers are
-    shared); a {!Recorder.Boxed} recorder is interned on the spot. *)
+(** Zero-copy: the recorder's code buffers and definition table are
+    shared. *)
 
 val of_packed : packed -> t
-(** Materialize boxed streams — for reports, extrapolation and the
-    equivalence tests, not the hot path. *)
+(** Materialize boxed streams — for reports, extrapolation and tests,
+    not the hot path. *)
 
 val to_packed : t -> packed
 (** Intern boxed streams to the SoA representation. *)
