@@ -176,6 +176,21 @@ let create ?(rle = true) () =
   ignore (alloc_rule t ~rid:(-1) : int);
   t
 
+(* Back to the state [create] gives, keeping the grown arrays.  Slots
+   past the tops are rewritten before they are read, so only the digram
+   index needs clearing. *)
+let reset t =
+  t.node_top <- 0;
+  t.rule_top <- 0;
+  t.free_nodes.len <- 0;
+  t.dead_nodes.len <- 0;
+  t.free_rules.len <- 0;
+  t.dead_rules.len <- 0;
+  Array.fill t.slots 0 (Array.length t.slots) (-1);
+  t.digrams <- 0;
+  t.next_rid <- 0;
+  ignore (alloc_rule t ~rid:(-1) : int)
+
 let new_rule t =
   let r = alloc_rule t ~rid:t.next_rid in
   t.next_rid <- t.next_rid + 1;

@@ -24,6 +24,11 @@ val create : ?rle:bool -> unit -> t
 (** [rle:false] disables constraint 3 (plain Sequitur), used by the
     ablation benchmark. *)
 
+val reset : t -> unit
+(** Return the builder to the state {!create} gives it, with the same
+    [rle], but keep its grown arrays.  The grammar built next is the
+    one a fresh builder would build; only the allocation differs. *)
+
 val append : t -> int -> unit
 (** Feed the next terminal of the stream. *)
 

@@ -90,23 +90,6 @@ let length_int (a : int array) (b : int array) =
     m - Array.fold_left (fun acc w -> acc + popcount w) 0 l
   end
 
-(* Size of the multiset intersection of two ascending arrays, by one
-   linear merge.  An LCS pairs each matched occurrence in one input with
-   its own equal occurrence in the other, so no ordering of either input
-   has a longer LCS.  The [int array] annotations keep [=] and [<]
-   monomorphic. *)
-let multiset_common_int (a : int array) (b : int array) =
-  let n = Array.length a and m = Array.length b in
-  let rec go i j acc =
-    if i >= n || j >= m then acc
-    else
-      let x = Array.unsafe_get a i and y = Array.unsafe_get b j in
-      if x = y then go (i + 1) (j + 1) (acc + 1)
-      else if x < y then go (i + 1) j acc
-      else go i (j + 1) acc
-  in
-  go 0 0 0
-
 (* ------------------------------------------------------------------ *)
 (* Hirschberg backtracking: O(nm) time, O(m) memory, no cell budget.
    Matched pairs are strictly increasing in both coordinates and their

@@ -23,16 +23,6 @@ val length : eq:('a -> 'a -> bool) -> 'a array -> 'a array -> int
 val length_int : int array -> int array -> int
 (** {!length} specialized to ints, bit-parallel. *)
 
-val multiset_common_int : int array -> int array -> int
-(** [multiset_common_int a b], for ascending [a] and [b], is the size of
-    their multiset intersection: the sum over [x] of
-    [min (count x a) (count x b)], found in one linear merge that
-    allocates nothing.  No ordering of the two inputs has a longer LCS
-    ({!length_int}), so with [h] this size, [(n + m - 2h) / (n + m)] is a
-    lower bound on {!normalized_distance_int} of any such orderings.  The
-    main-rule clustering skips the LCS for pairs whose bound exceeds its
-    threshold. *)
-
 val pairs : eq:('a -> 'a -> bool) -> 'a array -> 'a array -> (int * int) list
 (** Matched index pairs [(i, j)] of one LCS, strictly increasing in both
     components; the list length equals {!length}.  O(min(n, m)) memory. *)

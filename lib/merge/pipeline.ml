@@ -152,9 +152,10 @@ let lcs_merge (merged : Merged.mentry list) (variant : pos array) (vids : int ar
   done;
   List.rev !out
 
+module Itbl = Hashtbl.Make (Int)
+
 type cluster = {
   rep_ids : int array;  (* interned ids of the first variant seen *)
-  rep_sorted : int array;  (* [rep_ids] in ascending order *)
   mutable entries : Merged.mentry list;
   mutable ranks : Rank_list.t;
 }
@@ -201,14 +202,48 @@ let merge_mains ~threshold (mains : pos array array) (main_ids : int array array
      inputs, so (n + m - 2h) / (n + m), computed with the same float
      expression as [Lcs.normalized_distance_int], is a lower bound on the
      distance: the LCS only runs for pairs this bound cannot rule out.
-     Of StirTurb@512's 130,816 pairs of distinct mains, one gets past it. *)
-  let find_close ids sorted =
+     Of StirTurb@512's 130,816 pairs of distinct mains, one gets past it.
+
+     [h] against every cluster comes from one pass over the variant: an
+     inverted index maps each entry id to the clusters whose first main
+     holds it, with its multiplicity there, and each run of equal ids in
+     the sorted variant adds its min with that multiplicity to
+     [common.(c)]. *)
+  let index : (int * int) list Itbl.t = Itbl.create 1024 in
+  let common = Array.make (List.length variants) 0 in
+  (* [f x k] for each distinct [x] of ascending [a], [k] its count *)
+  let iter_runs f a =
+    let n = Array.length a in
+    let i = ref 0 in
+    while !i < n do
+      let x = a.(!i) in
+      let j = ref (!i + 1) in
+      while !j < n && a.(!j) = x do
+        incr j
+      done;
+      f x (!j - !i);
+      i := !j
+    done
+  in
+  let count_common sorted =
+    Array.fill common 0 !ncl 0;
+    iter_runs
+      (fun x k ->
+        match Itbl.find_opt index x with
+        | Some postings ->
+            List.iter
+              (fun (c, kc) -> common.(c) <- common.(c) + if k < kc then k else kc)
+              postings
+        | None -> ())
+      sorted
+  in
+  let find_close ids =
     let rec go i =
       if i >= !ncl then None
       else
         let c = !clusters.(i) in
         let total = Array.length c.rep_ids + Array.length ids in
-        let h = Lcs.multiset_common_int c.rep_sorted sorted in
+        let h = common.(i) in
         let bound =
           if total = 0 then 0.0 else float_of_int (total - (2 * h)) /. float_of_int total
         in
@@ -221,7 +256,8 @@ let merge_mains ~threshold (mains : pos array array) (main_ids : int array array
     (fun (ps, ids, ranks) ->
       let sorted = Array.copy ids in
       Array.sort Int.compare sorted;
-      match find_close ids sorted with
+      count_common sorted;
+      match find_close ids with
       | Some c ->
           c.entries <- lcs_merge c.entries ps ids ranks;
           c.ranks <- Rank_list.union c.ranks ranks
@@ -230,7 +266,12 @@ let merge_mains ~threshold (mains : pos array array) (main_ids : int array array
             Array.to_list
               (Array.map (fun p -> { Merged.sym = p.p_sym; reps = p.p_reps; ranks }) ps)
           in
-          push { rep_ids = ids; rep_sorted = sorted; entries; ranks })
+          let c = !ncl in
+          iter_runs
+            (fun x k ->
+              Itbl.replace index x ((c, k) :: Option.value ~default:[] (Itbl.find_opt index x)))
+            sorted;
+          push { rep_ids = ids; entries; ranks })
     variants;
   ( Array.init !ncl (fun i -> !clusters.(i).entries),
     Array.init !ncl (fun i -> !clusters.(i).ranks) )
@@ -371,6 +412,9 @@ let shape_grammars ~rle canon (codes : Soa.buf array) =
   in
   let leaders = Hashtbl.create 16 in
   let shapes = ref 0 in
+  (* One builder, reset per leader, so its arrays grow once rather
+     than once per shape. *)
+  let s = Sequitur.create ~rle () in
   let grammars =
     Array.map
       (fun b ->
@@ -379,7 +423,7 @@ let shape_grammars ~rle canon (codes : Soa.buf array) =
         match List.find_map (renamed b) candidates with
         | Some g -> g
         | None ->
-            let s = Sequitur.create ~rle () in
+            Sequitur.reset s;
             Soa.iter (fun c -> Sequitur.push s canon.(c)) b;
             let g = Sequitur.finalize s in
             Hashtbl.replace leaders key ((b, g) :: candidates);

@@ -13,9 +13,10 @@
       dissimilar mains would inflate branch statements — Section 2.6.2),
       then LCS-merge each cluster's mains, attaching rank lists.  Each
       distinct main joins the oldest cluster whose first main is within
-      the threshold; a pair that the multiset bound
-      ({!Lcs.multiset_common_int}) already puts above the threshold skips
-      the LCS.
+      the threshold; a pair whose multiset intersection already puts it
+      above the threshold skips the LCS.  One inverted index over the
+      clusters' first mains gives a main's intersection with every
+      cluster in one pass.
 
     The pass is sequential and deterministic: rule ids are numbered
     depth-major, then by first occurrence in rank order. *)
@@ -39,7 +40,8 @@ val rank_grammars : rle:bool -> Siesta_trace.Trace_io.packed -> Siesta_grammar.G
     numbering ({!Terminal_table.build}'s first occurrence, rank-major):
     equal to [Sequitur.of_seq ~rle] over each rank's sequence in the
     terminal table of the same events.  Sequitur runs once per distinct
-    rank {e shape}.  Two ranks share a shape when a bijection of event
+    rank {e shape}, on one builder that {!Siesta_grammar.Sequitur.reset}
+    clears between shapes.  Two ranks share a shape when a bijection of event
     codes maps one's stream onto the other's, checked position by
     position; the later rank then gets the first rank's grammar with its
     terminals renamed ({!Siesta_grammar.Grammar.map_terminals}). *)

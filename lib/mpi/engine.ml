@@ -74,9 +74,14 @@ type coll_payload = {
   cpl_clock : float;
 }
 
+(* [cp_count] is the length of [cp_arrived], kept so that each arrival
+   tests for the last one in O(1) instead of walking the list; the list
+   itself is read once, by the last arriver ([coll_finish], [comm_split],
+   [file_open]). *)
 type coll_pending = {
   cp_kind : string;
   mutable cp_arrived : coll_payload list;  (* newest first *)
+  mutable cp_count : int;
   mutable cp_maxclock : float;
   mutable cp_waiters : int list;  (* world ranks suspended on this collective *)
   mutable cp_requests : request list;  (* non-blocking joiners' requests *)
@@ -159,6 +164,10 @@ type result = {
 }
 
 type _ Effect.t += Suspend : unit Effect.t
+
+(* [Stdlib.max]'s own expression at type float: the same result,
+   NaN and signed zeros included, without a polymorphic compare. *)
+let[@inline] fmax (a : float) b = if a >= b then a else b
 
 (* ------------------------------------------------------------------ *)
 (* Cost model helpers                                                   *)
@@ -281,16 +290,22 @@ let queue_of tbl key =
       Hashtbl.add tbl key q;
       q
 
+(* First element satisfying [pred], preserving the order of the rest.
+   The head, the common match, is popped; only a match further back
+   rebuilds the queue. *)
 let queue_find_remove q pred =
-  (* First element satisfying [pred], preserving the order of the rest. *)
-  let found = ref None in
-  let rest = Queue.create () in
-  Queue.iter
-    (fun x -> if !found = None && pred x then found := Some x else Queue.push x rest)
-    q;
-  Queue.clear q;
-  Queue.transfer rest q;
-  !found
+  if Queue.is_empty q then None
+  else if pred (Queue.peek q) then Some (Queue.pop q)
+  else begin
+    let found = ref None in
+    let rest = Queue.create () in
+    Queue.iter
+      (fun x -> if !found = None && pred x then found := Some x else Queue.push x rest)
+      q;
+    Queue.clear q;
+    Queue.transfer rest q;
+    !found
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Point-to-point pairing                                               *)
@@ -298,10 +313,10 @@ let queue_find_remove q pred =
 let pair eng (msg : message) (post : posted) =
   let completion =
     if msg.m_rdv then
-      max msg.m_send_ready post.p_post
+      fmax msg.m_send_ready post.p_post
       +. eng.impl.Mpi_impl.rendezvous_extra_s
       +. wire_time eng ~src:msg.m_src ~dst:msg.m_dst ~bytes:msg.m_bytes
-    else max post.p_post msg.m_avail
+    else fmax post.p_post msg.m_avail
   in
   (match eng.observer with
   | None -> ()
@@ -391,7 +406,7 @@ let compute ctx kernel = compute_work ctx (Kernel.to_work kernel)
 
 let sleep ctx dt =
   let t0 = ctx.proc.clock in
-  ctx.proc.clock <- t0 +. max 0.0 dt;
+  ctx.proc.clock <- t0 +. fmax 0.0 dt;
   notify_compute ctx t0
 
 (* ------------------------------------------------------------------ *)
@@ -399,12 +414,12 @@ let sleep ctx dt =
 
 let wait_request ctx req =
   match req.r_done with
-  | Some t -> ctx.proc.clock <- max ctx.proc.clock t
+  | Some t -> ctx.proc.clock <- fmax ctx.proc.clock t
   | None -> begin
       req.r_waiter <- Some ctx.proc.rank;
       suspend ctx ~on:(Request req.r_id);
       match req.r_done with
-      | Some t -> ctx.proc.clock <- max ctx.proc.clock t
+      | Some t -> ctx.proc.clock <- fmax ctx.proc.clock t
       | None -> assert false
     end
 
@@ -568,7 +583,8 @@ let coll_join ctx comm ~kind ~bytes ~color ~key =
         cp
     | None ->
         let cp =
-          { cp_kind = kind; cp_arrived = []; cp_maxclock = 0.0; cp_waiters = []; cp_requests = [] }
+          { cp_kind = kind; cp_arrived = []; cp_count = 0; cp_maxclock = 0.0; cp_waiters = [];
+            cp_requests = [] }
         in
         Hashtbl.add eng.pending_colls cp_key cp;
         cp
@@ -577,8 +593,9 @@ let coll_join ctx comm ~kind ~bytes ~color ~key =
     { cpl_rank = proc.rank; cpl_bytes = bytes; cpl_color = color; cpl_key = key;
       cpl_clock = proc.clock }
     :: cp.cp_arrived;
-  cp.cp_maxclock <- max cp.cp_maxclock proc.clock;
-  (cp, cp_key, List.length cp.cp_arrived = Array.length comm.c_ranks)
+  cp.cp_count <- cp.cp_count + 1;
+  cp.cp_maxclock <- fmax cp.cp_maxclock proc.clock;
+  (cp, cp_key, cp.cp_count = Array.length comm.c_ranks)
 
 (* Close a complete collective: price it, resume suspended fibers, and
    complete non-blocking joiners' requests.  [advance_self] is false for a
@@ -621,12 +638,12 @@ let coll_finish ?(advance_self = true) ctx comm cp cp_key ~kind =
       wake eng rk)
     cp.cp_waiters;
   List.iter (fun req -> complete_request eng req finish) cp.cp_requests;
-  if advance_self then ctx.proc.clock <- max ctx.proc.clock finish
+  if advance_self then ctx.proc.clock <- fmax ctx.proc.clock finish
 
 let coll_wait ctx cp =
   cp.cp_waiters <- ctx.proc.rank :: cp.cp_waiters;
   suspend ctx ~on:(Collective cp.cp_kind);
-  ctx.proc.clock <- max ctx.proc.clock ctx.proc.resume_clock
+  ctx.proc.clock <- fmax ctx.proc.clock ctx.proc.resume_clock
 
 let simple_collective ctx comm ~kind ~bytes =
   let cp, cp_key, last = coll_join ctx comm ~kind ~bytes ~color:0 ~key:0 in

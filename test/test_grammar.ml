@@ -220,6 +220,24 @@ let prop_long_small_alphabet rle =
       G.expand (Q.to_grammar t) = input
       && match Q.check_invariants t with Ok _ -> true | Error e -> QCheck.Test.fail_report e)
 
+(* One builder, reset before each of several streams, builds what a
+   fresh builder builds: the arrays it grew on earlier streams, and
+   whatever they still hold, change nothing. *)
+let prop_reset_is_fresh rle =
+  QCheck.Test.make
+    ~name:(Printf.sprintf "sequitur reset builder equals a fresh one (rle=%b)" rle)
+    ~count:200
+    (QCheck.make ~print:QCheck.Print.(list (array int)) QCheck.Gen.(list_size (1 -- 6) seq_gen))
+    (fun streams ->
+      let t = Q.create ~rle () in
+      List.for_all
+        (fun input ->
+          Q.reset t;
+          Q.append_seq t input;
+          Q.to_grammar t = Q.of_seq ~rle input
+          && match Q.check_invariants t with Ok _ -> true | Error e -> QCheck.Test.fail_report e)
+        streams)
+
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -232,6 +250,8 @@ let qcheck_tests =
       prop_no_expansion_blowup;
       prop_long_small_alphabet true;
       prop_long_small_alphabet false;
+      prop_reset_is_fresh true;
+      prop_reset_is_fresh false;
     ]
 
 let suite =

@@ -151,30 +151,6 @@ let prop_normalized_int_matches_generic =
     (fun (a, b) ->
       Float.abs (Lcs.normalized_distance_int a b -. Lcs.normalized_distance ~eq:ieq a b) < 1e-12)
 
-(* The clustering's pruning bound: the multiset intersection of the
-   sorted inputs is never shorter than their LCS, and it counts repeated
-   symbols (a count of distinct shared symbols would fall below the LCS
-   on inputs like [1; 1] against [1; 1]). *)
-let prop_multiset_common_bounds_lcs =
-  QCheck.Test.make ~name:"Lcs.multiset_common_int bounds Lcs.length_int" ~count:500 arb_int_pair
-    (fun (a, b) ->
-      let sorted x =
-        let s = Array.copy x in
-        Array.sort Int.compare s;
-        s
-      in
-      let sa = sorted a and sb = sorted b in
-      let h = Lcs.multiset_common_int sa sb in
-      let count x arr = Array.fold_left (fun n y -> if y = x then n + 1 else n) 0 arr in
-      let by_counting =
-        List.fold_left
-          (fun n x -> n + min (count x a) (count x b))
-          0
-          (List.sort_uniq compare (Array.to_list a))
-      in
-      Lcs.length_int a b <= h && h = by_counting
-      && Lcs.multiset_common_int sa sa = Lcs.length_int a a)
-
 let test_indel_triangle_bound () =
   let rng = Rng.create 29 in
   for _ = 1 to 100 do
@@ -435,7 +411,6 @@ let qcheck_tests =
       prop_length_int_matches_generic;
       prop_pairs_int_is_an_lcs;
       prop_normalized_int_matches_generic;
-      prop_multiset_common_bounds_lcs;
     ]
 
 let suite =

@@ -131,9 +131,9 @@ let test_single_rank () =
   Alcotest.(check int) "covers rank 0" 1 (Rank_list.cardinal merged.Merged.main_ranks.(0))
 
 (* ------------------------------------------------------------------ *)
-(* Cluster boundaries.  Every rank below sends pairwise-distinct
-   messages, so no digram repeats, Sequitur leaves each stream as its
-   main rule, and the distance of two mains is that of the streams. *)
+(* Cluster boundaries.  No rank below repeats a digram or sends one
+   message twice in a row, so Sequitur leaves each stream as its main
+   rule, and the distance of two mains is that of the streams. *)
 
 let sends counts = Array.of_list (List.map send counts)
 let range lo hi = List.init (hi - lo + 1) (fun i -> lo + i)
@@ -177,7 +177,9 @@ let first_fit ~threshold seqs =
   List.rev_map (fun (_, ranks) -> List.rev !ranks) !clusters
 
 (* per-rank subsets of a small alphabet, each kept in ascending order
-   (long common subsequences) or shuffled (short ones) *)
+   (long common subsequences) or shuffled (short ones).  Some ranks put
+   a separator send 0 between their elements: a symbol that repeats
+   without repeating a digram, so mains carry multiplicities above 1. *)
 let distinct_sends_gen =
   QCheck.Gen.(
     let* threshold = oneofl [ 0.1; 0.25; 0.35; 0.5; 0.75 ] in
@@ -186,7 +188,11 @@ let distinct_sends_gen =
       let* keep = array_repeat alphabet bool in
       let subset = List.filteri (fun i _ -> keep.(i)) (range 1 alphabet) in
       let* sorted = bool in
-      if sorted then return subset else shuffle_l subset
+      let* subset = if sorted then return subset else shuffle_l subset in
+      let* separated = bool in
+      match subset with
+      | x :: rest when separated -> return (x :: List.concat_map (fun y -> [ 0; y ]) rest)
+      | _ -> return subset
     in
     let* nranks = 1 -- 10 in
     let* ranks = list_repeat nranks rank in
