@@ -1,8 +1,7 @@
 module Event = Siesta_trace.Event
+module Replay = Siesta_trace.Replay
 module Compute_table = Siesta_trace.Compute_table
 module Engine = Siesta_mpi.Engine
-module Call = Siesta_mpi.Call
-module Datatype = Siesta_mpi.Datatype
 module Spec = Siesta_platform.Spec
 module Cpu = Siesta_platform.Cpu
 module Counters = Siesta_perf.Counters
@@ -10,7 +9,6 @@ module Counters = Siesta_perf.Counters
 exception Unsupported of string
 
 type t = {
-  nranks : int;
   streams : Event.t array array;  (* transformed per-rank streams *)
   sleeps : float array;  (* per computation cluster, seconds *)
 }
@@ -28,13 +26,13 @@ let quantize c =
     3 * (1 lsl k) / 2
   end
 
-let quantize_p2p (p : Event.p2p) = { p with Event.count = quantize p.Event.count }
-
 (* Replay-side transformation of one rank's stream (see the interface for
-   the rationale of each rewrite). *)
+   the rationale of each rewrite): requests become blocking calls, and
+   every count is quantized. *)
 let transform stream =
   let out = ref [] in
-  (* engine request slots we converted from Isend to Send: their waits
+  let emit ev = out := Event.map_counts (fun _ c -> quantize c) ev :: !out in
+  (* engine request slots we converted to blocking calls: their waits
      must be dropped *)
   let converted = Hashtbl.create 16 in
   Array.iter
@@ -42,54 +40,26 @@ let transform stream =
       match (ev : Event.t) with
       | Event.Isend (p, slot) ->
           Hashtbl.replace converted slot ();
-          out := Event.Send (quantize_p2p p) :: !out
-      | Event.Irecv (p, slot) ->
+          emit (Event.Send p)
+      | Event.Irecv (_, slot) ->
           Hashtbl.remove converted slot;
-          out := Event.Irecv (quantize_p2p p, slot) :: !out
+          emit ev
       | Event.Wait slot ->
-          if Hashtbl.mem converted slot then Hashtbl.remove converted slot
-          else out := Event.Wait slot :: !out
+          if Hashtbl.mem converted slot then Hashtbl.remove converted slot else emit ev
       | Event.Waitall slots ->
           let kept = List.filter (fun s -> not (Hashtbl.mem converted s)) slots in
           List.iter (fun s -> Hashtbl.remove converted s) slots;
-          if kept <> [] then out := Event.Waitall kept :: !out
-      | Event.Send p -> out := Event.Send (quantize_p2p p) :: !out
-      | Event.Recv p -> out := Event.Recv (quantize_p2p p) :: !out
-      | Event.Sendrecv { send; recv } ->
-          out := Event.Sendrecv { send = quantize_p2p send; recv = quantize_p2p recv } :: !out
-      | Event.Bcast b -> out := Event.Bcast { b with count = quantize b.count } :: !out
-      | Event.Reduce r -> out := Event.Reduce { r with count = quantize r.count } :: !out
-      | Event.Allreduce r -> out := Event.Allreduce { r with count = quantize r.count } :: !out
-      | Event.Alltoall a -> out := Event.Alltoall { a with count = quantize a.count } :: !out
-      | Event.Alltoallv a ->
-          out := Event.Alltoallv { a with send_counts = Array.map quantize a.send_counts } :: !out
-      | Event.Allgather a -> out := Event.Allgather { a with count = quantize a.count } :: !out
-      | Event.Gather g -> out := Event.Gather { g with count = quantize g.count } :: !out
-      | Event.Scatter s -> out := Event.Scatter { s with count = quantize s.count } :: !out
-      | Event.Scan s -> out := Event.Scan { s with count = quantize s.count } :: !out
-      | Event.Exscan s -> out := Event.Exscan { s with count = quantize s.count } :: !out
-      | Event.Reduce_scatter s ->
-          out := Event.Reduce_scatter { s with count = quantize s.count } :: !out
+          if kept <> [] then emit (Event.Waitall kept)
       | Event.Ibarrier { comm; req } ->
           Hashtbl.replace converted req ();
-          out := Event.Barrier { comm } :: !out
+          emit (Event.Barrier { comm })
       | Event.Ibcast { comm; root; dt; count; req } ->
           Hashtbl.replace converted req ();
-          out := Event.Bcast { comm; root; dt; count = quantize count } :: !out
+          emit (Event.Bcast { comm; root; dt; count })
       | Event.Iallreduce { comm; dt; count; op; req } ->
           Hashtbl.replace converted req ();
-          out := Event.Allreduce { comm; dt; count = quantize count; op } :: !out
-      | Event.File_write_all f ->
-          out := Event.File_write_all { f with count = quantize f.count } :: !out
-      | Event.File_read_all f ->
-          out := Event.File_read_all { f with count = quantize f.count } :: !out
-      | Event.File_write_at f ->
-          out := Event.File_write_at { f with count = quantize f.count } :: !out
-      | Event.File_read_at f ->
-          out := Event.File_read_at { f with count = quantize f.count } :: !out
-      | Event.Barrier _ | Event.Comm_split _ | Event.Comm_dup _ | Event.Comm_free _
-      | Event.File_open _ | Event.File_close _ | Event.Compute _ ->
-          out := ev :: !out)
+          emit (Event.Allreduce { comm; dt; count; op })
+      | _ -> emit ev)
     stream;
   Array.of_list (List.rev !out)
 
@@ -102,45 +72,10 @@ let synthesize ~platform ~workload ~nranks ~streams ~compute_table =
      but the RSD structural merge needs ranks to share the event-sequence
      *shape* (same call names in the same order).  Count distinct shapes. *)
   let shapes = Hashtbl.create 64 in
-  let shape_key ev =
-    match (ev : Event.t) with
-    | Event.Compute _ -> "c"
-    | Event.Send _ -> "S"
-    | Event.Recv _ -> "R"
-    | Event.Isend _ -> "IS"
-    | Event.Irecv _ -> "IR"
-    | Event.Wait _ -> "W"
-    | Event.Waitall _ -> "WA"
-    | Event.Sendrecv _ -> "SR"
-    | Event.Barrier _ -> "B"
-    | Event.Bcast _ -> "BC"
-    | Event.Reduce _ -> "RD"
-    | Event.Allreduce _ -> "AR"
-    | Event.Alltoall _ -> "A2"
-    | Event.Alltoallv _ -> "AV"
-    | Event.Allgather _ -> "AG"
-    | Event.Gather _ -> "G"
-    | Event.Scatter _ -> "SC"
-    | Event.Scan _ -> "SN"
-    | Event.Exscan _ -> "EX"
-    | Event.Reduce_scatter _ -> "RS"
-    | Event.Ibarrier _ -> "IB"
-    | Event.Ibcast _ -> "IBC"
-    | Event.Iallreduce _ -> "IAR"
-    | Event.Comm_split _ -> "CS"
-    | Event.Comm_dup _ -> "CD"
-    | Event.Comm_free _ -> "CF"
-    | Event.File_open _ -> "FO"
-    | Event.File_close _ -> "FCL"
-    | Event.File_write_all _ -> "FW"
-    | Event.File_read_all _ -> "FRD"
-    | Event.File_write_at _ -> "FWI"
-    | Event.File_read_at _ -> "FRI"
-  in
   Array.iter
     (fun stream ->
       let key =
-        String.concat "|" (Array.to_list (Array.map shape_key stream))
+        String.concat "|" (Array.to_list (Array.map Event.name stream))
         |> Digest.string |> Digest.to_hex
       in
       Hashtbl.replace shapes key ())
@@ -165,80 +100,8 @@ let synthesize ~platform ~workload ~nranks ~streams ~compute_table =
         let c = Compute_table.centroid compute_table cid in
         quantize_time (Cpu.seconds_of_cycles platform.Spec.cpu c.Counters.cyc))
   in
-  { nranks; streams = Array.map transform streams; sleeps }
+  { streams = Array.map transform streams; sleeps }
 
 let program t ctx =
-  let rank = Engine.rank ctx in
-  let nranks = t.nranks in
-  let reqs = Hashtbl.create 16 in
-  let comms = Hashtbl.create 4 in
-  let files = Hashtbl.create 4 in
-  Hashtbl.replace comms 0 (Engine.comm_world ctx);
-  let comm_of id = Hashtbl.find comms id in
-  let req_of id =
-    let r = Hashtbl.find reqs id in
-    Hashtbl.remove reqs id;
-    r
-  in
-  let abs_peer rel = if rel = Call.any_source then rel else (rank + rel) mod nranks in
-  let exec ev =
-    match (ev : Event.t) with
-    | Event.Compute cid -> Engine.sleep ctx t.sleeps.(cid)
-    | Event.Send { rel_peer; tag; dt; count; comm = _ } ->
-        Engine.send ctx ~dest:(abs_peer rel_peer) ~tag ~dt ~count
-    | Event.Recv { rel_peer; tag; dt; count; comm = _ } ->
-        Engine.recv ctx ~src:(abs_peer rel_peer) ~tag ~dt ~count
-    | Event.Isend ({ rel_peer; tag; dt; count; comm = _ }, slot) ->
-        Hashtbl.replace reqs slot (Engine.isend ctx ~dest:(abs_peer rel_peer) ~tag ~dt ~count)
-    | Event.Irecv ({ rel_peer; tag; dt; count; comm = _ }, slot) ->
-        Hashtbl.replace reqs slot (Engine.irecv ctx ~src:(abs_peer rel_peer) ~tag ~dt ~count)
-    | Event.Wait slot -> Engine.wait ctx (req_of slot)
-    | Event.Waitall slots -> Engine.waitall ctx (List.map req_of slots)
-    | Event.Sendrecv { send; recv } ->
-        Engine.sendrecv ctx ~dest:(abs_peer send.rel_peer) ~send_tag:send.tag
-          ~src:(abs_peer recv.rel_peer) ~recv_tag:recv.tag ~dt:send.dt ~send_count:send.count
-          ~recv_count:recv.count
-    | Event.Barrier { comm } -> Engine.barrier ctx (comm_of comm)
-    | Event.Bcast { comm; root; dt; count } -> Engine.bcast ctx (comm_of comm) ~root ~dt ~count
-    | Event.Reduce { comm; root; dt; count; op } ->
-        Engine.reduce ctx (comm_of comm) ~root ~dt ~count ~op
-    | Event.Allreduce { comm; dt; count; op } -> Engine.allreduce ctx (comm_of comm) ~dt ~count ~op
-    | Event.Alltoall { comm; dt; count } -> Engine.alltoall ctx (comm_of comm) ~dt ~count
-    | Event.Alltoallv { comm; dt; send_counts } ->
-        Engine.alltoallv ctx (comm_of comm) ~dt ~send_counts
-    | Event.Allgather { comm; dt; count } -> Engine.allgather ctx (comm_of comm) ~dt ~count
-    | Event.Gather { comm; root; dt; count } -> Engine.gather ctx (comm_of comm) ~root ~dt ~count
-    | Event.Scatter { comm; root; dt; count } ->
-        Engine.scatter ctx (comm_of comm) ~root ~dt ~count
-    | Event.Scan { comm; dt; count; op } -> Engine.scan ctx (comm_of comm) ~dt ~count ~op
-    | Event.Exscan { comm; dt; count; op } -> Engine.exscan ctx (comm_of comm) ~dt ~count ~op
-    | Event.Reduce_scatter { comm; dt; count; op } ->
-        Engine.reduce_scatter ctx (comm_of comm) ~dt ~count ~op
-    | Event.Ibarrier { comm; req } ->
-        Hashtbl.replace reqs req (Engine.ibarrier ctx (comm_of comm))
-    | Event.Ibcast { comm; root; dt; count; req } ->
-        Hashtbl.replace reqs req (Engine.ibcast ctx (comm_of comm) ~root ~dt ~count)
-    | Event.Iallreduce { comm; dt; count; op; req } ->
-        Hashtbl.replace reqs req (Engine.iallreduce ctx (comm_of comm) ~dt ~count ~op)
-    | Event.Comm_split { comm; color; key; newcomm } ->
-        Hashtbl.replace comms newcomm (Engine.comm_split ctx (comm_of comm) ~color ~key)
-    | Event.Comm_dup { comm; newcomm } ->
-        Hashtbl.replace comms newcomm (Engine.comm_dup ctx (comm_of comm))
-    | Event.Comm_free { comm } ->
-        Engine.comm_free ctx (comm_of comm);
-        Hashtbl.remove comms comm
-    | Event.File_open { comm; file } ->
-        Hashtbl.replace files file (Engine.file_open ctx (comm_of comm))
-    | Event.File_close { file } ->
-        Engine.file_close ctx (Hashtbl.find files file);
-        Hashtbl.remove files file
-    | Event.File_write_all { file; dt; count } ->
-        Engine.file_write_all ctx (Hashtbl.find files file) ~dt ~count
-    | Event.File_read_all { file; dt; count } ->
-        Engine.file_read_all ctx (Hashtbl.find files file) ~dt ~count
-    | Event.File_write_at { file; dt; count } ->
-        Engine.file_write_at ctx (Hashtbl.find files file) ~dt ~count
-    | Event.File_read_at { file; dt; count } ->
-        Engine.file_read_at ctx (Hashtbl.find files file) ~dt ~count
-  in
-  Array.iter exec t.streams.(rank)
+  let replay = Replay.create ctx ~compute:(fun cid -> Engine.sleep ctx t.sleeps.(cid)) in
+  Array.iter (Replay.exec replay) t.streams.(Engine.rank ctx)

@@ -36,7 +36,8 @@ val synthesize :
 (** @raise Unsupported when the RSD-style merge fails (see above). *)
 
 val program : t -> Siesta_mpi.Engine.ctx -> unit
-(** Replay: quantized communication + sleeps for computation. *)
+(** Replay of the transformed streams through {!Siesta_trace.Replay}:
+    quantized communication, and a sleep for each computation event. *)
 
 val known_failure : workload:string -> nranks:int -> bool
 (** The upstream crash list reported by the paper: SP@256, SP@529 and all

@@ -34,7 +34,10 @@ val size_c_bytes : t -> int
 val mean_combo_error : t -> float
 
 val program : t -> Siesta_mpi.Engine.ctx -> unit
-(** The proxy as an SPMD rank program for {!Siesta_mpi.Engine.run}. *)
+(** The proxy as an SPMD rank program for {!Siesta_mpi.Engine.run}.
+    [program t] maps the terminal table through {!Shrink.event} once;
+    each rank then replays its expansion through {!Siesta_trace.Replay},
+    running a computation event as its cluster's block combination. *)
 
 val max_request_slots : t -> int
 (** Highest pooled request id used plus one (the C code's array size). *)

@@ -39,6 +39,13 @@ let shrink_count t ~dt count =
     max 0 (min count count')
   end
 
+let event t (ev : Siesta_trace.Event.t) =
+  if t.factor = 1.0 then ev
+  else
+    match ev with
+    | Isend _ | Irecv _ | Ibcast _ | Iallreduce _ -> ev
+    | _ -> Siesta_trace.Event.map_counts (fun dt count -> shrink_count t ~dt count) ev
+
 let shrink_counters t c = if t.factor = 1.0 then c else Counters.scale (1.0 /. t.factor) c
 
 let regression t = t.reg

@@ -37,6 +37,14 @@ val of_parts : factor:float -> regression:Siesta_numerics.Linreg.t -> t
 val shrink_count : t -> dt:Siesta_mpi.Datatype.t -> int -> int
 (** Shrunk element count for a blocking transfer. *)
 
+val event : t -> Siesta_trace.Event.t -> Siesta_trace.Event.t
+(** The event a shrunk proxy replays in place of a recorded one.  At
+    factor 1 it returns its argument.  Otherwise Isend, Irecv, Ibcast and
+    Iallreduce keep their counts, and every other count [c] of datatype
+    [dt] becomes [shrink_count t ~dt c] (through
+    {!Siesta_trace.Event.map_counts}).  This is the replay's only count
+    rule; the emitted C still prints the recorded counts. *)
+
 val shrink_counters : t -> Siesta_perf.Counters.t -> Siesta_perf.Counters.t
 (** Divide a computation target by the factor. *)
 
