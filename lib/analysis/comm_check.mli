@@ -7,10 +7,9 @@
 
     - {b matching completeness}: every point-to-point send must have a
       structurally reachable matching recv on its destination (and vice
-      versa).  Sends and recvs are grouped into [(src, tag)] classes per
-      (communicator, destination) pair — a send can only match a recv
-      posted on the same communicator, so traffic that balances globally
-      but not within a sub-communicator is flagged — and matched by an
+      versa).  Point-to-point traffic travels on the world communicator.
+      Sends and recvs are grouped into [(src, tag)] classes per
+      destination and matched by an
       integral max-flow, so wildcard ([MPI_ANY_SOURCE]/[MPI_ANY_TAG])
       recv classes are credited optimally rather than greedily.  This is
       the static analogue of {!Siesta_mpi.Engine}'s dynamic
@@ -18,8 +17,7 @@
     - {b rendezvous deadlock potential}: messages above the MPI
       profile's [eager_threshold_bytes] block their sender until the
       receiver reaches the matching recv.  The checker FIFO-matches
-      sends to recvs per [(comm, src, dst, tag)] (MPI's non-overtaking
-      rule),
+      sends to recvs per [(src, dst, tag)] (MPI's non-overtaking rule),
       builds the waits-for graph among blocking occurrences
       (rendezvous-sized blocking sends and blocking recvs, chained in
       program order per rank), and reports any cycle — a schedule on

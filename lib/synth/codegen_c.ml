@@ -65,22 +65,22 @@ let emit_terminal buf gid (ev : Event.t) =
   let stmt body = p "static void t_%d(void) { %s }\n" gid body in
   match ev with
   | Event.Compute _ -> ()  (* dispatched to compute_<cid> at call sites *)
-  | Event.Send { rel_peer; tag; dt; count; comm } ->
+  | Event.Send { rel_peer; tag; dt; count } ->
       stmt
-        (Printf.sprintf "MPI_Send(sbuf, %d, %s, %s, %d, comms[%d]);" count (c_datatype dt)
-           (peer rel_peer) tag comm)
-  | Event.Recv { rel_peer; tag; dt; count; comm } ->
+        (Printf.sprintf "MPI_Send(sbuf, %d, %s, %s, %d, comms[0]);" count (c_datatype dt)
+           (peer rel_peer) tag)
+  | Event.Recv { rel_peer; tag; dt; count } ->
       stmt
-        (Printf.sprintf "MPI_Recv(rbuf, %d, %s, %s, %s, comms[%d], MPI_STATUS_IGNORE);" count
-           (c_datatype dt) (src_expr rel_peer) (tag_expr tag) comm)
-  | Event.Isend ({ rel_peer; tag; dt; count; comm }, slot) ->
+        (Printf.sprintf "MPI_Recv(rbuf, %d, %s, %s, %s, comms[0], MPI_STATUS_IGNORE);" count
+           (c_datatype dt) (src_expr rel_peer) (tag_expr tag))
+  | Event.Isend ({ rel_peer; tag; dt; count }, slot) ->
       stmt
-        (Printf.sprintf "MPI_Isend(sbuf, %d, %s, %s, %d, comms[%d], &reqs[%d]);" count
-           (c_datatype dt) (peer rel_peer) tag comm slot)
-  | Event.Irecv ({ rel_peer; tag; dt; count; comm }, slot) ->
+        (Printf.sprintf "MPI_Isend(sbuf, %d, %s, %s, %d, comms[0], &reqs[%d]);" count
+           (c_datatype dt) (peer rel_peer) tag slot)
+  | Event.Irecv ({ rel_peer; tag; dt; count }, slot) ->
       stmt
-        (Printf.sprintf "MPI_Irecv(rbuf, %d, %s, %s, %s, comms[%d], &reqs[%d]);" count
-           (c_datatype dt) (src_expr rel_peer) (tag_expr tag) comm slot)
+        (Printf.sprintf "MPI_Irecv(rbuf, %d, %s, %s, %s, comms[0], &reqs[%d]);" count
+           (c_datatype dt) (src_expr rel_peer) (tag_expr tag) slot)
   | Event.Wait slot -> stmt (Printf.sprintf "MPI_Wait(&reqs[%d], MPI_STATUS_IGNORE);" slot)
   | Event.Waitall slots ->
       let sorted = List.sort compare slots in
@@ -103,10 +103,10 @@ let emit_terminal buf gid (ev : Event.t) =
   | Event.Sendrecv { send; recv } ->
       stmt
         (Printf.sprintf
-           "MPI_Sendrecv(sbuf, %d, %s, %s, %d, rbuf, %d, %s, %s, %s, comms[%d], \
+           "MPI_Sendrecv(sbuf, %d, %s, %s, %d, rbuf, %d, %s, %s, %s, comms[0], \
             MPI_STATUS_IGNORE);"
            send.count (c_datatype send.dt) (peer send.rel_peer) send.tag recv.count
-           (c_datatype recv.dt) (src_expr recv.rel_peer) (tag_expr recv.tag) send.comm)
+           (c_datatype recv.dt) (src_expr recv.rel_peer) (tag_expr recv.tag))
   | Event.Barrier { comm } -> stmt (Printf.sprintf "MPI_Barrier(comms[%d]);" comm)
   | Event.Bcast { comm; root; dt; count } ->
       stmt (Printf.sprintf "MPI_Bcast(sbuf, %d, %s, %d, comms[%d]);" count (c_datatype dt) root comm)

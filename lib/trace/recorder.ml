@@ -65,7 +65,7 @@ let rel_peer t ~rank peer =
   else peer
 
 let encode_p2p t ~rank (p : Call.p2p) : Event.p2p =
-  { rel_peer = rel_peer t ~rank p.peer; tag = p.tag; dt = p.dt; count = p.count; comm = 0 }
+  { rel_peer = rel_peer t ~rank p.peer; tag = p.tag; dt = p.dt; count = p.count }
 
 let pooled_comm st comm =
   match Hashtbl.find_opt st.comm_map comm with

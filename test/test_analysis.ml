@@ -20,8 +20,8 @@ let matrix_of_workload ?(nranks = 64) workload =
 let ring_streams nranks =
   Array.make nranks
     [|
-      Event.Send { Event.rel_peer = 1; tag = 0; dt = D.Byte; count = 100; comm = 0 };
-      Event.Send { Event.rel_peer = 1; tag = 0; dt = D.Byte; count = 100; comm = 0 };
+      Event.Send { Event.rel_peer = 1; tag = 0; dt = D.Byte; count = 100 };
+      Event.Send { Event.rel_peer = 1; tag = 0; dt = D.Byte; count = 100 };
     |]
 
 let test_matrix_accounting () =
@@ -41,8 +41,8 @@ let test_matrix_offsets () =
 let test_matrix_wildcard_ignored () =
   let streams =
     [|
-      [| Event.Recv { Event.rel_peer = Siesta_mpi.Call.any_source; tag = 0; dt = D.Int; count = 1; comm = 0 } |];
-      [| Event.Send { Event.rel_peer = 3; tag = 0; dt = D.Int; count = 1; comm = 0 } |];
+      [| Event.Recv { Event.rel_peer = Siesta_mpi.Call.any_source; tag = 0; dt = D.Int; count = 1 } |];
+      [| Event.Send { Event.rel_peer = 3; tag = 0; dt = D.Int; count = 1 } |];
     |]
   in
   let m = Comm_matrix.of_streams ~nranks:2 streams in
@@ -84,7 +84,7 @@ let test_topology_dense () =
   let streams =
     Array.init nranks (fun _ ->
         Array.init (nranks - 1) (fun i ->
-            Event.Send { Event.rel_peer = i + 1; tag = 0; dt = D.Int; count = 1; comm = 0 }))
+            Event.Send { Event.rel_peer = i + 1; tag = 0; dt = D.Int; count = 1 }))
   in
   let m = Comm_matrix.of_streams ~nranks streams in
   (* all offsets equally dominant: not a ring/grid; 30/36 edges -> dense *)
@@ -123,7 +123,7 @@ let test_phases_respects_threshold () =
       (List.init 3 (fun _ ->
            [|
              Event.Barrier { comm = 0 };
-             Event.Send { Event.rel_peer = 1; tag = 0; dt = D.Byte; count = 10; comm = 0 };
+             Event.Send { Event.rel_peer = 1; tag = 0; dt = D.Byte; count = 10 };
            |]))
   in
   let merged = MPipe.merge_streams ~nranks:2 [| stream; stream |] in

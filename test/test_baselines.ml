@@ -147,7 +147,7 @@ let test_scalabench_crashes_on_structural_diversity () =
     Array.init nranks (fun r ->
         Array.init (3 + r) (fun i ->
             if i mod 2 = 0 then Event.Barrier { comm = 0 }
-            else Event.Send { Event.rel_peer = 1; tag = 0; dt = D.Int; count = 1; comm = 0 }))
+            else Event.Send { Event.rel_peer = 1; tag = 0; dt = D.Int; count = 1 }))
   in
   let ct = Siesta_trace.Compute_table.create ~threshold:0.05 in
   Alcotest.(check bool) "raises Unsupported" true

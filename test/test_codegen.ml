@@ -58,7 +58,7 @@ let proxy_of ?(nranks = 4) ?(mains = None) terminals =
 
 let gen ?nranks ?mains terminals = Codegen_c.generate (proxy_of ?nranks ?mains terminals)
 
-let p2p = { Event.rel_peer = 3; tag = 7; dt = D.Double; count = 100; comm = 0 }
+let p2p = { Event.rel_peer = 3; tag = 7; dt = D.Double; count = 100 }
 
 let test_send_recv_emission () =
   let c = gen [ Event.Send p2p; Event.Recv p2p ] in
@@ -71,7 +71,7 @@ let test_wildcard_emission () =
       [
         Event.Recv
           { Event.rel_peer = Siesta_mpi.Call.any_source; tag = Siesta_mpi.Call.any_tag;
-            dt = D.Int; count = 1; comm = 0 };
+            dt = D.Int; count = 1 };
       ]
   in
   check_contains c "MPI_ANY_SOURCE";

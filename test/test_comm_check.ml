@@ -149,49 +149,6 @@ let test_unreceived_split () =
   Alcotest.(check int) "no wildcard posted, truly orphaned" 0
     orphaned.E.unreceived_wildcard_prone
 
-(* ------------------------------------------------------------------ *)
-(* Sub-communicator awareness: a send and a receive that balance
-   globally must still be flagged when they live on different
-   communicators.  Hand-built two-rank program: rank 0 sends to rank 1,
-   rank 1 receives from rank 0 — same tag, same payload — but the send
-   travels on comm 1 while the receive listens on comm 2. *)
-
-module Merged = Siesta_merge.Merged
-module Rank_list = Siesta_merge.Rank_list
-module G = Siesta_grammar.Grammar
-module Datatype = Siesta_mpi.Datatype
-
-let two_rank_p2p ~send_comm ~recv_comm =
-  let terminals =
-    [|
-      Siesta_trace.Event.Send
-        { rel_peer = 1; tag = 7; dt = Datatype.Double; count = 8; comm = send_comm };
-      Siesta_trace.Event.Recv
-        { rel_peer = 1; tag = 7; dt = Datatype.Double; count = 8; comm = recv_comm };
-    |]
-  in
-  let entry sym rank = { Merged.sym; reps = 1; ranks = Rank_list.singleton rank } in
-  {
-    Merged.nranks = 2;
-    terminals;
-    rules = [||];
-    mains = [| [ entry (G.T 0) 0 ]; [ entry (G.T 1) 1 ] |];
-    main_ranks = [| Rank_list.singleton 0; Rank_list.singleton 1 |];
-  }
-
-let test_subcomm_mismatch () =
-  (* control: same communicator on both sides -> clean *)
-  let ok = Comm_check.check ~impl (two_rank_p2p ~send_comm:1 ~recv_comm:1) in
-  Alcotest.(check (list string)) "matching comms clean" [] ok.Comm_check.k_reasons;
-  (* the same traffic split across two communicators must violate *)
-  let r = Comm_check.check ~impl (two_rank_p2p ~send_comm:1 ~recv_comm:2) in
-  Alcotest.(check bool) "cross-comm traffic violated" true (violated r);
-  Alcotest.(check bool) "unmatched send counted" true (r.Comm_check.k_unmatched_sends > 0);
-  Alcotest.(check bool) "unmatched recv counted" true (r.Comm_check.k_unmatched_recvs > 0);
-  (* the reasons must name the communicator so the report is actionable *)
-  Alcotest.(check bool) "reason names the comm" true
-    (List.exists (contains_substring ~needle:"comm") r.Comm_check.k_reasons)
-
 let test_subcomm_world_reasons_silent () =
   (* world-communicator violations keep the historical reason spelling:
      no "comm" suffix, so ledger baselines don't churn *)
@@ -232,7 +189,6 @@ let suite =
     ("fault tokens parse, unknown rejected", `Quick, test_fault_of_string);
     ("verdict naming and ordering", `Quick, test_verdict_order);
     ("finalize splits wildcard-prone from orphaned", `Quick, test_unreceived_split);
-    ("sub-communicator traffic must match per comm", `Quick, test_subcomm_mismatch);
     ("world-comm reasons keep legacy spelling", `Slow, test_subcomm_world_reasons_silent);
     QCheck_alcotest.to_alcotest prop_perturb_any_site;
   ]

@@ -163,7 +163,7 @@ let test_indel_triangle_bound () =
 (* ------------------------------------------------------------------ *)
 (* Terminal_table *)
 
-let ev_send count = Event.Send { Event.rel_peer = 1; tag = 0; dt = D.Double; count; comm = 0 }
+let ev_send count = Event.Send { Event.rel_peer = 1; tag = 0; dt = D.Double; count }
 let ev_barrier = Event.Barrier { comm = 0 }
 
 let test_terminal_table_dedup () =
@@ -192,7 +192,7 @@ let random_streams rng nranks =
         match i mod 4 with
         | 0 -> Event.Compute (Rng.int rng 3)
         | 1 -> ev_send (10 * (1 + Rng.int rng 4))
-        | 2 -> Event.Recv { Event.rel_peer = Rng.int rng nranks; tag = 0; dt = D.Int; count = 5; comm = 0 }
+        | 2 -> Event.Recv { Event.rel_peer = Rng.int rng nranks; tag = 0; dt = D.Int; count = 5 }
         | _ -> ev_barrier)
   in
   Array.init nranks (fun r ->
@@ -355,7 +355,7 @@ let stream_bundle_gen =
           (3, map (fun c -> ev_send (8 * (1 + c))) (0 -- 4));
           ( 2,
             map
-              (fun p -> Event.Recv { Event.rel_peer = p; tag = 0; dt = D.Int; count = 4; comm = 0 })
+              (fun p -> Event.Recv { Event.rel_peer = p; tag = 0; dt = D.Int; count = 4 })
               (0 -- 7) );
           (1, return ev_barrier);
           (1, map (fun c -> Event.Allreduce { comm = 0; dt = D.Double; count = 1 + c;

@@ -12,7 +12,7 @@ module Event = Siesta_trace.Event
 module D = Siesta_mpi.Datatype
 
 let barrier = Event.Barrier { comm = 0 }
-let send c = Event.Send { Event.rel_peer = 1; tag = 0; dt = D.Int; count = c; comm = 0 }
+let send c = Event.Send { Event.rel_peer = 1; tag = 0; dt = D.Int; count = c }
 
 (* merge hand-written per-rank streams and return (merged, global seqs) *)
 let merge ?config streams =
