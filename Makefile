@@ -224,13 +224,15 @@ smoke: build
 	@rm -rf $(SMOKE_STORE) $(SMOKE_SWEEP_STORE) $(SMOKE_SERVE_STORE)
 
 # regression gates, failing the build instead of printing a warning:
-# telemetry overhead budget (<= 3%), merge determinism (the streamed
+# telemetry overhead budget (enabled telemetry allocates <= 3% more
+# minor-heap words than disabled), merge determinism (the streamed
 # pipeline's merge equals the batch merge of the same events), a warm
 # re-run served entirely from the bench store, streaming_throughput
 # (at >= 10^6 events, tracing up to built per-rank grammars takes at
 # most 8x the plain engine run timed in the same call) and
-# streaming_heap_bounded (streamed retained heap stays flat across a 4x
-# event growth — memory tracks grammar size, not trace length), and
+# streaming_heap_bounded (the words reachable from the recorder at 4x
+# the events stay within 2x the small run's — memory tracks the
+# distinct events, not trace length), and
 # sweep-warm (a warm fidelity re-sweep is pure cache replay: every
 # per-factor point hit/hit/hit with the same curve as the cold sweep).
 bench-check: build

@@ -115,18 +115,15 @@ let measure ~store (workload, nranks) =
        reference and host speed cancels out.  The span holds the plain
        run, the instrumented run that feeds the recorder and the grammar
        build;
-     - streaming_heap_bounded: the streamed trace's *retained* heap
-       delta at 4x the event count stays within 2x the small-size delta
-       (plus an absolute floor for GC granularity) — memory must track
-       the number of distinct events, not trace length.
+     - streaming_heap_bounded: the recorder's heap at 4x the event
+       count stays within 2x its heap at the small size — memory must
+       track the number of distinct events, not trace length.
 
-   Heap deltas are measured compacted ([Gc.compact] before and after,
-   [Gc.quick_stat ().heap_words] while the trace is still live), which
-   makes them insensitive to whatever peaks earlier experiments left in
-   [top_heap_words].  The SoA code buffers are Bigarray-backed and
-   off-heap by design, so what remains visible to the GC is exactly the
-   claim under test: definitions + compute table + per-rank handle
-   tables. *)
+   The recorder's heap is [Obj.reachable_words] of the recorder: every
+   word the GC can reach from it, counted exactly, so the number repeats
+   from run to run.  The SoA code buffers are Bigarray-backed and
+   off-heap by design, so what it counts is exactly the claim under
+   test: definitions + compute table + per-rank handle tables. *)
 
 type streaming = {
   st_workload : string;
@@ -136,36 +133,24 @@ type streaming = {
   st_plain_s : float;  (* the plain engine run ("trace.original"), large size *)
   st_grammars_s : float;  (* Pipeline.trace start -> per-rank grammars built *)
   st_ratio : float;  (* grammars / plain *)
-  st_heap_small_w : int;  (* retained heap delta, small *)
-  st_heap_large_w : int;  (* retained heap delta, 4x events *)
-  st_top_heap_w : int;  (* process-lifetime top_heap_words, for the record *)
-  st_heap_floor_w : int;
+  st_recorder_small_w : int;  (* words reachable from the recorder, small *)
+  st_recorder_large_w : int;  (* words reachable from the recorder, 4x events *)
   st_throughput_ok : bool;
   st_heap_ok : bool;
   st_attempts : int;
 }
 
-let heap_floor_words = 1_000_000
-
-(* Run [f], keep its result live across a compaction, and report the
-   retained heap-word delta it added. *)
-let retained_delta f =
-  Gc.compact ();
-  let base = (Gc.quick_stat ()).Gc.heap_words in
-  let x = f () in
-  Gc.compact ();
-  let d = (Gc.quick_stat ()).Gc.heap_words - base in
-  (Sys.opaque_identity x, max 0 d)
-
 let measure_streaming () =
   let workload = "CG" and nranks = 16 in
   let small_iters = 750 and large_iters = 3000 in
   let trace iters = Pipeline.trace (Pipeline.spec ~workload ~nranks ~iters ()) in
-  let events traced = Recorder.total_events traced.Pipeline.recorder in
-  (* retained-heap ladder: small, then 4x *)
-  let tr_small, heap_small = retained_delta (fun () -> trace small_iters) in
-  let tr_large, heap_large = retained_delta (fun () -> trace large_iters) in
-  let events_small = events tr_small and events_large = events tr_large in
+  (* recorder heap ladder: small, then 4x *)
+  let recorder_size iters =
+    let r = (trace iters).Pipeline.recorder in
+    (Recorder.total_events r, Obj.reachable_words (Obj.repr r))
+  in
+  let events_small, words_small = recorder_size small_iters in
+  let events_large, words_large = recorder_size large_iters in
   (* the cost ratio, with up to [max_attempts] measurements *)
   let measure () =
     let (traced, grammars), s =
@@ -188,7 +173,7 @@ let measure_streaming () =
     end
   in
   let (plain_s, grammars_s, ratio), attempts = attempt 1 None in
-  let heap_ok = heap_large <= max (2 * heap_small) heap_floor_words in
+  let heap_ok = words_large <= 2 * words_small in
   {
     st_workload = workload;
     st_nranks = nranks;
@@ -197,10 +182,8 @@ let measure_streaming () =
     st_plain_s = plain_s;
     st_grammars_s = grammars_s;
     st_ratio = ratio;
-    st_heap_small_w = heap_small;
-    st_heap_large_w = heap_large;
-    st_top_heap_w = (Gc.quick_stat ()).Gc.top_heap_words;
-    st_heap_floor_w = heap_floor_words;
+    st_recorder_small_w = words_small;
+    st_recorder_large_w = words_large;
     st_throughput_ok = ratio <= max_ratio;
     st_heap_ok = heap_ok;
     st_attempts = attempts;
@@ -227,7 +210,7 @@ let append_bench_records ~streaming rows =
               ~sched:
                 [
                   ("streaming_cost_ratio", streaming.st_ratio);
-                  ("streaming_heap_large_w", float_of_int streaming.st_heap_large_w);
+                  ("recorder_words_large", float_of_int streaming.st_recorder_large_w);
                 ]
               ())))
     rows;
@@ -255,11 +238,11 @@ let json_of_rows ~streaming rows =
        "  ],\n\
        \  \"streaming\": {\"workload\": %S, \"nranks\": %d, \"events_small\": %d, \
         \"events_large\": %d, \"wall_s\": {\"plain_run\": %.6f, \"to_grammars\": %.6f}, \
-        \"ratio\": %.3f, \"ratio_max\": %.1f, \"peak_heap_words\": {\"small\": %d, \
-        \"large\": %d, \"process_top\": %d, \"floor\": %d}, \"attempts\": %d},\n"
+        \"ratio\": %.3f, \"ratio_max\": %.1f, \"recorder_reachable_words\": {\"small\": %d, \
+        \"large\": %d}, \"attempts\": %d},\n"
        st.st_workload st.st_nranks st.st_events_small st.st_events_large st.st_plain_s
-       st.st_grammars_s st.st_ratio max_ratio st.st_heap_small_w st.st_heap_large_w
-       st.st_top_heap_w st.st_heap_floor_w st.st_attempts);
+       st.st_grammars_s st.st_ratio max_ratio st.st_recorder_small_w st.st_recorder_large_w
+       st.st_attempts);
   Buffer.add_string b
     (Printf.sprintf
        "  \"streaming_throughput\": %b,\n\
@@ -274,16 +257,14 @@ let run () =
   let workloads =
     if quick then [ ("CG", 16) ] else [ ("CG", 64); ("MG", 64); ("Sweep3d", 64) ]
   in
-  (* streaming section first: its compacted-heap ladder is cleanest
-     before the pipeline probes allocate their working sets *)
   let streaming = measure_streaming () in
   Printf.printf
     "streaming @ %d events: %.3f s to per-rank grammars vs %.3f s plain run (ratio %.3f, %d \
      attempt(s))\n"
     streaming.st_events_large streaming.st_grammars_s streaming.st_plain_s streaming.st_ratio
     streaming.st_attempts;
-  Printf.printf "retained heap: %d -> %d words across a 4x event growth\n"
-    streaming.st_heap_small_w streaming.st_heap_large_w;
+  Printf.printf "recorder heap: %d -> %d reachable words across a 4x event growth\n"
+    streaming.st_recorder_small_w streaming.st_recorder_large_w;
   rm_rf bench_store_root;
   let store = Store.open_ ~root:bench_store_root () in
   let rows = List.map (measure ~store) workloads in
@@ -345,14 +326,14 @@ let run () =
   end;
   if streaming.st_heap_ok then
     Printf.printf
-      "streaming_heap_bounded: PASS (%d words at 4x events <= max(2 * %d, %d))\n"
-      streaming.st_heap_large_w streaming.st_heap_small_w streaming.st_heap_floor_w
+      "streaming_heap_bounded: PASS (%d recorder words at 4x events <= 2 * %d)\n"
+      streaming.st_recorder_large_w streaming.st_recorder_small_w
   else begin
     let msg =
       Printf.sprintf
-        "pipeline-scale: streamed retained heap grew with trace length (%d words at 4x \
-         events vs %d small, floor %d)"
-        streaming.st_heap_large_w streaming.st_heap_small_w streaming.st_heap_floor_w
+        "pipeline-scale: the recorder's heap grew with trace length (%d reachable words at \
+         4x events vs %d small)"
+        streaming.st_recorder_large_w streaming.st_recorder_small_w
     in
     if !Exp_common.strict then begin
       Printf.eprintf "%s\n" msg;
