@@ -224,7 +224,7 @@ smoke: build
 	@rm -rf $(SMOKE_STORE) $(SMOKE_SWEEP_STORE) $(SMOKE_SERVE_STORE)
 
 # regression gates, failing the build instead of printing a warning:
-# telemetry overhead budget (enabled telemetry allocates <= 3% more
+# telemetry overhead budget (enabled telemetry allocates <= 1% more
 # minor-heap words than disabled), merge determinism (the streamed
 # pipeline's merge equals the batch merge of the same events), a warm
 # re-run served entirely from the bench store, streaming_throughput

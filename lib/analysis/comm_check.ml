@@ -129,7 +129,6 @@ let check ~impl (m : Merged.t) =
     | None -> Hashtbl.add tbl key (ref [ v ])
   in
   for r = 0 to n - 1 do
-    let seq = Merged.expand_for_rank m r in
     let add_send ~blocks pos (p : Event.p2p) =
       incr sends_total;
       let dst = (r + p.Event.rel_peer) mod n in
@@ -178,8 +177,12 @@ let check ~impl (m : Merged.t) =
              name root comm n)
           ()
     in
-    Array.iteri
-      (fun pos tid ->
+    (* a position is the index of the occurrence in the rank's expansion *)
+    let next = ref 0 in
+    Merged.iter_rank
+      (fun tid ->
+        let pos = !next in
+        next := pos + 1;
         match m.Merged.terminals.(tid) with
         | Event.Send p -> add_send ~blocks:true pos p
         | Event.Isend (p, _) -> add_send ~blocks:false pos p
@@ -229,7 +232,7 @@ let check ~impl (m : Merged.t) =
         | Event.File_read_all _ | Event.File_write_at _ | Event.File_read_at _
         | Event.Compute _ ->
             ())
-      seq
+      m r
   done;
   (* --- check 1: matching completeness per destination -------------- *)
   (* a send can only ever match a recv its destination posts, so the

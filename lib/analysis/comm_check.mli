@@ -2,8 +2,10 @@
 
     The merged program is a compact symbolic description of every rank's
     communication, so three classes of defect can be verified without
-    replaying a single event — the checker expands {!Siesta_merge.Merged}
-    rules per rank and reasons about the resulting sequences:
+    replaying a single event — the checker walks each rank's expansion
+    of the {!Siesta_merge.Merged} grammar
+    ({!Siesta_merge.Merged.iter_rank}) and reasons about the occurrences
+    it visits:
 
     - {b matching completeness}: every point-to-point send must have a
       structurally reachable matching recv on its destination (and vice

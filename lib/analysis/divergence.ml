@@ -195,8 +195,7 @@ let diff ~original ~proxy =
   let compute_errors =
     List.map
       (fun (m, acc) ->
-        let a = Array.of_list !acc in
-        Array.sort compare a;
+        let a = Array.of_list (List.sort Float.compare !acc) in
         let n = Array.length a in
         let mean = if n = 0 then 0.0 else Array.fold_left ( +. ) 0.0 a /. float_of_int n in
         {

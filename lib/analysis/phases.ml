@@ -12,25 +12,20 @@ type phase = {
 
 let detect ?(min_iterations = 4) (m : Merged.t) =
   let g = { Grammar.main = []; rules = m.Merged.rules } in
-  let body_length sym =
-    Array.length (Grammar.expand_rule g [ { Grammar.sym; reps = 1 } ])
-  in
-  let leading sym =
-    let expansion = Grammar.expand_rule g [ { Grammar.sym; reps = 1 } ] in
-    if Array.length expansion = 0 then "(empty)"
-    else Event.name m.Merged.terminals.(expansion.(0))
-  in
   Array.to_list m.Merged.mains
   |> List.concat_map (fun entries ->
          List.filter_map
            (fun (e : Merged.mentry) ->
              if e.Merged.reps >= min_iterations then
+               let body = Grammar.expand_rule g [ { Grammar.sym = e.Merged.sym; reps = 1 } ] in
                Some
                  {
                    iterations = e.Merged.reps;
-                   events_per_iteration = body_length e.Merged.sym;
+                   events_per_iteration = Array.length body;
                    ranks = e.Merged.ranks;
-                   leading_event = leading e.Merged.sym;
+                   leading_event =
+                     (if Array.length body = 0 then "(empty)"
+                      else Event.name m.Merged.terminals.(body.(0)));
                  }
              else None)
            entries)

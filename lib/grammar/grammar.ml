@@ -7,32 +7,25 @@ let check_ref t i =
   if i < 0 || i >= Array.length t.rules then
     invalid_arg (Printf.sprintf "Grammar: rule reference %d out of range" i)
 
-let expand_rule t body =
-  let out = ref (Array.make 1024 0) in
-  let len = ref 0 in
-  let push v =
-    if !len = Array.length !out then begin
-      let bigger = Array.make (2 * !len) 0 in
-      Array.blit !out 0 bigger 0 !len;
-      out := bigger
-    end;
-    !out.(!len) <- v;
-    incr len
-  in
-  let rec walk body =
-    List.iter
-      (fun { sym; reps } ->
+let iter_rule f t body =
+  let rec walk = function
+    | [] -> ()
+    | { sym; reps } :: rest ->
         for _ = 1 to reps do
           match sym with
-          | T v -> push v
+          | T v -> f v
           | N i ->
               check_ref t i;
               walk t.rules.(i)
-        done)
-      body
+        done;
+        walk rest
   in
-  walk body;
-  Array.sub !out 0 !len
+  walk body
+
+let expand_rule t body =
+  let out = ref [] in
+  iter_rule (fun v -> out := v :: !out) t body;
+  Array.of_list (List.rev !out)
 
 let expand t = expand_rule t t.main
 

@@ -20,7 +20,14 @@ val expand : t -> int array
     construction.  @raise Invalid_argument on a malformed grammar (rule
     reference out of range). *)
 
+val iter_rule : (int -> unit) -> t -> rule -> unit
+(** [iter_rule f g body] calls [f] on each terminal [body] derives, in
+    order, without building the sequence.  Every rule reference is
+    checked as the walk reaches it.
+    @raise Invalid_argument on a rule reference out of range. *)
+
 val expand_rule : t -> rule -> int array
+(** The terminals [iter_rule] visits, collected into an array. *)
 
 val entry_count : t -> int
 (** Total number of body entries across the main rule and all rules — the

@@ -19,22 +19,18 @@ let cluster_of_rank t rank =
   in
   find 0
 
-let expand_for_rank t rank =
+let iter_rank f t rank =
   let cluster = cluster_of_rank t rank in
   let g = { Grammar.main = []; rules = t.rules } in
-  let out = ref [] in
-  let push_rule i =
-    let expanded = Grammar.expand_rule g t.rules.(i) in
-    out := expanded :: !out
-  in
   List.iter
     (fun { sym; reps; ranks } ->
-      if Rank_list.mem ranks rank then
-        for _ = 1 to reps do
-          match sym with T v -> out := [| v |] :: !out | N i -> push_rule i
-        done)
-    t.mains.(cluster);
-  Array.concat (List.rev !out)
+      if Rank_list.mem ranks rank then Grammar.iter_rule f g [ { Grammar.sym; reps } ])
+    t.mains.(cluster)
+
+let expand_for_rank t rank =
+  let out = ref [] in
+  iter_rank (fun v -> out := v :: !out) t rank;
+  Array.of_list (List.rev !out)
 
 let serialized_bytes t =
   let terminal_bytes =

@@ -8,7 +8,7 @@
       ranks, whose symbols carry rank lists saying which ranks execute
       them.
 
-    The representation is lossless: {!expand_for_rank} recovers every
+    The representation is lossless: {!iter_rank} recovers every
     rank's original event-id sequence exactly. *)
 
 type mentry = {
@@ -33,9 +33,15 @@ val equal : t -> t -> bool
 val cluster_of_rank : t -> int -> int
 (** Index into [mains] for a rank.  @raise Not_found if uncovered. *)
 
+val iter_rank : (int -> unit) -> t -> int -> unit
+(** [iter_rank f t rank] calls [f] on each id of the rank's terminal-id
+    sequence, in order, walking the merged grammar without building the
+    sequence.  @raise Not_found if the rank is uncovered.
+    @raise Invalid_argument on a rule reference out of range, in a main
+    entry or inside a rule. *)
+
 val expand_for_rank : t -> int -> int array
-(** The rank's terminal-id sequence, reconstructed from the merged
-    grammar. *)
+(** The ids [iter_rank] visits, collected into an array. *)
 
 val serialized_bytes : t -> int
 (** Export size of terminals + rules + merged mains (the grammar part of

@@ -23,7 +23,6 @@ type message = {
   m_src : int;  (* world rank *)
   m_dst : int;  (* world rank *)
   m_tag : int;
-  m_comm : int;
   m_bytes : int;
   m_avail : float;  (* receiver-side availability (eager only) *)
   m_rdv : bool;
@@ -34,7 +33,6 @@ type message = {
 type posted = {
   p_src : int;  (* world rank or Call.any_source *)
   p_tag : int;
-  p_comm : int;
   p_post : float;
   p_req : request;
 }
@@ -120,12 +118,14 @@ type engine = {
   nranks : int;
   procs : proc array;
   runq : int Queue.t;
-  unexpected : (int * int, message Queue.t) Hashtbl.t;  (* (comm, dst world rank) *)
-  posted : (int * int, posted Queue.t) Hashtbl.t;  (* (comm, owner world rank) *)
-  wildcard_posted : (int * int, unit) Hashtbl.t;
-      (* (comm, owner) keys on which the owner posted at least one
-         ANY_SOURCE/ANY_TAG recv — finalize uses this to split truly
-         orphaned leftovers from wildcard-prone ones *)
+  (* Point-to-point matching queues, indexed by world rank: every
+     point-to-point call runs on the world communicator. *)
+  unexpected : message Queue.t array;  (* by destination *)
+  posted : posted Queue.t array;  (* by owner *)
+  wildcard_posted : bool array;
+      (* owners that posted at least one ANY_SOURCE/ANY_TAG recv —
+         finalize uses this to split truly orphaned leftovers from
+         wildcard-prone ones *)
   comm_ranks : (int, int array) Hashtbl.t;  (* comm id -> world ranks *)
   pending_colls : (int * int, coll_pending) Hashtbl.t;
       (* (comm id, collective index) -> in-flight collective; the index is
@@ -282,14 +282,6 @@ let fresh_request eng =
 (* ------------------------------------------------------------------ *)
 (* Queues                                                               *)
 
-let queue_of tbl key =
-  match Hashtbl.find_opt tbl key with
-  | Some q -> q
-  | None ->
-      let q = Queue.create () in
-      Hashtbl.add tbl key q;
-      q
-
 (* First element satisfying [pred], preserving the order of the rest.
    The head, the common match, is popped; only a match further back
    rebuilds the queue. *)
@@ -333,18 +325,16 @@ let matches_post (post : posted) (msg : message) =
   && (post.p_tag = Call.any_tag || post.p_tag = msg.m_tag)
 
 let deliver eng msg =
-  let posted_q = queue_of eng.posted (msg.m_comm, msg.m_dst) in
-  match queue_find_remove posted_q (fun post -> matches_post post msg) with
+  match queue_find_remove eng.posted.(msg.m_dst) (fun post -> matches_post post msg) with
   | Some post -> pair eng msg post
-  | None -> Queue.push msg (queue_of eng.unexpected (msg.m_comm, msg.m_dst))
+  | None -> Queue.push msg eng.unexpected.(msg.m_dst)
 
 let post_recv eng ~owner (post : posted) =
   if post.p_src = Call.any_source || post.p_tag = Call.any_tag then
-    Hashtbl.replace eng.wildcard_posted (post.p_comm, owner) ();
-  let unexpected_q = queue_of eng.unexpected (post.p_comm, owner) in
-  match queue_find_remove unexpected_q (fun msg -> matches_post post msg) with
+    eng.wildcard_posted.(owner) <- true;
+  match queue_find_remove eng.unexpected.(owner) (fun msg -> matches_post post msg) with
   | Some msg -> pair eng msg post
-  | None -> Queue.push post (queue_of eng.posted (post.p_comm, owner))
+  | None -> Queue.push post eng.posted.(owner)
 
 (* ------------------------------------------------------------------ *)
 (* ctx accessors                                                        *)
@@ -423,12 +413,12 @@ let wait_request ctx req =
       | None -> assert false
     end
 
-let send_internal ctx ~comm ~dest ~tag ~dt ~count =
+let send_internal ctx ~dest ~tag ~dt ~count =
   let eng = ctx.eng in
   let proc = ctx.proc in
   proc.clock <- proc.clock +. call_overhead eng;
   let bytes = Datatype.bytes dt ~count in
-  let dst_world = comm.c_ranks.(dest) in
+  let dst_world = ctx.world.c_ranks.(dest) in
   if bytes <= eng.impl.Mpi_impl.eager_threshold_bytes then begin
     let avail = proc.clock +. wire_time eng ~src:proc.rank ~dst:dst_world ~bytes in
     deliver eng
@@ -436,7 +426,6 @@ let send_internal ctx ~comm ~dest ~tag ~dt ~count =
         m_src = proc.rank;
         m_dst = dst_world;
         m_tag = tag;
-        m_comm = comm.c_id;
         m_bytes = bytes;
         m_avail = avail;
         m_rdv = false;
@@ -451,7 +440,6 @@ let send_internal ctx ~comm ~dest ~tag ~dt ~count =
         m_src = proc.rank;
         m_dst = dst_world;
         m_tag = tag;
-        m_comm = comm.c_id;
         m_bytes = bytes;
         m_avail = infinity;
         m_rdv = true;
@@ -461,12 +449,12 @@ let send_internal ctx ~comm ~dest ~tag ~dt ~count =
     wait_request ctx sreq
   end
 
-let isend_internal ctx ~comm ~dest ~tag ~dt ~count =
+let isend_internal ctx ~dest ~tag ~dt ~count =
   let eng = ctx.eng in
   let proc = ctx.proc in
   proc.clock <- proc.clock +. call_overhead eng;
   let bytes = Datatype.bytes dt ~count in
-  let dst_world = comm.c_ranks.(dest) in
+  let dst_world = ctx.world.c_ranks.(dest) in
   let req = fresh_request eng in
   if bytes <= eng.impl.Mpi_impl.eager_threshold_bytes then begin
     req.r_done <- Some proc.clock;
@@ -476,7 +464,6 @@ let isend_internal ctx ~comm ~dest ~tag ~dt ~count =
         m_src = proc.rank;
         m_dst = dst_world;
         m_tag = tag;
-        m_comm = comm.c_id;
         m_bytes = bytes;
         m_avail = avail;
         m_rdv = false;
@@ -490,7 +477,6 @@ let isend_internal ctx ~comm ~dest ~tag ~dt ~count =
         m_src = proc.rank;
         m_dst = dst_world;
         m_tag = tag;
-        m_comm = comm.c_id;
         m_bytes = bytes;
         m_avail = infinity;
         m_rdv = true;
@@ -499,45 +485,40 @@ let isend_internal ctx ~comm ~dest ~tag ~dt ~count =
       };
   req
 
-let irecv_internal ctx ~comm ~src ~tag ~dt ~count =
+let irecv_internal ctx ~src ~tag ~dt ~count =
   let eng = ctx.eng in
   let proc = ctx.proc in
   proc.clock <- proc.clock +. call_overhead eng;
   let req = fresh_request eng in
-  let src_world = if src = Call.any_source then Call.any_source else comm.c_ranks.(src) in
+  let src_world = if src = Call.any_source then Call.any_source else ctx.world.c_ranks.(src) in
   post_recv eng ~owner:proc.rank
     {
       p_src = src_world;
       p_tag = tag;
-      p_comm = comm.c_id;
       p_post = proc.clock;
       p_req = req;
     };
   ignore (Datatype.bytes dt ~count);
   req
 
-let recv_internal ctx ~comm ~src ~tag ~dt ~count =
-  let req = irecv_internal ctx ~comm ~src ~tag ~dt ~count in
-  (* the overhead was charged by irecv_internal; just wait *)
-  wait_request ctx req
-
 let send ctx ~dest ~tag ~dt ~count =
   emit ctx (Call.Send { peer = dest; tag; dt; count });
-  send_internal ctx ~comm:ctx.world ~dest ~tag ~dt ~count
+  send_internal ctx ~dest ~tag ~dt ~count
 
 let recv ctx ~src ~tag ~dt ~count =
   emit ctx (Call.Recv { peer = src; tag; dt; count });
-  recv_internal ctx ~comm:ctx.world ~src ~tag ~dt ~count
+  (* the overhead is charged by irecv_internal; just wait *)
+  wait_request ctx (irecv_internal ctx ~src ~tag ~dt ~count)
 
 let isend ctx ~dest ~tag ~dt ~count =
   let call_req = ctx.eng.next_req in
   emit ctx (Call.Isend ({ peer = dest; tag; dt; count }, call_req));
-  isend_internal ctx ~comm:ctx.world ~dest ~tag ~dt ~count
+  isend_internal ctx ~dest ~tag ~dt ~count
 
 let irecv ctx ~src ~tag ~dt ~count =
   let call_req = ctx.eng.next_req in
   emit ctx (Call.Irecv ({ peer = src; tag; dt; count }, call_req));
-  irecv_internal ctx ~comm:ctx.world ~src ~tag ~dt ~count
+  irecv_internal ctx ~src ~tag ~dt ~count
 
 let wait ctx req =
   emit ctx (Call.Wait req.r_id);
@@ -556,8 +537,8 @@ let sendrecv ctx ~dest ~send_tag ~src ~recv_tag ~dt ~send_count ~recv_count =
          send = { peer = dest; tag = send_tag; dt; count = send_count };
          recv = { peer = src; tag = recv_tag; dt; count = recv_count };
        });
-  let rreq = irecv_internal ctx ~comm:ctx.world ~src ~tag:recv_tag ~dt ~count:recv_count in
-  send_internal ctx ~comm:ctx.world ~dest ~tag:send_tag ~dt ~count:send_count;
+  let rreq = irecv_internal ctx ~src ~tag:recv_tag ~dt ~count:recv_count in
+  send_internal ctx ~dest ~tag:send_tag ~dt ~count:send_count;
   wait_request ctx rreq
 
 (* ------------------------------------------------------------------ *)
@@ -875,9 +856,9 @@ let run ~platform ~impl ~nranks ?hook ?observer ?(seed = 42) ?(counter_noise = 0
       nranks;
       procs;
       runq = Queue.create ();
-      unexpected = Hashtbl.create 64;
-      posted = Hashtbl.create 64;
-      wildcard_posted = Hashtbl.create 8;
+      unexpected = Array.init nranks (fun _ -> Queue.create ());
+      posted = Array.init nranks (fun _ -> Queue.create ());
+      wildcard_posted = Array.make nranks false;
       comm_ranks = Hashtbl.create 8;
       pending_colls = Hashtbl.create 8;
       hook;
@@ -952,15 +933,16 @@ let run ~platform ~impl ~nranks ?hook ?observer ?(seed = 42) ?(counter_noise = 0
                   (String.concat "; " blocked)))
   in
   loop ();
-  let unreceived = Hashtbl.fold (fun _ q acc -> acc + Queue.length q) eng.unexpected 0 in
+  let unreceived = Array.fold_left (fun acc q -> acc + Queue.length q) 0 eng.unexpected in
   let unreceived_wildcard_prone =
-    (* leftovers on a (comm, dst) where dst posted a wildcard recv at some
+    (* leftovers at a destination that posted a wildcard recv at some
        point: a different wildcard matching could have absorbed them, so
        they are not provably orphaned sends *)
-    Hashtbl.fold
-      (fun key q acc ->
-        if Hashtbl.mem eng.wildcard_posted key then acc + Queue.length q else acc)
-      eng.unexpected 0
+    let n = ref 0 in
+    Array.iteri
+      (fun dst q -> if eng.wildcard_posted.(dst) then n := !n + Queue.length q)
+      eng.unexpected;
+    !n
   in
   if Metrics.enabled () then begin
     (* flush the per-kind accumulators gathered by [count_call] into the

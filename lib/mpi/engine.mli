@@ -207,9 +207,10 @@ type result = {
           {!Siesta_analysis.Comm_check} establishes statically and
           [Divergence]'s structural "unmatched sends" reason gates on *)
   unreceived_wildcard_prone : int;
-      (** the subset of [unreceived_messages] left on a (communicator,
-          destination) pair where the destination posted at least one
-          [ANY_SOURCE]/[ANY_TAG] receive: under a different (equally
+      (** the subset of [unreceived_messages] left at a destination
+          rank that posted at least one [ANY_SOURCE]/[ANY_TAG] receive
+          (point-to-point traffic runs on the world communicator, so the
+          split is per rank): under a different (equally
           legal) wildcard matching those messages might have been
           received, so they are not evidence of a structural defect *)
 }

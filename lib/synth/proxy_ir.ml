@@ -105,11 +105,8 @@ let max_comm_slots t =
 
 let program t =
   let terminals = Array.map (Shrink.event t.shrink) t.merged.Merged.terminals in
+  let works = Array.map Block.works_of_combination t.combos in
   fun ctx ->
-    let compute cid =
-      List.iter (Engine.compute_work ctx) (Block.works_of_combination t.combos.(cid))
-    in
+    let compute cid = List.iter (Engine.compute_work ctx) works.(cid) in
     let replay = Replay.create ctx ~compute in
-    Array.iter
-      (fun id -> Replay.exec replay terminals.(id))
-      (Merged.expand_for_rank t.merged (Engine.rank ctx))
+    Merged.iter_rank (fun id -> Replay.exec replay terminals.(id)) t.merged (Engine.rank ctx)

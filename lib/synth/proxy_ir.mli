@@ -35,9 +35,11 @@ val mean_combo_error : t -> float
 
 val program : t -> Siesta_mpi.Engine.ctx -> unit
 (** The proxy as an SPMD rank program for {!Siesta_mpi.Engine.run}.
-    [program t] maps the terminal table through {!Shrink.event} once;
-    each rank then replays its expansion through {!Siesta_trace.Replay},
-    running a computation event as its cluster's block combination. *)
+    [program t] maps the terminal table through {!Shrink.event} and each
+    cluster's block combination to its work list once; each rank then
+    walks its expansion ({!Siesta_merge.Merged.iter_rank}) through
+    {!Siesta_trace.Replay}, running a computation event as its cluster's
+    work list. *)
 
 val max_request_slots : t -> int
 (** Highest pooled request id used plus one (the C code's array size). *)

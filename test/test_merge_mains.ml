@@ -125,6 +125,25 @@ let test_empty_streams () =
   Alcotest.(check int) "no terminals" 0 (Array.length merged.Merged.terminals);
   Alcotest.(check int) "empty expansion" 0 (Array.length (Merged.expand_for_rank merged 0))
 
+(* A main entry and a rule body are both walked by Grammar.iter_rule, so
+   an out-of-range reference in either raises the same typed error. *)
+let test_bad_rule_reference () =
+  let one_rank main rule =
+    {
+      Merged.nranks = 1;
+      terminals = [| barrier |];
+      rules = [| rule |];
+      mains = [| [ { Merged.sym = main; reps = 1; ranks = Rank_list.singleton 0 } ] |];
+      main_ranks = [| Rank_list.singleton 0 |];
+    }
+  in
+  let raises what m =
+    Alcotest.check_raises what (Invalid_argument "Grammar: rule reference 99 out of range")
+      (fun () -> ignore (Merged.expand_for_rank m 0))
+  in
+  raises "main entry N 99" (one_rank (Grammar.N 99) [ { Grammar.sym = T 0; reps = 1 } ]);
+  raises "rule entry N 99" (one_rank (Grammar.N 0) [ { Grammar.sym = N 99; reps = 1 } ])
+
 let test_single_rank () =
   let merged = merge [| [| barrier; send 1; barrier |] |] in
   Alcotest.(check int) "one cluster" 1 (Array.length merged.Merged.mains);
@@ -223,6 +242,7 @@ let suite =
     ("rule depths consistent after merge", `Quick, test_depth_consistency_after_merge);
     ("empty streams", `Quick, test_empty_streams);
     ("single rank", `Quick, test_single_rank);
+    ("out-of-range rule reference is a typed error", `Quick, test_bad_rule_reference);
     ("reversed sends stay in two clusters", `Quick, test_reversed_sends_stay_apart);
     ("cluster threshold is inclusive", `Quick, test_threshold_is_inclusive);
   ]
