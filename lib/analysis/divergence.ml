@@ -436,44 +436,19 @@ let perturb what (ir : Proxy_ir.t) =
   | `Comm ->
       let m = ir.Proxy_ir.merged in
       let terminals = Array.copy m.Merged.terminals in
-      let bump_p2p (p : Event.p2p) = { p with Event.count = p.Event.count + 1 } in
-      (* bump the first send-side terminal; fall back to any
-         payload-carrying collective *)
-      let done_ = ref false in
-      let n = Array.length terminals in
-      let i = ref 0 in
-      while (not !done_) && !i < n do
-        (match terminals.(!i) with
-        | Event.Send p ->
-            terminals.(!i) <- Event.Send (bump_p2p p);
-            done_ := true
-        | Event.Isend (p, r) ->
-            terminals.(!i) <- Event.Isend (bump_p2p p, r);
-            done_ := true
-        | Event.Sendrecv { send; recv } ->
-            terminals.(!i) <- Event.Sendrecv { send = bump_p2p send; recv };
-            done_ := true
-        | _ -> ());
-        incr i
-      done;
-      i := 0;
-      while (not !done_) && !i < n do
-        (match terminals.(!i) with
-        | Event.Bcast c -> terminals.(!i) <- Event.Bcast { c with count = c.count + 1 }; done_ := true
-        | Event.Allreduce c ->
-            terminals.(!i) <- Event.Allreduce { c with count = c.count + 1 };
-            done_ := true
-        | Event.Allgather c ->
-            terminals.(!i) <- Event.Allgather { c with count = c.count + 1 };
-            done_ := true
-        | Event.Alltoall c ->
-            terminals.(!i) <- Event.Alltoall { c with count = c.count + 1 };
-            done_ := true
-        | Event.Reduce c ->
-            terminals.(!i) <- Event.Reduce { c with count = c.count + 1 };
-            done_ := true
-        | _ -> ());
-        incr i
-      done;
-      if not !done_ then invalid_arg "Divergence.perturb: no perturbable terminal";
-      { ir with Proxy_ir.merged = { m with Merged.terminals } }
+      (* bump the first count of the first send-side terminal (a
+         Sendrecv's send count, which map_counts visits first); fall back
+         to any payload-carrying collective *)
+      let sends = function Event.Send _ | Event.Isend _ | Event.Sendrecv _ -> true | _ -> false in
+      let colls = function
+        | Event.Bcast _ | Event.Allreduce _ | Event.Allgather _ | Event.Alltoall _ | Event.Reduce _ ->
+            true
+        | _ -> false
+      in
+      match List.find_map (fun kind -> Array.find_index kind terminals) [ sends; colls ] with
+      | None -> invalid_arg "Divergence.perturb: no perturbable terminal"
+      | Some i ->
+          let first = ref true in
+          let bump _ c = if !first then (first := false; c + 1) else c in
+          terminals.(i) <- Event.map_counts bump terminals.(i);
+          { ir with Proxy_ir.merged = { m with Merged.terminals } }

@@ -1,8 +1,6 @@
 module Event = Siesta_trace.Event
 module Trace_io = Siesta_trace.Trace_io
 module Counters = Siesta_perf.Counters
-module Call = Siesta_mpi.Call
-module Datatype = Siesta_mpi.Datatype
 module Matrix = Siesta_numerics.Matrix
 module Lsq = Siesta_numerics.Lsq
 module Comm_matrix = Siesta_analysis.Comm_matrix
@@ -84,47 +82,11 @@ let scale_of (t : Trace_io.t) =
 
 let shape_key (ev : Event.t) =
   match ev with
-  | Event.Send p -> Printf.sprintf "S:%d:%s" p.tag (Datatype.name p.dt)
-  | Event.Recv p -> Printf.sprintf "R:%d:%s" p.tag (Datatype.name p.dt)
-  | Event.Isend (p, slot) -> Printf.sprintf "IS:%d:%s:%d" p.tag (Datatype.name p.dt) slot
-  | Event.Irecv (p, slot) -> Printf.sprintf "IR:%d:%s:%d" p.tag (Datatype.name p.dt) slot
-  | Event.Wait s -> Printf.sprintf "W:%d" s
-  | Event.Waitall ss -> "WA:" ^ String.concat "," (List.map string_of_int ss)
-  | Event.Sendrecv { send; recv } ->
-      Printf.sprintf "SR:%d:%d:%s" send.tag recv.tag (Datatype.name send.dt)
-  | Event.Barrier { comm } -> Printf.sprintf "B:%d" comm
-  | Event.Bcast { comm; root; dt; _ } -> Printf.sprintf "BC:%d:%d:%s" comm root (Datatype.name dt)
-  | Event.Reduce { comm; root; dt; op; _ } ->
-      Printf.sprintf "RD:%d:%d:%s:%s" comm root (Datatype.name dt) (Siesta_mpi.Op.name op)
-  | Event.Allreduce { comm; dt; op; _ } ->
-      Printf.sprintf "AR:%d:%s:%s" comm (Datatype.name dt) (Siesta_mpi.Op.name op)
-  | Event.Alltoall { comm; dt; _ } -> Printf.sprintf "A2:%d:%s" comm (Datatype.name dt)
-  | Event.Allgather { comm; dt; _ } -> Printf.sprintf "AG:%d:%s" comm (Datatype.name dt)
-  | Event.Gather { comm; root; dt; _ } ->
-      Printf.sprintf "G:%d:%d:%s" comm root (Datatype.name dt)
-  | Event.Scatter { comm; root; dt; _ } ->
-      Printf.sprintf "SC:%d:%d:%s" comm root (Datatype.name dt)
-  | Event.Scan { comm; dt; op; _ } ->
-      Printf.sprintf "SN:%d:%s:%s" comm (Datatype.name dt) (Siesta_mpi.Op.name op)
-  | Event.Exscan { comm; dt; op; _ } ->
-      Printf.sprintf "EX:%d:%s:%s" comm (Datatype.name dt) (Siesta_mpi.Op.name op)
-  | Event.Reduce_scatter { comm; dt; op; _ } ->
-      Printf.sprintf "RS:%d:%s:%s" comm (Datatype.name dt) (Siesta_mpi.Op.name op)
-  | Event.File_open { comm; file } -> Printf.sprintf "FO:%d:%d" comm file
-  | Event.File_close { file } -> Printf.sprintf "FC:%d" file
-  | Event.File_write_all { file; dt; _ } -> Printf.sprintf "FW:%d:%s" file (Datatype.name dt)
-  | Event.File_read_all { file; dt; _ } -> Printf.sprintf "FR:%d:%s" file (Datatype.name dt)
-  | Event.File_write_at { file; dt; _ } -> Printf.sprintf "FWI:%d:%s" file (Datatype.name dt)
-  | Event.File_read_at { file; dt; _ } -> Printf.sprintf "FRI:%d:%s" file (Datatype.name dt)
-  | Event.Ibarrier { comm; req } -> Printf.sprintf "IB:%d:%d" comm req
-  | Event.Ibcast { comm; root; dt; req; _ } ->
-      Printf.sprintf "IBC:%d:%d:%s:%d" comm root (Datatype.name dt) req
-  | Event.Iallreduce { comm; dt; op; req; _ } ->
-      Printf.sprintf "IAR:%d:%s:%s:%d" comm (Datatype.name dt) (Siesta_mpi.Op.name op) req
   | Event.Compute _ -> "CP"
   | Event.Alltoallv _ -> fail "MPI_Alltoallv carries a per-peer vector; not scale-regular"
   | Event.Comm_split _ | Event.Comm_dup _ | Event.Comm_free _ ->
       fail "dynamic communicators are not supported by the scale model"
+  | _ -> Event.to_key (Event.map_peers (fun _ -> 0) (Event.map_counts (fun _ _ -> 0) ev))
 
 (* ------------------------------------------------------------------ *)
 (* Parameter models                                                     *)
@@ -252,68 +214,26 @@ type t = {
 
 let classes t = List.length t.class_models
 
-(* decompose an event into (count slots, peer slots, compute cluster) *)
-let counts_of (ev : Event.t) =
-  match ev with
-  | Event.Send p | Event.Recv p | Event.Isend (p, _) | Event.Irecv (p, _) -> [ p.count ]
-  | Event.Sendrecv { send; recv } -> [ send.count; recv.count ]
-  | Event.Bcast { count; _ }
-  | Event.Reduce { count; _ }
-  | Event.Allreduce { count; _ }
-  | Event.Alltoall { count; _ }
-  | Event.Allgather { count; _ }
-  | Event.Gather { count; _ }
-  | Event.Scatter { count; _ }
-  | Event.Scan { count; _ }
-  | Event.Exscan { count; _ }
-  | Event.Reduce_scatter { count; _ }
-  | Event.File_write_all { count; _ }
-  | Event.File_read_all { count; _ }
-  | Event.File_write_at { count; _ }
-  | Event.File_read_at { count; _ }
-  | Event.Ibcast { count; _ }
-  | Event.Iallreduce { count; _ } ->
-      [ count ]
-  | _ -> []
+(* An event's counts and peers, in the order Event's traversals visit
+   them; [rebuild] hands them back in the same order. *)
+let collect map ev =
+  let acc = ref [] in
+  ignore (map (fun v -> acc := v :: !acc; v) ev : Event.t);
+  Array.of_list (List.rev !acc)
 
-let peers_of (ev : Event.t) =
-  match ev with
-  | Event.Send p | Event.Recv p | Event.Isend (p, _) | Event.Irecv (p, _) -> [ p.rel_peer ]
-  | Event.Sendrecv { send; recv } -> [ send.rel_peer; recv.rel_peer ]
-  | _ -> []
+let counts_of = collect (fun f -> Event.map_counts (fun _ c -> f c))
+let peers_of = collect Event.map_peers
 
-let rebuild (ev : Event.t) ~counts ~peers ~compute : Event.t =
-  let c i = List.nth counts i in
-  let pr i = List.nth peers i in
+let rebuild (ev : Event.t) ~counts ~peers ~compute =
+  let next values =
+    let i = ref (-1) in
+    fun _ -> incr i; values.(!i)
+  in
   match ev with
-  | Event.Send p -> Event.Send { p with count = c 0; rel_peer = pr 0 }
-  | Event.Recv p -> Event.Recv { p with count = c 0; rel_peer = pr 0 }
-  | Event.Isend (p, s) -> Event.Isend ({ p with count = c 0; rel_peer = pr 0 }, s)
-  | Event.Irecv (p, s) -> Event.Irecv ({ p with count = c 0; rel_peer = pr 0 }, s)
-  | Event.Sendrecv { send; recv } ->
-      Event.Sendrecv
-        {
-          send = { send with count = c 0; rel_peer = pr 0 };
-          recv = { recv with count = c 1; rel_peer = pr 1 };
-        }
-  | Event.Bcast b -> Event.Bcast { b with count = c 0 }
-  | Event.Reduce r -> Event.Reduce { r with count = c 0 }
-  | Event.Allreduce r -> Event.Allreduce { r with count = c 0 }
-  | Event.Alltoall a -> Event.Alltoall { a with count = c 0 }
-  | Event.Allgather a -> Event.Allgather { a with count = c 0 }
-  | Event.Gather g -> Event.Gather { g with count = c 0 }
-  | Event.Scatter s -> Event.Scatter { s with count = c 0 }
-  | Event.Scan s -> Event.Scan { s with count = c 0 }
-  | Event.Exscan e -> Event.Exscan { e with count = c 0 }
-  | Event.Reduce_scatter r -> Event.Reduce_scatter { r with count = c 0 }
-  | Event.Ibcast b -> Event.Ibcast { b with count = c 0 }
-  | Event.Iallreduce a -> Event.Iallreduce { a with count = c 0 }
-  | Event.File_write_all f -> Event.File_write_all { f with count = c 0 }
-  | Event.File_read_all f -> Event.File_read_all { f with count = c 0 }
-  | Event.File_write_at f -> Event.File_write_at { f with count = c 0 }
-  | Event.File_read_at f -> Event.File_read_at { f with count = c 0 }
   | Event.Compute _ -> Event.Compute (Option.get compute)
-  | other -> other
+  | _ ->
+      let count = next counts in
+      Event.map_peers (next peers) (Event.map_counts (fun _ c -> count c) ev)
 
 let fit traces =
   if List.length traces < 3 then invalid_arg "Scale_model.fit: need at least three scales";
@@ -405,23 +325,20 @@ let fit traces =
           Array.mapi
             (fun i template ->
               let counts =
-                List.mapi (fun slot _ -> slot) (counts_of template)
-                |> List.map (fun slot ->
-                       fit_count
-                         (List.map
-                            (fun (s, stream) ->
-                              (s.nx, s.ny, List.nth (counts_of stream.(i)) slot))
-                            occurrences))
-                |> Array.of_list
+                Array.mapi
+                  (fun slot _ ->
+                    fit_count
+                      (List.map
+                         (fun (s, stream) -> (s.nx, s.ny, (counts_of stream.(i)).(slot)))
+                         occurrences))
+                  (counts_of template)
               in
               let peers =
-                List.mapi (fun slot _ -> slot) (peers_of template)
-                |> List.map (fun slot ->
-                       fit_peer ~cls
-                         (List.map
-                            (fun (s, stream) -> (s, List.nth (peers_of stream.(i)) slot))
-                            occurrences))
-                |> Array.of_list
+                Array.mapi
+                  (fun slot _ ->
+                    fit_peer ~cls
+                      (List.map (fun (s, stream) -> (s, (peers_of stream.(i)).(slot))) occurrences))
+                  (peers_of template)
               in
               let compute =
                 match template with
@@ -517,10 +434,8 @@ let instantiate t ~nranks =
         in
         Array.map
           (fun m ->
-            let counts = Array.to_list (Array.map (fun cm -> eval_count cm ~nx ~ny) m.counts) in
-            let peers =
-              Array.to_list (Array.map (fun pm -> eval_peer pm ~nx ~ny ~px ~py) m.peers)
-            in
+            let counts = Array.map (fun cm -> eval_count cm ~nx ~ny) m.counts in
+            let peers = Array.map (fun pm -> eval_peer pm ~nx ~ny ~px ~py) m.peers in
             rebuild m.template ~counts ~peers ~compute:m.compute)
           models)
   in

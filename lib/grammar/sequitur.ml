@@ -19,8 +19,8 @@
    closes, while a reference's rule field names the rule it points to.
 
    Slot reuse.  Removed nodes and retired rules go on a dead list and
-   return to the free list only when the current [append] finishes.
-   Within one append the classic algorithm may still read a removed
+   return to the free list only when the current [push] finishes.
+   Within one push the classic algorithm may still read a removed
    node's links (e.g. [enforce_utility] after an expansion), so those
    fields must stay exactly as they were at removal.
 
@@ -144,7 +144,7 @@ let alloc_rule t ~rid =
   t.rules.(b + f_rid) <- rid;
   r
 
-(* Return the slots retired by one append to the free lists. *)
+(* Return the slots retired by one push to the free lists. *)
 let recycle t =
   while t.dead_nodes.len > 0 do
     Int_stack.push t.free_nodes (Int_stack.pop t.dead_nodes)
@@ -420,18 +420,12 @@ and expand_reference t node x =
   Int_stack.push t.dead_rules x;
   if not (check t l) then ignore (check t q : bool)
 
-let append t v =
+let push t v =
   let lastn = prev t (guard t s_rule) in
   let x = alloc_node t ~sym:(2 * v) ~reps:1 ~rule:(-1) in
   append_raw t s_rule x;
   ignore (check t lastn : bool);
   recycle t
-
-let append_seq t a = Array.iter (append t) a
-
-(* Streaming alias: [push] is [append] under the name the merge's
-   per-rank pass uses. *)
-let push = append
 
 let node_capacity t = Array.length t.nodes / node_size
 
@@ -449,7 +443,7 @@ let live_rules t =
   |> List.filter (fun r -> r <> s_rule && guard t r >= 0)
   |> List.sort (fun a b -> compare (rid t a) (rid t b))
 
-let to_grammar t =
+let finalize t =
   let live = live_rules t in
   let index = Hashtbl.create 64 in
   List.iteri (fun i r -> Hashtbl.replace index r i) live;
@@ -460,15 +454,10 @@ let to_grammar t =
   let body_of r = List.map entry_of (body_nodes t r) in
   { Grammar.main = body_of s_rule; rules = Array.of_list (List.map body_of live) }
 
-(* [finalize] exports without invalidating the builder: Sequitur's
-   invariants hold after every symbol, so "finishing" a stream needs no
-   extra work beyond the export itself. *)
-let finalize = to_grammar
-
 let of_seq ?rle a =
   let t = create ?rle () in
-  append_seq t a;
-  to_grammar t
+  Array.iter (push t) a;
+  finalize t
 
 (* ------------------------------------------------------------------ *)
 (* Invariant checking (test support)                                    *)

@@ -29,24 +29,16 @@ val reset : t -> unit
     [rle], but keep its grown arrays.  The grammar built next is the
     one a fresh builder would build; only the allocation differs. *)
 
-val append : t -> int -> unit
-(** Feed the next terminal of the stream. *)
-
-val append_seq : t -> int array -> unit
-
 val push : t -> int -> unit
-(** Streaming name for {!append}: feed one symbol as it is produced.  The
+(** Feed the next terminal of the stream, as it is produced.  The
     grammar invariants are re-established before [push] returns, so the
     builder can be {!finalize}d (or kept growing) at any point. *)
 
-val to_grammar : t -> Grammar.t
-(** Export the current grammar with rules compacted to a dense [0..n-1]
-    numbering.  The builder remains usable afterwards. *)
-
 val finalize : t -> Grammar.t
-(** End-of-stream export for the {!push} API.  Identical to
-    {!to_grammar}: Sequitur maintains its invariants after every symbol,
-    so finishing a stream requires no catch-up work. *)
+(** Export the current grammar with rules compacted to a dense [0..n-1]
+    numbering.  Sequitur maintains its invariants after every symbol, so
+    this needs no catch-up work, and the builder remains usable
+    afterwards. *)
 
 val of_seq : ?rle:bool -> int array -> Grammar.t
 (** One-shot convenience: feed the whole sequence and export. *)

@@ -1,11 +1,11 @@
 (* Longest common subsequence, three ways:
 
    - [length ~eq]: the classic O(nm) rolling-row DP for arbitrary element
-     types (kept for API compatibility and as a reference oracle);
+     types (kept as the reference oracle for the int entry points);
    - [length_int]: the bit-parallel LLCS of Crochemore–Iliopoulos–Pinzon–
      Reid / Hyyro for [int array]s — O(nm / 62) word operations, which is
      what the main-rule clustering loop runs on interned entry ids;
-   - [pairs] / [pairs_int]: Hirschberg's divide-and-conquer backtracking in
+   - [pairs_int]: Hirschberg's divide-and-conquer backtracking in
      O(min(n, m)) memory.  The previous implementation materialized the
      full (n+1)x(m+1) DP table and silently returned no matches above a
      16M-cell budget, which made large-main merges degrade to pure
@@ -93,67 +93,8 @@ let length_int (a : int array) (b : int array) =
 (* ------------------------------------------------------------------ *)
 (* Hirschberg backtracking: O(nm) time, O(m) memory, no cell budget.
    Matched pairs are strictly increasing in both coordinates and their
-   count equals the LCS length.  Generic and int-specialized variants
-   share the structure; the int one runs monomorphic loops with [=] on
-   immediates. *)
-
-(* forward:  row.(j) = LCS(a[alo..ahi), b[blo..blo+j))  for j in 0..bn *)
-let forward_row ~eq a alo ahi b blo bn =
-  let prev = ref (Array.make (bn + 1) 0) and cur = ref (Array.make (bn + 1) 0) in
-  for i = alo to ahi - 1 do
-    let p = !prev and c = !cur in
-    let ai = a.(i) in
-    for j = 1 to bn do
-      c.(j) <- (if eq ai b.(blo + j - 1) then p.(j - 1) + 1 else max p.(j) c.(j - 1))
-    done;
-    prev := c;
-    cur := p
-  done;
-  !prev
-
-(* backward: row.(j) = LCS(a[alo..ahi), b[blo+j..bhi))  for j in 0..bn *)
-let backward_row ~eq a alo ahi b blo bn =
-  let prev = ref (Array.make (bn + 1) 0) and cur = ref (Array.make (bn + 1) 0) in
-  for i = ahi - 1 downto alo do
-    let p = !prev and c = !cur in
-    let ai = a.(i) in
-    for j = bn - 1 downto 0 do
-      c.(j) <- (if eq ai b.(blo + j) then p.(j + 1) + 1 else max p.(j) c.(j + 1))
-    done;
-    prev := c;
-    cur := p
-  done;
-  !prev
-
-let rec hirschberg ~eq a alo ahi b blo bhi acc =
-  let an = ahi - alo and bn = bhi - blo in
-  if an = 0 || bn = 0 then acc
-  else if an = 1 then begin
-    (* single element: first match in the window, if any *)
-    let rec find j = if j >= bhi then acc else if eq a.(alo) b.(j) then (alo, j) :: acc else find (j + 1) in
-    find blo
-  end
-  else begin
-    let mid = alo + (an / 2) in
-    let f = forward_row ~eq a alo mid b blo bn in
-    let g = backward_row ~eq a mid ahi b blo bn in
-    let best = ref (-1) and split = ref 0 in
-    for k = 0 to bn do
-      let v = f.(k) + g.(k) in
-      if v > !best then begin
-        best := v;
-        split := k
-      end
-    done;
-    let k = !split in
-    let acc = hirschberg ~eq a alo mid b blo (blo + k) acc in
-    hirschberg ~eq a mid ahi b (blo + k) bhi acc
-  end
-
-let pairs ~eq a b =
-  List.rev (hirschberg ~eq a 0 (Array.length a) b 0 (Array.length b) [])
-
-(* int-specialized rows (monomorphic compares, no closure per cell) *)
+   count equals the LCS length.  The loops are monomorphic, with [=] on
+   immediates and no closure per cell. *)
 
 let forward_row_int (a : int array) alo ahi (b : int array) blo bn =
   let prev = ref (Array.make (bn + 1) 0) and cur = ref (Array.make (bn + 1) 0) in

@@ -4,18 +4,18 @@
     Two families of entry points:
 
     - the generic [~eq] functions work on any element type with a
-      quadratic rolling-row DP — kept as the reference implementation and
-      for callers with structured elements;
+      quadratic rolling-row DP — kept as the reference implementation the
+      tests check the int entry points against;
     - the [_int] functions are the hot path: the merge pipeline interns
       main-rule positions into immediate [int]s, so {!length_int} runs
       the bit-parallel LLCS (Crochemore et al. / Hyyro, ~62 DP cells per
       word operation) and {!pairs_int} runs monomorphic loops with [=] on
       unboxed ints.
 
-    Backtracking uses Hirschberg's divide-and-conquer, so {!pairs} needs
-    only O(min(n, m)) memory and has {e no} input-size cliff (the old
-    implementation returned no matches above a 16M-cell budget, degrading
-    large merges to concatenation). *)
+    Backtracking uses Hirschberg's divide-and-conquer, so {!pairs_int}
+    needs only O(min(n, m)) memory and has {e no} input-size cliff (the
+    old implementation returned no matches above a 16M-cell budget,
+    degrading large merges to concatenation). *)
 
 val length : eq:('a -> 'a -> bool) -> 'a array -> 'a array -> int
 (** Length of an LCS. *)
@@ -23,12 +23,10 @@ val length : eq:('a -> 'a -> bool) -> 'a array -> 'a array -> int
 val length_int : int array -> int array -> int
 (** {!length} specialized to ints, bit-parallel. *)
 
-val pairs : eq:('a -> 'a -> bool) -> 'a array -> 'a array -> (int * int) list
-(** Matched index pairs [(i, j)] of one LCS, strictly increasing in both
-    components; the list length equals {!length}.  O(min(n, m)) memory. *)
-
 val pairs_int : int array -> int array -> (int * int) list
-(** {!pairs} specialized to ints. *)
+(** Matched index pairs [(i, j)] of one LCS, strictly increasing in both
+    components; the list length equals {!length_int}.  O(min(n, m))
+    memory. *)
 
 val indel_distance : eq:('a -> 'a -> bool) -> 'a array -> 'a array -> int
 (** Minimum insertions+deletions turning one array into the other:

@@ -74,8 +74,8 @@ type coll_payload = {
 
 (* [cp_count] is the length of [cp_arrived], kept so that each arrival
    tests for the last one in O(1) instead of walking the list; the list
-   itself is read once, by the last arriver ([coll_finish], [comm_split],
-   [file_open]). *)
+   itself is read once, by the last arriver ([coll_finish],
+   [split_collective], [file_open]). *)
 type coll_pending = {
   cp_kind : string;
   mutable cp_arrived : coll_payload list;  (* newest first *)
@@ -126,7 +126,6 @@ type engine = {
       (* owners that posted at least one ANY_SOURCE/ANY_TAG recv —
          finalize uses this to split truly orphaned leftovers from
          wildcard-prone ones *)
-  comm_ranks : (int, int array) Hashtbl.t;  (* comm id -> world ranks *)
   pending_colls : (int * int, coll_pending) Hashtbl.t;
       (* (comm id, collective index) -> in-flight collective; the index is
          each rank's count of collectives initiated on that communicator,
@@ -174,13 +173,16 @@ let[@inline] fmax (a : float) b = if a >= b then a else b
 
 let call_overhead eng = eng.impl.Mpi_impl.call_overhead_s
 
+let[@inline] wire_seconds ~platform ~impl ~same_node ~bytes =
+  let net = platform.Spec.network in
+  let lat = if same_node then net.Network.intra_latency_s else net.Network.inter_latency_s in
+  let bw = if same_node then net.Network.intra_bandwidth_bps else net.Network.inter_bandwidth_bps in
+  (lat *. impl.Mpi_impl.latency_factor)
+  +. (float_of_int bytes /. (bw *. impl.Mpi_impl.bandwidth_factor))
+
 let wire_time eng ~src ~dst ~bytes =
-  let net = eng.platform.Spec.network in
-  let same = Spec.same_node eng.platform src dst in
-  let lat = if same then net.Network.intra_latency_s else net.Network.inter_latency_s in
-  let bw = if same then net.Network.intra_bandwidth_bps else net.Network.inter_bandwidth_bps in
-  (lat *. eng.impl.Mpi_impl.latency_factor)
-  +. (float_of_int bytes /. (bw *. eng.impl.Mpi_impl.bandwidth_factor))
+  wire_seconds ~platform:eng.platform ~impl:eng.impl
+    ~same_node:(Spec.same_node eng.platform src dst) ~bytes
 
 let log2_ceil p =
   let rec go acc v = if v >= p then acc else go (acc + 1) (v * 2) in
@@ -240,13 +242,7 @@ let coll_cost eng ranks kind bytes =
   end
 
 let estimate_p2p_seconds ~platform ~impl ~same_node ~bytes =
-  let net = platform.Spec.network in
-  let lat = if same_node then net.Network.intra_latency_s else net.Network.inter_latency_s in
-  let bw = if same_node then net.Network.intra_bandwidth_bps else net.Network.inter_bandwidth_bps in
-  let wire =
-    (lat *. impl.Mpi_impl.latency_factor)
-    +. (float_of_int bytes /. (bw *. impl.Mpi_impl.bandwidth_factor))
-  in
+  let wire = wire_seconds ~platform ~impl ~same_node ~bytes in
   let rdv = if bytes > impl.Mpi_impl.eager_threshold_bytes then impl.Mpi_impl.rendezvous_extra_s else 0.0 in
   impl.Mpi_impl.call_overhead_s +. wire +. rdv
 
@@ -413,76 +409,44 @@ let wait_request ctx req =
       | None -> assert false
     end
 
-let send_internal ctx ~dest ~tag ~dt ~count =
-  let eng = ctx.eng in
-  let proc = ctx.proc in
+let eager eng bytes = bytes <= eng.impl.Mpi_impl.eager_threshold_bytes
+
+(* Charge the call overhead and post a [bytes]-byte message to [dest].
+   An eager message is available at the receiver after its wire time; a
+   rendezvous one waits for the receiver to pair it, which completes
+   [sreq]. *)
+let post_send ctx ~dest ~tag ~bytes sreq =
+  let eng = ctx.eng and proc = ctx.proc in
   proc.clock <- proc.clock +. call_overhead eng;
+  let dst = ctx.world.c_ranks.(dest) in
+  let rdv = not (eager eng bytes) in
+  deliver eng
+    {
+      m_src = proc.rank;
+      m_dst = dst;
+      m_tag = tag;
+      m_bytes = bytes;
+      m_avail = (if rdv then infinity else proc.clock +. wire_time eng ~src:proc.rank ~dst ~bytes);
+      m_rdv = rdv;
+      m_send_ready = proc.clock;
+      m_sreq = sreq;
+    }
+
+let send_internal ctx ~dest ~tag ~dt ~count =
   let bytes = Datatype.bytes dt ~count in
-  let dst_world = ctx.world.c_ranks.(dest) in
-  if bytes <= eng.impl.Mpi_impl.eager_threshold_bytes then begin
-    let avail = proc.clock +. wire_time eng ~src:proc.rank ~dst:dst_world ~bytes in
-    deliver eng
-      {
-        m_src = proc.rank;
-        m_dst = dst_world;
-        m_tag = tag;
-        m_bytes = bytes;
-        m_avail = avail;
-        m_rdv = false;
-        m_send_ready = proc.clock;
-        m_sreq = None;
-      }
-  end
+  if eager ctx.eng bytes then post_send ctx ~dest ~tag ~bytes None
   else begin
-    let sreq = fresh_request eng in
-    deliver eng
-      {
-        m_src = proc.rank;
-        m_dst = dst_world;
-        m_tag = tag;
-        m_bytes = bytes;
-        m_avail = infinity;
-        m_rdv = true;
-        m_send_ready = proc.clock;
-        m_sreq = Some sreq;
-      };
+    let sreq = fresh_request ctx.eng in
+    post_send ctx ~dest ~tag ~bytes (Some sreq);
     wait_request ctx sreq
   end
 
 let isend_internal ctx ~dest ~tag ~dt ~count =
-  let eng = ctx.eng in
-  let proc = ctx.proc in
-  proc.clock <- proc.clock +. call_overhead eng;
   let bytes = Datatype.bytes dt ~count in
-  let dst_world = ctx.world.c_ranks.(dest) in
-  let req = fresh_request eng in
-  if bytes <= eng.impl.Mpi_impl.eager_threshold_bytes then begin
-    req.r_done <- Some proc.clock;
-    let avail = proc.clock +. wire_time eng ~src:proc.rank ~dst:dst_world ~bytes in
-    deliver eng
-      {
-        m_src = proc.rank;
-        m_dst = dst_world;
-        m_tag = tag;
-        m_bytes = bytes;
-        m_avail = avail;
-        m_rdv = false;
-        m_send_ready = proc.clock;
-        m_sreq = Some req;
-      }
-  end
-  else
-    deliver eng
-      {
-        m_src = proc.rank;
-        m_dst = dst_world;
-        m_tag = tag;
-        m_bytes = bytes;
-        m_avail = infinity;
-        m_rdv = true;
-        m_send_ready = proc.clock;
-        m_sreq = Some req;
-      };
+  let req = fresh_request ctx.eng in
+  post_send ctx ~dest ~tag ~bytes (Some req);
+  (* an eager send is complete as soon as it is posted *)
+  if eager ctx.eng bytes then req.r_done <- Some ctx.proc.clock;
   req
 
 let irecv_internal ctx ~src ~tag ~dt ~count =
@@ -690,10 +654,6 @@ let reduce_scatter ctx comm ~dt ~count ~op =
   emit ctx (Call.Reduce_scatter { comm = comm.c_id; dt; count; op });
   simple_collective ctx comm ~kind:"reduce_scatter" ~bytes:(Datatype.bytes dt ~count)
 
-(* comm_split: the last arriver groups participants by color, orders each
-   group by (key, world rank), allocates one fresh communicator id per
-   distinct color (in ascending color order, so ids agree across ranks),
-   and deposits each participant's new communicator view. *)
 let ibarrier ctx comm =
   let call_req = ctx.eng.next_req in
   emit ctx (Call.Ibarrier { comm = comm.c_id; req = call_req });
@@ -709,16 +669,16 @@ let iallreduce ctx comm ~dt ~count ~op =
   emit ctx (Call.Iallreduce { comm = comm.c_id; dt; count; op; req = call_req });
   nonblocking_collective ctx comm ~kind:"allreduce" ~bytes:(Datatype.bytes dt ~count)
 
-let comm_split ctx comm ~color ~key =
+(* The id agreement behind comm_split and comm_dup: the last arriver
+   groups participants by color, orders each group by (key, world rank),
+   allocates one fresh communicator id per distinct color (in ascending
+   color order, so ids agree across ranks), and deposits each
+   participant's new communicator view, which this returns.  The caller
+   emits the call afterwards: its id is not known before the collective
+   completes. *)
+let split_collective ctx comm ~kind ~color ~key =
   let eng = ctx.eng in
-  (* The id the split will produce for this rank is not known before the
-     collective completes; the trace records the engine id afterwards via
-     the returned comm, so we emit with a placeholder resolved below.  The
-     observer however must see the call at its *start* clock, before the
-     collective wait — hence the placeholder notification here and the
-     [~observe:false] emit after resolution. *)
-  notify_call ctx (Call.Comm_split { comm = comm.c_id; color; key; newcomm = -1 });
-  let cp, cp_key, last = coll_join ctx comm ~kind:"split" ~bytes:0 ~color ~key in
+  let cp, cp_key, last = coll_join ctx comm ~kind ~bytes:0 ~color ~key in
   if last then begin
     let arrivals = List.rev cp.cp_arrived in
     let colors = List.sort_uniq compare (List.map (fun a -> a.cpl_color) arrivals) in
@@ -731,44 +691,34 @@ let comm_split ctx comm ~color ~key =
         let ranks = Array.of_list (List.map (fun a -> a.cpl_rank) members) in
         let id = eng.next_comm in
         eng.next_comm <- id + 1;
-        Hashtbl.replace eng.comm_ranks id ranks;
         Array.iteri
           (fun idx world_rank ->
             eng.procs.(world_rank).split_result <- Some { c_id = id; c_ranks = ranks; c_my = idx })
           ranks)
       colors;
-    coll_finish ctx comm cp cp_key ~kind:"split"
+    coll_finish ctx comm cp cp_key ~kind
   end
   else coll_wait ctx cp;
   match ctx.proc.split_result with
   | Some newcomm ->
       ctx.proc.split_result <- None;
-      emit ~observe:false ctx
-        (Call.Comm_split { comm = comm.c_id; color; key; newcomm = newcomm.c_id });
       newcomm
   | None -> assert false
 
+(* The observer sees each call at its start clock, with a placeholder
+   new id; the recorder hook gets the resolved id ([~observe:false]). *)
+let comm_split ctx comm ~color ~key =
+  notify_call ctx (Call.Comm_split { comm = comm.c_id; color; key; newcomm = -1 });
+  let newcomm = split_collective ctx comm ~kind:"split" ~color ~key in
+  emit ~observe:false ctx
+    (Call.Comm_split { comm = comm.c_id; color; key; newcomm = newcomm.c_id });
+  newcomm
+
 let comm_dup ctx comm =
   notify_call ctx (Call.Comm_dup { comm = comm.c_id; newcomm = -1 });
-  let cp, cp_key, last = coll_join ctx comm ~kind:"dup" ~bytes:0 ~color:0 ~key:0 in
-  if last then begin
-    let eng = ctx.eng in
-    let id = eng.next_comm in
-    eng.next_comm <- id + 1;
-    Hashtbl.replace eng.comm_ranks id comm.c_ranks;
-    Array.iteri
-      (fun idx world_rank ->
-        eng.procs.(world_rank).split_result <- Some { c_id = id; c_ranks = comm.c_ranks; c_my = idx })
-      comm.c_ranks;
-    coll_finish ctx comm cp cp_key ~kind:"dup"
-  end
-  else coll_wait ctx cp;
-  match ctx.proc.split_result with
-  | Some newcomm ->
-      ctx.proc.split_result <- None;
-      emit ~observe:false ctx (Call.Comm_dup { comm = comm.c_id; newcomm = newcomm.c_id });
-      newcomm
-  | None -> assert false
+  let newcomm = split_collective ctx comm ~kind:"dup" ~color:0 ~key:comm.c_my in
+  emit ~observe:false ctx (Call.Comm_dup { comm = comm.c_id; newcomm = newcomm.c_id });
+  newcomm
 
 let comm_free ctx comm =
   emit ctx (Call.Comm_free { comm = comm.c_id });
@@ -859,7 +809,6 @@ let run ~platform ~impl ~nranks ?hook ?observer ?(seed = 42) ?(counter_noise = 0
       unexpected = Array.init nranks (fun _ -> Queue.create ());
       posted = Array.init nranks (fun _ -> Queue.create ());
       wildcard_posted = Array.make nranks false;
-      comm_ranks = Hashtbl.create 8;
       pending_colls = Hashtbl.create 8;
       hook;
       observer;
@@ -873,7 +822,6 @@ let run ~platform ~impl ~nranks ?hook ?observer ?(seed = 42) ?(counter_noise = 0
     }
   in
   let world_ranks = Array.init nranks (fun i -> i) in
-  Hashtbl.replace eng.comm_ranks 0 world_ranks;
   for r = 0 to nranks - 1 do
     Queue.push r eng.runq
   done;

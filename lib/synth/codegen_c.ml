@@ -301,10 +301,10 @@ let generate (ir : Proxy_ir.t) =
   p "#define L1_CACHE_SIZE 32768\n#define CACHELINE 64\n";
   p "#define PEER(d) ((rank + (d)) %% size)\n\n";
   p "static int rank, size;\n";
-  p "static MPI_Request reqs[%d];\n" (max 1 (Proxy_ir.max_request_slots ir));
-  p "static MPI_Comm comms[%d];\n" (Proxy_ir.max_comm_slots ir);
-  if Proxy_ir.max_file_slots ir > 0 then
-    p "static MPI_File files[%d];\n" (Proxy_ir.max_file_slots ir);
+  let reqs, comms, files = Proxy_ir.slot_counts ir in
+  p "static MPI_Request reqs[%d];\n" (max 1 reqs);
+  p "static MPI_Comm comms[%d];\n" comms;
+  if files > 0 then p "static MPI_File files[%d];\n" files;
   p "static char *sbuf, *rbuf;\n";
   p "static char a[4 * L1_CACHE_SIZE];\n";
   p "static long i0, i1, i2 = 3, i3 = 5, i4 = 7, i5 = 11, i6 = 13, j;\n";

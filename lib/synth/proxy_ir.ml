@@ -41,67 +41,13 @@ let mean_combo_error t =
   if Array.length t.combo_errors = 0 then 0.0
   else Siesta_util.Stats.mean t.combo_errors
 
-let max_request_slots t =
-  let m = ref 0 in
+let slot_counts t =
+  let reqs = ref 0 and comms = ref 1 and files = ref 0 in
+  let grow n i = if i >= !n then n := i + 1 in
   Array.iter
-    (fun ev ->
-      match ev with
-      | Event.Isend (_, r)
-      | Event.Irecv (_, r)
-      | Event.Wait r
-      | Event.Ibarrier { req = r; _ }
-      | Event.Ibcast { req = r; _ }
-      | Event.Iallreduce { req = r; _ } ->
-          m := max !m (r + 1)
-      | Event.Waitall rs -> List.iter (fun r -> m := max !m (r + 1)) rs
-      | _ -> ())
+    (Event.iter_slots ~req:(grow reqs) ~comm:(grow comms) ~file:(grow files))
     t.merged.Merged.terminals;
-  !m
-
-let max_file_slots t =
-  let m = ref 0 in
-  Array.iter
-    (fun ev ->
-      match (ev : Event.t) with
-      | Event.File_open { file; _ }
-      | Event.File_close { file }
-      | Event.File_write_all { file; _ }
-      | Event.File_read_all { file; _ }
-      | Event.File_write_at { file; _ }
-      | Event.File_read_at { file; _ } ->
-          m := max !m (file + 1)
-      | _ -> ())
-    t.merged.Merged.terminals;
-  !m
-
-let max_comm_slots t =
-  let m = ref 1 in
-  Array.iter
-    (fun ev ->
-      match ev with
-      | Event.Barrier { comm }
-      | Event.Bcast { comm; _ }
-      | Event.Reduce { comm; _ }
-      | Event.Allreduce { comm; _ }
-      | Event.Alltoall { comm; _ }
-      | Event.Alltoallv { comm; _ }
-      | Event.Allgather { comm; _ }
-      | Event.Gather { comm; _ }
-      | Event.Scatter { comm; _ }
-      | Event.Scan { comm; _ }
-      | Event.Exscan { comm; _ }
-      | Event.Reduce_scatter { comm; _ }
-      | Event.Ibarrier { comm; _ }
-      | Event.Ibcast { comm; _ }
-      | Event.Iallreduce { comm; _ }
-      | Event.Comm_free { comm } ->
-          m := max !m (comm + 1)
-      | Event.Comm_split { comm; newcomm; _ } | Event.Comm_dup { comm; newcomm } ->
-          m := max !m (max comm newcomm + 1)
-      | Event.File_open { comm; _ } -> m := max !m (comm + 1)
-      | _ -> ())
-    t.merged.Merged.terminals;
-  !m
+  (!reqs, !comms, !files)
 
 let program t =
   let terminals = Array.map (Shrink.event t.shrink) t.merged.Merged.terminals in

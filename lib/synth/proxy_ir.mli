@@ -41,8 +41,8 @@ val program : t -> Siesta_mpi.Engine.ctx -> unit
     {!Siesta_trace.Replay}, running a computation event as its cluster's
     work list. *)
 
-val max_request_slots : t -> int
-(** Highest pooled request id used plus one (the C code's array size). *)
-
-val max_comm_slots : t -> int
-val max_file_slots : t -> int
+val slot_counts : t -> int * int * int
+(** [(requests, communicators, files)]: the highest pooled number of
+    each kind the terminals name ({!Siesta_trace.Event.iter_slots}),
+    plus one; the C code's array sizes.  Communicators count at least
+    the world one. *)

@@ -354,7 +354,9 @@ let map_counts f ev =
   | Recv p -> Recv (p2p p)
   | Isend (p, req) -> Isend (p2p p, req)
   | Irecv (p, req) -> Irecv (p2p p, req)
-  | Sendrecv { send; recv } -> Sendrecv { send = p2p send; recv = p2p recv }
+  | Sendrecv { send; recv } ->
+      let send = p2p send in
+      Sendrecv { send; recv = p2p recv }
   | Bcast b -> Bcast { b with count = f b.dt b.count }
   | Reduce r -> Reduce { r with count = f r.dt r.count }
   | Allreduce r -> Allreduce { r with count = f r.dt r.count }
@@ -375,6 +377,53 @@ let map_counts f ev =
   | Wait _ | Waitall _ | Barrier _ | Ibarrier _ | Comm_split _ | Comm_dup _ | Comm_free _
   | File_open _ | File_close _ | Compute _ ->
       ev
+
+let map_peers f ev =
+  let p2p p = { p with rel_peer = f p.rel_peer } in
+  match ev with
+  | Send p -> Send (p2p p)
+  | Recv p -> Recv (p2p p)
+  | Isend (p, req) -> Isend (p2p p, req)
+  | Irecv (p, req) -> Irecv (p2p p, req)
+  | Sendrecv { send; recv } ->
+      let send = p2p send in
+      Sendrecv { send; recv = p2p recv }
+  | _ -> ev
+
+let iter_slots ~req:on_req ~comm:on_comm ~file:on_file ev =
+  match ev with
+  | Isend (_, req) | Irecv (_, req) | Wait req -> on_req req
+  | Waitall reqs -> List.iter on_req reqs
+  | Barrier { comm }
+  | Bcast { comm; _ }
+  | Reduce { comm; _ }
+  | Allreduce { comm; _ }
+  | Alltoall { comm; _ }
+  | Alltoallv { comm; _ }
+  | Allgather { comm; _ }
+  | Gather { comm; _ }
+  | Scatter { comm; _ }
+  | Scan { comm; _ }
+  | Exscan { comm; _ }
+  | Reduce_scatter { comm; _ }
+  | Comm_free { comm } ->
+      on_comm comm
+  | Ibarrier { comm; req } | Ibcast { comm; req; _ } | Iallreduce { comm; req; _ } ->
+      on_comm comm;
+      on_req req
+  | Comm_split { comm; newcomm; _ } | Comm_dup { comm; newcomm } ->
+      on_comm comm;
+      on_comm newcomm
+  | File_open { comm; file } ->
+      on_comm comm;
+      on_file file
+  | File_close { file }
+  | File_write_all { file; _ }
+  | File_read_all { file; _ }
+  | File_write_at { file; _ }
+  | File_read_at { file; _ } ->
+      on_file file
+  | Send _ | Recv _ | Sendrecv _ | Compute _ -> ()
 
 let is_p2p = function
   | Send _ | Recv _ | Isend _ | Irecv _ | Sendrecv _ -> true

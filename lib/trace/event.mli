@@ -69,12 +69,6 @@ val payload_bytes : t -> int
 (** Data volume this rank moves for the event (send side for
     point-to-point, per-rank buffer for collectives, 0 otherwise). *)
 
-val map_counts : (Siesta_mpi.Datatype.t -> int -> int) -> t -> t
-(** [map_counts f ev] replaces every element count [c] of datatype [dt]
-    that [ev] carries by [f dt c]: both sides of a Sendrecv and each
-    Alltoallv entry included.  Events without a count are returned as
-    they are. *)
-
 val is_p2p : t -> bool
 (** True for (non-)blocking point-to-point data transfers. *)
 
@@ -83,3 +77,28 @@ val serialized_bytes : t -> int
     (the [size_C] column of Table 3). *)
 
 val pp : Format.formatter -> t -> unit
+
+(** {2 Field traversals}
+
+    The one place that knows which fields of each kind are counts, peers
+    and handle slots.  The maps visit a Sendrecv's send side before its
+    receive side and Alltoallv entries in index order, so collecting
+    values through one call and handing them back, in order, to another
+    rebuilds the event. *)
+
+val map_counts : (Siesta_mpi.Datatype.t -> int -> int) -> t -> t
+(** [map_counts f ev] replaces every element count [c] of datatype [dt]
+    that [ev] carries by [f dt c]: both sides of a Sendrecv and each
+    Alltoallv entry included.  Events without a count are returned as
+    they are. *)
+
+val map_peers : (int -> int) -> t -> t
+(** [map_peers f ev] replaces every relative peer [r] of a
+    point-to-point event by [f r] ({!Siesta_mpi.Call.any_source}
+    included); other events are returned as they are. *)
+
+val iter_slots : req:(int -> unit) -> comm:(int -> unit) -> file:(int -> unit) -> t -> unit
+(** [iter_slots ~req ~comm ~file ev] calls [req], [comm] and [file] on
+    every pooled request, communicator and file number [ev] names,
+    including a split's or dup's new communicator.  Point-to-point
+    calls name no communicator: they run on the world one. *)

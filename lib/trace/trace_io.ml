@@ -13,26 +13,16 @@ type packed = {
   p_centroids : (Counters.t * int) array;
 }
 
-let centroids_of_recorder recorder =
-  let table = Recorder.compute_table recorder in
-  Array.init (Compute_table.cluster_count table) (fun cid ->
-      (Compute_table.centroid table cid, Compute_table.members table cid))
-
-let of_recorder recorder =
-  let nranks = Recorder.nranks recorder in
-  {
-    nranks;
-    streams = Array.init nranks (Recorder.events recorder);
-    centroids = centroids_of_recorder recorder;
-  }
-
 let pack recorder =
   let nranks = Recorder.nranks recorder in
+  let table = Recorder.compute_table recorder in
   {
     p_nranks = nranks;
     p_defs = Recorder.event_defs recorder;
     p_codes = Array.init nranks (Recorder.codes recorder);
-    p_centroids = centroids_of_recorder recorder;
+    p_centroids =
+      Array.init (Compute_table.cluster_count table) (fun cid ->
+          (Compute_table.centroid table cid, Compute_table.members table cid));
   }
 
 let of_packed p =
@@ -45,6 +35,8 @@ let of_packed p =
         p.p_codes;
     centroids = p.p_centroids;
   }
+
+let of_recorder recorder = of_packed (pack recorder)
 
 let to_packed t =
   let intern = Soa.Intern.create () in

@@ -29,6 +29,7 @@ type packed = {
     memory proportional to the definition table, not the event count. *)
 
 val of_recorder : Recorder.t -> t
+(** [of_packed (pack r)]. *)
 
 val pack : Recorder.t -> packed
 (** Zero-copy: the recorder's code buffers and definition table are

@@ -287,6 +287,29 @@ let test_comm_dup () =
          Alcotest.(check bool) "fresh id" true (E.comm_id ctx d <> E.comm_id ctx (E.comm_world ctx));
          E.barrier ctx d))
 
+(* comm_dup runs comm_split's id agreement with one color, keyed by the
+   communicator rank: each rank keeps its rank, also in a split
+   communicator whose order is not the world's, and a dup meeting a
+   split is a mismatch. *)
+let test_comm_dup_keeps_ranks () =
+  ignore
+    (run ~nranks:6 (fun ctx ->
+         let r = E.rank ctx in
+         let sub = E.comm_split ctx (E.comm_world ctx) ~color:(r mod 2) ~key:(-r) in
+         let d = E.comm_dup ctx sub in
+         Alcotest.(check int) "same size" (E.comm_size ctx sub) (E.comm_size ctx d);
+         Alcotest.(check int) "same rank" (E.comm_rank ctx sub) (E.comm_rank ctx d);
+         Alcotest.(check bool) "fresh id" true (E.comm_id ctx d <> E.comm_id ctx sub);
+         E.allreduce ctx d ~dt:D.Int ~count:1 ~op:Op.Sum));
+  match
+    run ~nranks:2 (fun ctx ->
+        let world = E.comm_world ctx in
+        if E.rank ctx = 0 then ignore (E.comm_dup ctx world : E.comm)
+        else ignore (E.comm_split ctx world ~color:0 ~key:0 : E.comm))
+  with
+  | _ -> Alcotest.fail "a dup against a split was not detected"
+  | exception E.Collective_mismatch _ -> ()
+
 let test_collective_mismatch_detected () =
   let act () =
     ignore
@@ -533,6 +556,7 @@ let suite =
     ("comm_split groups and sub-collectives", `Quick, test_comm_split);
     ("comm_split orders by key", `Quick, test_comm_split_by_key_order);
     ("comm_dup", `Quick, test_comm_dup);
+    ("comm_dup keeps communicator ranks", `Quick, test_comm_dup_keeps_ranks);
     ("collective mismatch detected", `Quick, test_collective_mismatch_detected);
     ("deadlock: unmatched recv", `Quick, test_deadlock_unmatched_recv);
     ("deadlock: skipped barrier", `Quick, test_deadlock_skipped_barrier);

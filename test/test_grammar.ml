@@ -107,13 +107,13 @@ let test_shared_digrams_become_rules () =
 
 let test_builder_incremental () =
   let t = Q.create () in
-  Q.append_seq t [| 1; 2; 1 |];
-  let g1 = Q.to_grammar t in
+  Array.iter (Q.push t) [| 1; 2; 1 |];
+  let g1 = Q.finalize t in
   Alcotest.(check bool) "prefix" true (G.expand g1 = [| 1; 2; 1 |]);
   (* the builder stays usable after export *)
-  Q.append t 2;
-  Q.append_seq t [| 1; 2 |];
-  let g2 = Q.to_grammar t in
+  Q.push t 2;
+  Array.iter (Q.push t) [| 1; 2 |];
+  let g2 = Q.finalize t in
   Alcotest.(check bool) "extended" true (G.expand g2 = [| 1; 2; 1; 2; 1; 2 |])
 
 let test_dot_export () =
@@ -135,7 +135,7 @@ let test_dot_export () =
 
 let test_invariants_exposed () =
   let t = Q.create () in
-  Q.append_seq t (Array.init 200 (fun i -> i mod 3));
+  Array.iter (Q.push t) (Array.init 200 (fun i -> i mod 3));
   match Q.check_invariants t with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "invariant violated: %s" e
@@ -188,7 +188,7 @@ let prop_roundtrip_nest rle =
 let prop_invariants =
   QCheck.Test.make ~name:"sequitur online invariants" ~count:300 arbitrary_seq (fun input ->
       let t = Q.create () in
-      Q.append_seq t input;
+      Array.iter (Q.push t) input;
       match Q.check_invariants t with Ok _ -> true | Error _ -> false)
 
 let prop_valid_grammar =
@@ -216,8 +216,8 @@ let prop_long_small_alphabet rle =
     (QCheck.make ~print:(fun a -> Printf.sprintf "<%d symbols>" (Array.length a)) long_small_alphabet_gen)
     (fun input ->
       let t = Q.create ~rle () in
-      Q.append_seq t input;
-      G.expand (Q.to_grammar t) = input
+      Array.iter (Q.push t) input;
+      G.expand (Q.finalize t) = input
       && match Q.check_invariants t with Ok _ -> true | Error e -> QCheck.Test.fail_report e)
 
 (* One builder, reset before each of several streams, builds what a
@@ -233,8 +233,8 @@ let prop_reset_is_fresh rle =
       List.for_all
         (fun input ->
           Q.reset t;
-          Q.append_seq t input;
-          Q.to_grammar t = Q.of_seq ~rle input
+          Array.iter (Q.push t) input;
+          Q.finalize t = Q.of_seq ~rle input
           && match Q.check_invariants t with Ok _ -> true | Error e -> QCheck.Test.fail_report e)
         streams)
 

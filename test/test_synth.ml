@@ -239,8 +239,8 @@ let test_size_c_accounting () =
   let ir = synthesize recorder in
   let merged_bytes = Siesta_merge.Merged.serialized_bytes ir.Proxy_ir.merged in
   Alcotest.(check bool) "size_C >= grammar" true (Proxy_ir.size_c_bytes ir >= merged_bytes);
-  Alcotest.(check bool) "slot bounds sane" true
-    (Proxy_ir.max_request_slots ir >= 1 && Proxy_ir.max_comm_slots ir >= 2)
+  let reqs, comms, _ = Proxy_ir.slot_counts ir in
+  Alcotest.(check bool) "slot bounds sane" true (reqs >= 1 && comms >= 2)
 
 (* ------------------------------------------------------------------ *)
 (* Codegen_c *)

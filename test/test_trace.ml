@@ -543,6 +543,99 @@ let prop_map_counts =
       && Event.payload_bytes (Event.map_counts (fun _ c -> 2 * c) ev)
          = 2 * Event.payload_bytes ev)
 
+(* Both maps visit a Sendrecv's send side before its receive side: the
+   scale model pairs the values it collects with the fields it rebuilds
+   by that order, and Divergence.perturb bumps the first count. *)
+let test_event_traversal_order () =
+  let side rel_peer count = { Event.rel_peer; tag = 0; dt = D.Int; count } in
+  let ev = Event.Sendrecv { send = side 1 10; recv = side 2 20 } in
+  let seen = ref [] in
+  let note v = seen := v :: !seen; v in
+  ignore (Event.map_counts (fun _ c -> note c) ev : Event.t);
+  ignore (Event.map_peers note ev : Event.t);
+  Alcotest.(check (list int)) "send side first" [ 10; 20; 1; 2 ] (List.rev !seen)
+
+(* qcheck: [map_peers] reaches one peer per point-to-point side, identity
+   maps return the event, and the counts and peers collected by one
+   traversal, handed back in order to another over the event with every
+   count and peer zeroed, rebuild it. *)
+let prop_traversals_rebuild =
+  QCheck.Test.make ~count:1000 ~name:"count and peer traversals rebuild the event"
+    (QCheck.make ~print:Event.to_key random_event_gen)
+    (fun ev ->
+      let collect map =
+        let acc = ref [] in
+        ignore (map (fun v -> acc := v :: !acc; v) ev : Event.t);
+        ref (List.rev !acc)
+      in
+      let counts = collect (fun f -> Event.map_counts (fun _ c -> f c)) in
+      let peers = collect Event.map_peers in
+      let sides = match ev with Event.Sendrecv _ -> 2 | _ -> if Event.is_p2p ev then 1 else 0 in
+      let pop values _ =
+        match !values with
+        | v :: rest -> values := rest; v
+        | [] -> failwith "more fields than collected values"
+      in
+      let zeroed = Event.map_peers (fun _ -> 0) (Event.map_counts (fun _ _ -> 0) ev) in
+      List.length !peers = sides
+      && Event.map_peers Fun.id ev = ev
+      && Event.map_peers (pop peers) (Event.map_counts (fun _ c -> pop counts c) zeroed) = ev
+      && !counts = [] && !peers = [])
+
+(* One event of each kind, with the request, communicator and file
+   numbers [iter_slots] must report for it, in visiting order.  Roots,
+   colors, keys and counts use numbers no slot does. *)
+let test_event_iter_slots () =
+  let p = { Event.rel_peer = 90; tag = 91; dt = D.Int; count = 92 } in
+  let dt = D.Int and op = Op.Sum and root = 93 and count = 94 in
+  let cases =
+    [
+      (Event.Send p, [], [], []);
+      (Event.Recv p, [], [], []);
+      (Event.Isend (p, 3), [ 3 ], [], []);
+      (Event.Irecv (p, 4), [ 4 ], [], []);
+      (Event.Wait 5, [ 5 ], [], []);
+      (Event.Waitall [ 6; 7 ], [ 6; 7 ], [], []);
+      (Event.Sendrecv { send = p; recv = p }, [], [], []);
+      (Event.Barrier { comm = 1 }, [], [ 1 ], []);
+      (Event.Bcast { comm = 2; root; dt; count }, [], [ 2 ], []);
+      (Event.Reduce { comm = 3; root; dt; count; op }, [], [ 3 ], []);
+      (Event.Allreduce { comm = 4; dt; count; op }, [], [ 4 ], []);
+      (Event.Alltoall { comm = 5; dt; count }, [], [ 5 ], []);
+      (Event.Alltoallv { comm = 6; dt; send_counts = [| count; count |] }, [], [ 6 ], []);
+      (Event.Allgather { comm = 7; dt; count }, [], [ 7 ], []);
+      (Event.Gather { comm = 8; root; dt; count }, [], [ 8 ], []);
+      (Event.Scatter { comm = 9; root; dt; count }, [], [ 9 ], []);
+      (Event.Scan { comm = 10; dt; count; op }, [], [ 10 ], []);
+      (Event.Exscan { comm = 11; dt; count; op }, [], [ 11 ], []);
+      (Event.Reduce_scatter { comm = 12; dt; count; op }, [], [ 12 ], []);
+      (Event.Ibarrier { comm = 13; req = 8 }, [ 8 ], [ 13 ], []);
+      (Event.Ibcast { comm = 14; root; dt; count; req = 9 }, [ 9 ], [ 14 ], []);
+      (Event.Iallreduce { comm = 15; dt; count; op; req = 10 }, [ 10 ], [ 15 ], []);
+      (Event.Comm_split { comm = 16; color = 95; key = 96; newcomm = 17 }, [], [ 16; 17 ], []);
+      (Event.Comm_dup { comm = 18; newcomm = 19 }, [], [ 18; 19 ], []);
+      (Event.Comm_free { comm = 20 }, [], [ 20 ], []);
+      (Event.File_open { comm = 21; file = 1 }, [], [ 21 ], [ 1 ]);
+      (Event.File_close { file = 2 }, [], [], [ 2 ]);
+      (Event.File_write_all { file = 3; dt; count }, [], [], [ 3 ]);
+      (Event.File_read_all { file = 4; dt; count }, [], [], [ 4 ]);
+      (Event.File_write_at { file = 5; dt; count }, [], [], [ 5 ]);
+      (Event.File_read_at { file = 6; dt; count }, [], [], [ 6 ]);
+      (Event.Compute 7, [], [], []);
+    ]
+  in
+  let kinds = List.sort_uniq compare (List.map (fun (ev, _, _, _) -> Event.name ev) cases) in
+  Alcotest.(check int) "every kind once" 32 (List.length kinds);
+  List.iter
+    (fun (ev, reqs, comms, files) ->
+      let got = Array.make 3 [] in
+      let add k v = got.(k) <- v :: got.(k) in
+      Event.iter_slots ~req:(add 0) ~comm:(add 1) ~file:(add 2) ev;
+      Alcotest.(check (list (list int)))
+        (Event.to_key ev) [ reqs; comms; files ]
+        (List.map List.rev (Array.to_list got)))
+    cases
+
 (* A Wait on a slot no Isend bound is a broken stream: the replayer
    names the slot instead of failing on a table lookup. *)
 let test_replay_unbound_slot () =
@@ -619,5 +712,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_record_bytes_is_text_length;
     QCheck_alcotest.to_alcotest prop_event_key_roundtrip;
     QCheck_alcotest.to_alcotest prop_map_counts;
+    ("event maps visit a Sendrecv's send side first", `Quick, test_event_traversal_order);
+    QCheck_alcotest.to_alcotest prop_traversals_rebuild;
+    ("event iter_slots reports every slot of each kind", `Quick, test_event_iter_slots);
     ("replay names an unbound request slot", `Quick, test_replay_unbound_slot);
   ]
