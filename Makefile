@@ -44,6 +44,9 @@ smoke: build
 	dune exec bin/siesta_cli.exe -- check-trace $(SMOKE_TIMELINE) \
 		--min-tracks 8
 	dune exec bin/siesta_cli.exe -- diff -w CG -n 8
+	dune exec bin/siesta_cli.exe -- diff -w CG -n 8 --timeline-out $(SMOKE_TIMELINE)
+	dune exec bin/siesta_cli.exe -- check-trace $(SMOKE_TIMELINE) \
+		--min-tracks 8
 	dune exec bin/siesta_cli.exe -- trace CG -n 8 \
 		--timeline-html $(SMOKE_TIMELINE_HTML)
 	@grep -q 'timeline-data' $(SMOKE_TIMELINE_HTML) \

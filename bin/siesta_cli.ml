@@ -508,14 +508,14 @@ let report_cmd =
   let run obs s output factor timeline_out store =
     with_obs obs @@ fun () ->
     let sy = Pipeline.synthesize_spec ~cache:(Option.is_some store) ?store ~factor s in
-    Option.iter
-      (fun path -> write_timeline ~path (fst (Pipeline.record_timeline s)))
-      timeline_out;
+    (* one recording serves both the report's sections and the file *)
+    let timeline = fst (Pipeline.record_timeline s) in
+    Option.iter (fun path -> write_timeline ~path timeline) timeline_out;
     match output with
     | Some path ->
-        Siesta.Report.write_file sy ~path;
+        Siesta.Report.write_file ~timeline sy ~path;
         Printf.printf "wrote %s\n" path
-    | None -> print_string (Siesta.Report.generate sy)
+    | None -> print_string (Siesta.Report.generate ~timeline sy)
   in
   Cmd.v
     (Cmd.info "report" ~doc:"Run the full pipeline and produce a markdown quality report")
@@ -615,12 +615,15 @@ let diff_cmd =
     in
     let fid = Pipeline.diff_synthesis sy in
     let r = fid.Pipeline.f_report in
+    (* the capture keeps no timeline; the original's is recorded at most
+       once, for the timeline files and the critical path *)
+    let timeline = lazy (fst (Pipeline.record_timeline s)) in
     emit_timelines
       ~title:
         (Printf.sprintf "Siesta diff — %s @ %d ranks (original)" (workload_name s)
            s.Pipeline.nranks)
       ~timeline_out ~timeline_html
-      (fun () -> fid.Pipeline.f_original.Divergence.c_timeline);
+      (fun () -> Lazy.force timeline);
     if json then print_string (Divergence.to_json r)
     else begin
       Printf.printf "%s @ %d ranks (platform %s, %s)%s\n" (workload_name s) s.Pipeline.nranks
@@ -651,10 +654,7 @@ let diff_cmd =
         r.Divergence.r_time_orig r.Divergence.r_time_proxy
         (100.0 *. r.Divergence.r_time_error);
       Printf.printf "timeline distance: %.3e\n" r.Divergence.r_timeline_distance;
-      let cp =
-        Critical_path.compute ~merged:sy.Pipeline.sy_merged
-          fid.Pipeline.f_original.Divergence.c_timeline
-      in
+      let cp = Critical_path.compute ~merged:sy.Pipeline.sy_merged (Lazy.force timeline) in
       print_string (Critical_path.render cp);
       Printf.printf "verdict: %s\n" (Divergence.verdict_name (Divergence.verdict r))
     end;

@@ -11,13 +11,16 @@ module Proxy_ir = Siesta_synth.Proxy_ir
 type capture = {
   c_nranks : int;
   c_result : Engine.result;
-  c_calls : Call.t array array;
+  c_counts : int array;
+  c_bytes : int array;
+  c_send_matrix : float array array;
   c_compute : Counters.t array array;
-  c_timeline : Timeline.t;
+  c_kind_totals : (Timeline.kind * float) list array;
 }
 
 let capture ~platform ~impl ~nranks ?(seed = 42) program =
-  let calls = Array.make nranks [] in
+  let counts = Array.make Call.n_kinds 0 and bytes = Array.make Call.n_kinds 0 in
+  let matrix = Array.make_matrix nranks nranks 0.0 in
   let compute = Array.make nranks [] in
   let hook =
     {
@@ -27,17 +30,27 @@ let capture ~platform ~impl ~nranks ?(seed = 42) program =
              signature of the computation event that just finished *)
           let d = Papi.read_delta papi in
           if d.Counters.cyc > 0.0 then compute.(rank) <- d :: compute.(rank);
-          calls.(rank) <- call :: calls.(rank));
+          let k = Call.index call and b = Call.payload_bytes call in
+          counts.(k) <- counts.(k) + 1;
+          bytes.(k) <- bytes.(k) + b;
+          match call with
+          | Call.Send p | Call.Isend (p, _) | Call.Sendrecv { send = p; _ } ->
+              let dst = p.Call.peer in
+              if dst >= 0 && dst < nranks then
+                matrix.(rank).(dst) <- matrix.(rank).(dst) +. float_of_int b
+          | _ -> ());
       per_event_overhead = 0.0;
     }
   in
-  let tl, result = Timeline.record ~platform ~impl ~nranks ~hook ~seed program in
+  let kind_totals, result = Timeline.record_totals ~platform ~impl ~nranks ~hook ~seed program in
   {
     c_nranks = nranks;
     c_result = result;
-    c_calls = Array.map (fun l -> Array.of_list (List.rev l)) calls;
+    c_counts = counts;
+    c_bytes = bytes;
+    c_send_matrix = matrix;
     c_compute = Array.map (fun l -> Array.of_list (List.rev l)) compute;
-    c_timeline = tl;
+    c_kind_totals = kind_totals;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -77,37 +90,6 @@ type report = {
   r_time_error : float;
 }
 
-let call_table c =
-  let tbl = Hashtbl.create 32 in
-  Array.iter
-    (Array.iter (fun call ->
-         let name = Call.name call in
-         let n, b = Option.value ~default:(0, 0) (Hashtbl.find_opt tbl name) in
-         Hashtbl.replace tbl name (n + 1, b + Call.payload_bytes call)))
-    c.c_calls;
-  tbl
-
-(* World-rank send-side communication matrix (bytes). *)
-let comm_matrix c =
-  let m = Array.make_matrix c.c_nranks c.c_nranks 0.0 in
-  Array.iteri
-    (fun src calls ->
-      Array.iter
-        (fun call ->
-          match call with
-          | Call.Send p | Call.Isend (p, _) ->
-              let d = p.Call.peer in
-              if d >= 0 && d < c.c_nranks then
-                m.(src).(d) <- m.(src).(d) +. float_of_int (Call.payload_bytes call)
-          | Call.Sendrecv { send; _ } ->
-              let d = send.Call.peer in
-              if d >= 0 && d < c.c_nranks then
-                m.(src).(d) <- m.(src).(d) +. float_of_int (Call.payload_bytes call)
-          | _ -> ())
-        calls)
-    c.c_calls;
-  m
-
 let percentile sorted q =
   let n = Array.length sorted in
   if n = 0 then 0.0
@@ -119,28 +101,20 @@ let percentile sorted q =
 let diff ~original ~proxy =
   let nr = min original.c_nranks proxy.c_nranks in
   (* --- communication ------------------------------------------------ *)
-  let to_ = call_table original and tp = call_table proxy in
-  let names =
-    let s = Hashtbl.create 32 in
-    Hashtbl.iter (fun k _ -> Hashtbl.replace s k ()) to_;
-    Hashtbl.iter (fun k _ -> Hashtbl.replace s k ()) tp;
-    Hashtbl.fold (fun k () acc -> k :: acc) s [] |> List.sort compare
-  in
   let call_stats =
-    List.map
-      (fun name ->
-        let co, bo = Option.value ~default:(0, 0) (Hashtbl.find_opt to_ name) in
-        let cp, bp = Option.value ~default:(0, 0) (Hashtbl.find_opt tp name) in
-        {
-          cs_name = name;
-          cs_count_orig = co;
-          cs_count_proxy = cp;
-          cs_bytes_orig = bo;
-          cs_bytes_proxy = bp;
-        })
-      names
+    List.init Call.n_kinds Fun.id
+    |> List.filter (fun k -> original.c_counts.(k) > 0 || proxy.c_counts.(k) > 0)
+    |> List.map (fun k ->
+           {
+             cs_name = Call.kind_name k;
+             cs_count_orig = original.c_counts.(k);
+             cs_count_proxy = proxy.c_counts.(k);
+             cs_bytes_orig = original.c_bytes.(k);
+             cs_bytes_proxy = proxy.c_bytes.(k);
+           })
+    |> List.sort (fun a b -> compare a.cs_name b.cs_name)
   in
-  let mo = comm_matrix original and mp = comm_matrix proxy in
+  let mo = original.c_send_matrix and mp = proxy.c_send_matrix in
   let l1 = ref 0.0 and vol = ref 0.0 in
   for i = 0 to nr - 1 do
     for j = 0 to nr - 1 do
@@ -173,18 +147,27 @@ let diff ~original ~proxy =
       :: !reasons;
   let reasons = List.rev !reasons in
   (* --- computation, per-event --------------------------------------- *)
+  let metrics = Array.of_list Counters.all_metrics in
+  let pairs = ref 0 in
+  for rk = 0 to nr - 1 do
+    pairs := !pairs + min (Array.length original.c_compute.(rk)) (Array.length proxy.c_compute.(rk))
+  done;
+  let errs = Array.map (fun _ -> Array.make !pairs 0.0) metrics in
+  let lens = Array.make (Array.length metrics) 0 in
   let unpaired = ref 0 in
-  let per_metric = List.map (fun m -> (m, ref [])) Counters.all_metrics in
   for rk = 0 to nr - 1 do
     let ea = original.c_compute.(rk) and eb = proxy.c_compute.(rk) in
     let na = Array.length ea and nb = Array.length eb in
     unpaired := !unpaired + abs (na - nb);
     for i = 0 to min na nb - 1 do
-      List.iter
-        (fun (m, acc) ->
+      Array.iteri
+        (fun mi m ->
           let a = Counters.get ea.(i) m and b = Counters.get eb.(i) m in
-          if a > 0.0 then acc := (Float.abs (b -. a) /. a) :: !acc)
-        per_metric
+          if a > 0.0 then begin
+            errs.(mi).(lens.(mi)) <- Float.abs (b -. a) /. a;
+            lens.(mi) <- lens.(mi) + 1
+          end)
+        metrics
     done
   done;
   if original.c_nranks <> proxy.c_nranks then
@@ -193,9 +176,10 @@ let diff ~original ~proxy =
       if rk < proxy.c_nranks then unpaired := !unpaired + Array.length proxy.c_compute.(rk)
     done;
   let compute_errors =
-    List.map
-      (fun (m, acc) ->
-        let a = Array.of_list (List.sort Float.compare !acc) in
+    List.mapi
+      (fun mi m ->
+        let a = Array.sub errs.(mi) 0 lens.(mi) in
+        Array.sort Float.compare a;
         let n = Array.length a in
         let mean = if n = 0 then 0.0 else Array.fold_left ( +. ) 0.0 a /. float_of_int n in
         {
@@ -205,7 +189,7 @@ let diff ~original ~proxy =
           me_max = (if n = 0 then 0.0 else a.(n - 1));
           me_events = n;
         })
-      per_metric
+      Counters.all_metrics
   in
   (* --- time --------------------------------------------------------- *)
   let ta = original.c_result.Engine.elapsed and tb = proxy.c_result.Engine.elapsed in
@@ -214,9 +198,9 @@ let diff ~original ~proxy =
     else begin
       let acc = ref 0.0 in
       for rk = 0 to nr - 1 do
-        let ka = Timeline.kind_totals original.c_timeline rk in
-        let kb = Timeline.kind_totals proxy.c_timeline rk in
-        List.iter2 (fun (_, a) (_, b) -> acc := !acc +. Float.abs (a -. b)) ka kb
+        List.iter2
+          (fun (_, a) (_, b) -> acc := !acc +. Float.abs (a -. b))
+          original.c_kind_totals.(rk) proxy.c_kind_totals.(rk)
       done;
       !acc /. (float_of_int nr *. ta)
     end

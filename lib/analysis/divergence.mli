@@ -3,9 +3,10 @@
     The paper's claim is two-sided: the synthesized proxy replays the
     original's communication *losslessly* and its computation
     *approximately*.  This module measures both sides on the simulated
-    platform.  It {!capture}s a run — per-rank call streams, per-event
-    computation counters and the simulated-time {!Timeline} — for the
-    original program and for the proxy replay, then {!diff}s the two:
+    platform.  It {!capture}s a run — per-call-type counts and bytes, the
+    send matrix, per-event computation counters and each rank's
+    simulated-time totals from {!Timeline} — for the original program and
+    for the proxy replay, then {!diff}s the two:
 
     - {e communication}: per-call-type count and volume deltas, plus the
       normalized L1 distance between the world-rank send matrices.  Any
@@ -27,11 +28,17 @@ module Counters = Siesta_perf.Counters
 type capture = {
   c_nranks : int;
   c_result : Engine.result;
-  c_calls : Call.t array array;  (** per rank, in call order *)
+  c_counts : int array;  (** calls per {!Call.index} *)
+  c_bytes : int array;  (** {!Call.payload_bytes} per {!Call.index} *)
+  c_send_matrix : float array array;
+      (** world-rank send-side bytes, [c_send_matrix.(src).(dst)]: Send,
+          Isend and a Sendrecv's send side (the whole call's payload),
+          added in each rank's call order *)
   c_compute : Counters.t array array;
       (** per rank, one (noisy) counter delta per computation event, in
           order — read PMPI-style at call boundaries *)
-  c_timeline : Timeline.t;
+  c_kind_totals : (Timeline.kind * float) list array;
+      (** per rank, {!Timeline.kind_totals} of the run's timeline *)
 }
 
 val capture :
@@ -41,9 +48,13 @@ val capture :
   ?seed:int ->
   (Engine.ctx -> unit) ->
   capture
-(** Run [program] under a zero-overhead hook and a timeline observer.
-    Timing is identical to an uninstrumented run with the same [seed]
-    (default 42). *)
+(** Run [program] under a zero-overhead hook and
+    {!Timeline.record_totals}, folding each call into the summaries
+    {!diff} reads as the engine runs.  Only the computation deltas grow
+    with the run; no call and no timeline segment is kept.  Timing is
+    identical to an uninstrumented run with the same [seed] (default
+    42), so a caller that needs the original's full timeline records it
+    with {!Timeline.record} on the same seed. *)
 
 type call_stat = {
   cs_name : string;

@@ -57,123 +57,184 @@ let classify (call : Call.t) =
       Wait
 
 (* ------------------------------------------------------------------ *)
-(* Recording *)
+(* Tiling *)
 
-type item =
-  | Rcall of string * kind * float  (* name, kind, start clock *)
-  | Rcomp of float * float  (* compute interval *)
+(* Per-kind sums live in float arrays, three slots per rank in
+   [kind_totals] order. *)
+let kind_slot = function Compute -> 0 | Transfer -> 1 | Wait -> 2
 
-type recording = {
-  rec_nranks : int;
-  items : item list array;  (* newest first *)
-  mutable rmatches : p2p_match list;  (* newest first *)
-  mutable rcolls : coll_sync list;  (* newest first *)
+let add_duration sums i t0 t1 = sums.(i) <- sums.(i) +. (t1 -. t0)
+
+(* Where closed segments go: [record] keeps them; [record_totals] adds
+   each one's duration to its rank's per-kind sum, in segment order, so
+   its sums equal [kind_totals] of the kept segments bit for bit. *)
+type sink = Keep of segment list array | Sum of float array
+
+(* A rank's clocks, in an all-float record: OCaml stores it flat, and
+   [close] and [close_open] are inlined so their float arguments stay
+   unboxed, so following the engine allocates nothing until a segment
+   is kept. *)
+type clocks = {
+  mutable open_t0 : float;  (* entry clock of the open call *)
+  mutable cursor : float;  (* end of the last closed segment *)
+  mutable pend_t0 : float;  (* the pending segment's interval *)
+  mutable pend_t1 : float;
 }
 
-let start ~nranks =
-  { rec_nranks = nranks; items = Array.make nranks []; rmatches = []; rcolls = [] }
+(* The one tiling rule, run per rank as the observer's events arrive.  A
+   call segment runs from its entry clock to the start of the rank's next
+   event (or its final clock); compute intervals are exact and adjacent
+   ones coalesce, so the last closed segment is held back as pending
+   until the next one cannot extend it.  Gaps — which the engine should
+   never produce — are kept visible as explicit "idle" wait segments
+   rather than silently absorbed.  No MPI call is named "", so "" marks
+   an absent open call or pending segment. *)
+type rank_tiler = {
+  clk : clocks;
+  mutable open_name : string;
+  mutable open_kind : kind;
+  mutable pend_name : string;
+  mutable pend_kind : kind;
+}
 
-let observer r : Engine.observer =
+let flush sink rank st =
+  if st.pend_name <> "" then begin
+    let c = st.clk in
+    (match sink with
+    | Keep segs ->
+        segs.(rank) <-
+          { t0 = c.pend_t0; t1 = c.pend_t1; kind = st.pend_kind; name = st.pend_name }
+          :: segs.(rank)
+    | Sum sums -> add_duration sums ((3 * rank) + kind_slot st.pend_kind) c.pend_t0 c.pend_t1);
+    st.pend_name <- ""
+  end
+
+let[@inline] close sink rank st t0 t1 kind name =
+  if t1 > t0 then begin
+    let c = st.clk in
+    if kind = Compute && st.pend_name <> "" && st.pend_kind = Compute && c.pend_t1 = t0 then
+      c.pend_t1 <- t1
+    else begin
+      flush sink rank st;
+      c.pend_t0 <- t0;
+      c.pend_t1 <- t1;
+      st.pend_kind <- kind;
+      st.pend_name <- name
+    end
+  end
+
+let[@inline] close_open sink rank st upto =
+  let c = st.clk in
+  if st.open_name = "" then close sink rank st c.cursor upto Wait "idle"
+  else begin
+    close sink rank st c.open_t0 upto st.open_kind st.open_name;
+    st.open_name <- ""
+  end;
+  c.cursor <- upto
+
+let tiler_observer sink ranks : Engine.observer =
   {
     Engine.on_call =
       (fun ~rank ~call ~clock ->
-        r.items.(rank) <- Rcall (Call.name call, classify call, clock) :: r.items.(rank));
-    on_compute = (fun ~rank ~t0 ~t1 -> r.items.(rank) <- Rcomp (t0, t1) :: r.items.(rank));
+        let st = ranks.(rank) in
+        close_open sink rank st clock;
+        st.open_name <- Call.name call;
+        st.open_kind <- classify call;
+        st.clk.open_t0 <- clock);
+    on_compute =
+      (fun ~rank ~t0 ~t1 ->
+        let st = ranks.(rank) in
+        close_open sink rank st t0;
+        close sink rank st t0 t1 Compute "compute";
+        st.clk.cursor <- t1);
     on_p2p_match =
-      (fun ~src ~dst ~rendezvous ~send_ready ~post ~completion ~bytes ->
-        r.rmatches <-
-          {
-            pm_src = src;
-            pm_dst = dst;
-            pm_rdv = rendezvous;
-            pm_send_ready = send_ready;
-            pm_post = post;
-            pm_completion = completion;
-            pm_bytes = bytes;
-          }
-          :: r.rmatches);
-    on_coll_done =
-      (fun ~kind ~ranks ~last_rank ~last_arrival ~finish ->
-        r.rcolls <-
-          {
-            cs_kind = kind;
-            cs_ranks = Array.copy ranks;
-            cs_last_rank = last_rank;
-            cs_last_arrival = last_arrival;
-            cs_finish = finish;
-          }
-          :: r.rcolls);
+      (fun ~src:_ ~dst:_ ~rendezvous:_ ~send_ready:_ ~post:_ ~completion:_ ~bytes:_ -> ());
+    on_coll_done = (fun ~kind:_ ~ranks:_ ~last_rank:_ ~last_arrival:_ ~finish:_ -> ());
   }
 
-(* Turn one rank's item stream into a tiling of [0, elapsed_r].  A call
-   segment runs from its start clock to the start of the next item (or the
-   rank's final clock); compute intervals are exact and adjacent ones
-   coalesce.  Gaps — which the engine should never produce — are kept
-   visible as explicit "idle" wait segments rather than silently absorbed. *)
-let rank_segments items elapsed_r =
-  let items = List.rev items in
-  let out = ref [] in
-  let push s = if s.t1 > s.t0 then out := s :: !out in
-  let push_compute t0 t1 =
-    if t1 > t0 then
-      match !out with
-      | prev :: rest when prev.kind = Compute && prev.t1 = t0 ->
-          out := { prev with t1 } :: rest
-      | _ -> out := { t0; t1; kind = Compute; name = "compute" } :: !out
+(* Run [program] with a tiler feeding [sink], then close every rank
+   against its final clock.  [observe] adds callbacks to the tiler's
+   observer. *)
+let run_tiled ~platform ~impl ~nranks ?hook ~seed ?(observe = Fun.id) sink program =
+  let ranks =
+    Array.init nranks (fun _ ->
+        {
+          clk = { open_t0 = 0.0; cursor = 0.0; pend_t0 = 0.0; pend_t1 = 0.0 };
+          open_name = "";
+          open_kind = Wait;
+          pend_name = "";
+          pend_kind = Wait;
+        })
   in
-  (* [open_call]: a call whose end we have not yet seen; [cursor]: end of
-     the last closed segment. *)
-  let open_call = ref None in
-  let cursor = ref 0.0 in
-  let close_open upto =
-    (match !open_call with
-    | Some (name, kind, t0) ->
-        push { t0; t1 = upto; kind; name };
-        open_call := None
-    | None -> if upto > !cursor then push { t0 = !cursor; t1 = upto; kind = Wait; name = "idle" });
-    cursor := upto
+  let observer = observe (tiler_observer sink ranks) in
+  let result = Engine.run ~platform ~impl ~nranks ?hook ~observer ~seed program in
+  Array.iteri
+    (fun rank elapsed ->
+      close_open sink rank ranks.(rank) elapsed;
+      flush sink rank ranks.(rank))
+    result.Engine.per_rank_elapsed;
+  result
+
+let record ~platform ~impl ~nranks ?(seed = 42) program =
+  let segments = Array.make nranks [] in
+  let matches = ref [] and colls = ref [] in
+  let observe (o : Engine.observer) =
+    {
+      o with
+      Engine.on_p2p_match =
+        (fun ~src ~dst ~rendezvous ~send_ready ~post ~completion ~bytes ->
+          matches :=
+            {
+              pm_src = src;
+              pm_dst = dst;
+              pm_rdv = rendezvous;
+              pm_send_ready = send_ready;
+              pm_post = post;
+              pm_completion = completion;
+              pm_bytes = bytes;
+            }
+            :: !matches);
+      on_coll_done =
+        (fun ~kind ~ranks ~last_rank ~last_arrival ~finish ->
+          colls :=
+            {
+              cs_kind = kind;
+              cs_ranks = Array.copy ranks;
+              cs_last_rank = last_rank;
+              cs_last_arrival = last_arrival;
+              cs_finish = finish;
+            }
+            :: !colls);
+    }
   in
-  List.iter
-    (fun it ->
-      match it with
-      | Rcall (name, kind, t) ->
-          close_open t;
-          open_call := Some (name, kind, t)
-      | Rcomp (t0, t1) ->
-          close_open t0;
-          push_compute t0 t1;
-          cursor := t1)
-    items;
-  close_open elapsed_r;
-  Array.of_list (List.rev !out)
+  let result =
+    run_tiled ~platform ~impl ~nranks ~seed ~observe (Keep segments) program
+  in
+  ( {
+      nranks;
+      elapsed = result.Engine.elapsed;
+      per_rank_elapsed = Array.copy result.Engine.per_rank_elapsed;
+      segments = Array.map (fun l -> Array.of_list (List.rev l)) segments;
+      matches = Array.of_list (List.rev !matches);
+      colls = Array.of_list (List.rev !colls);
+    },
+    result )
 
-let finalize r ~result =
-  let per_rank = result.Engine.per_rank_elapsed in
-  {
-    nranks = r.rec_nranks;
-    elapsed = result.Engine.elapsed;
-    per_rank_elapsed = Array.copy per_rank;
-    segments = Array.init r.rec_nranks (fun rk -> rank_segments r.items.(rk) per_rank.(rk));
-    matches = Array.of_list (List.rev r.rmatches);
-    colls = Array.of_list (List.rev r.rcolls);
-  }
+let totals_at sums base =
+  [ (Compute, sums.(base)); (Transfer, sums.(base + 1)); (Wait, sums.(base + 2)) ]
 
-let record ~platform ~impl ~nranks ?hook ?(seed = 42) program =
-  let r = start ~nranks in
-  let result = Engine.run ~platform ~impl ~nranks ?hook ~observer:(observer r) ~seed program in
-  (finalize r ~result, result)
+let record_totals ~platform ~impl ~nranks ~hook ~seed program =
+  let sums = Array.make (3 * nranks) 0.0 in
+  let result = run_tiled ~platform ~impl ~nranks ~hook ~seed (Sum sums) program in
+  (Array.init nranks (fun rank -> totals_at sums (3 * rank)), result)
 
 (* ------------------------------------------------------------------ *)
 (* Analysis *)
 
 let kind_totals t rank =
-  let c = ref 0.0 and x = ref 0.0 and w = ref 0.0 in
-  Array.iter
-    (fun s ->
-      let d = s.t1 -. s.t0 in
-      match s.kind with Compute -> c := !c +. d | Transfer -> x := !x +. d | Wait -> w := !w +. d)
-    t.segments.(rank);
-  [ (Compute, !c); (Transfer, !x); (Wait, !w) ]
+  let sums = Array.make 3 0.0 in
+  Array.iter (fun s -> add_duration sums (kind_slot s.kind) s.t0 s.t1) t.segments.(rank);
+  totals_at sums 0
 
 let wait_breakdown t rank =
   let tbl = Hashtbl.create 16 in

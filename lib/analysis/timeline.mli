@@ -67,29 +67,37 @@ type t = {
   colls : coll_sync array;  (** in completion order *)
 }
 
-(** {1 Recording} *)
+(** {1 Recording}
 
-type recording
-(** In-flight capture; single-writer (the engine scheduler is
-    single-domain). *)
-
-val start : nranks:int -> recording
-val observer : recording -> Engine.observer
-
-val finalize : recording -> result:Engine.result -> t
-(** Close the capture against the finished run's per-rank clocks. *)
+    Both recorders tile each rank's clock with one streaming rule as the
+    engine runs: a call segment runs from its entry clock to the rank's
+    next event, compute intervals are exact and adjacent ones coalesce,
+    and a gap becomes an explicit ["idle"] wait segment.  Both observers
+    are passive, so the returned result is bit-identical to an
+    unobserved run with the same seed. *)
 
 val record :
   platform:Siesta_platform.Spec.t ->
   impl:Siesta_platform.Mpi_impl.t ->
   nranks:int ->
-  ?hook:Engine.hook ->
   ?seed:int ->
   (Engine.ctx -> unit) ->
   t * Engine.result
-(** [record ~platform ~impl ~nranks program] = run under an observer and
-    finalize.  The observer is passive, so the returned result is
-    bit-identical to an unobserved run with the same seed (default 42). *)
+(** [record ~platform ~impl ~nranks program] runs [program] (seed
+    default 42) and keeps every segment, match and collective. *)
+
+val record_totals :
+  platform:Siesta_platform.Spec.t ->
+  impl:Siesta_platform.Mpi_impl.t ->
+  nranks:int ->
+  hook:Engine.hook ->
+  seed:int ->
+  (Engine.ctx -> unit) ->
+  (kind * float) list array * Engine.result
+(** Same run under [hook], but keeps only each rank's per-kind seconds:
+    element [r] equals {!kind_totals} of {!record}'s timeline (same
+    [seed]) for rank [r] bit for bit (the same segments, summed in the
+    same order).  Its memory does not grow with the run's length. *)
 
 (** {1 Analysis and rendering} *)
 

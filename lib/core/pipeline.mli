@@ -76,11 +76,14 @@ val run_original :
 
 val record_timeline : spec -> Siesta_analysis.Timeline.t * Siesta_mpi.Engine.result
 (** Run the workload once under a timeline observer (timing identical to
-    {!run_original} on the generation platform). *)
+    {!run_original} on the generation platform).  The one source of the
+    original's full timeline: the report, [siesta diff]'s critical path
+    and every timeline file record it here. *)
 
 val capture_original : spec -> Siesta_analysis.Divergence.capture
-(** Full divergence capture (calls + per-event counters + timeline) of
-    the original program on the generation platform. *)
+(** Divergence capture (per-call-type counts and bytes, send matrix,
+    per-event counters and per-rank time totals) of the original program
+    on the generation platform. *)
 
 val capture_proxy_ir : spec -> Siesta_synth.Proxy_ir.t -> Siesta_analysis.Divergence.capture
 (** Same capture for a synthesized proxy's replay on the generation

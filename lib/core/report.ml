@@ -22,10 +22,13 @@ let pct x = Printf.sprintf "%.2f%%" (100.0 *. x)
    is either a live traced run or a decoded blob plus stored run
    measurements.
    Everything below reads only what both flavours carry — streams,
-   centroids, meta — plus the fidelity captures (which re-run both
-   programs under the simulated clock and reproduce the original run's
-   [Engine.result] exactly; runs are deterministic per seed). *)
-let generate (sy : Pipeline.synthesis) =
+   centroids, meta — plus the fidelity captures and the original's
+   timeline.  The captures re-run both programs under the simulated clock
+   and keep only summaries; the critical path and the per-rank breakdown
+   need every segment, so they read the [timeline] the caller recorded
+   with [Pipeline.record_timeline].  Runs are deterministic per seed, so
+   each reproduces the original run's [Engine.result] exactly. *)
+let generate ~timeline (sy : Pipeline.synthesis) =
   let ts = sy.Pipeline.sy_trace in
   let spec = ts.Pipeline.ts_spec in
   let meta = ts.Pipeline.ts_meta in
@@ -192,14 +195,12 @@ let generate (sy : Pipeline.synthesis) =
   p "\n## Fidelity (simulated clock)\n\n";
   Buffer.add_string buf (Divergence.to_markdown fid.Pipeline.f_report);
   p "\n### Critical path (original run)\n\n```\n%s```\n"
-    (Critical_path.render
-       (Critical_path.compute ~merged:sy.Pipeline.sy_merged
-          fid.Pipeline.f_original.Divergence.c_timeline));
+    (Critical_path.render (Critical_path.compute ~merged:sy.Pipeline.sy_merged timeline));
   p "\n### Per-rank simulated-time breakdown (original run)\n\n```\n%s```\n"
-    (Timeline.render fid.Pipeline.f_original.Divergence.c_timeline);
+    (Timeline.render timeline);
   Buffer.contents buf
 
-let write_file sy ~path =
+let write_file ~timeline sy ~path =
   let oc = open_out path in
-  output_string oc (generate sy);
+  output_string oc (generate ~timeline sy);
   close_out oc

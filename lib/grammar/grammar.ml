@@ -53,27 +53,51 @@ let expanded_length t =
   in
   len_of_body t.main
 
-let depth t =
+(* The one walk over a grammar's rules.  Each rule's body is read once,
+   after the rules it references, and every entry is checked on the way:
+   a repetition below 1, a rule reference out of range, a terminal id
+   outside [0, terminals) (when given), an empty rule or a cycle raises.
+   Returns each rule's depth, and the same checking walk for another
+   body (the main rule). *)
+let checked_depths ?terminals t =
   let n = Array.length t.rules in
-  let memo = Array.make n (-1) in
-  let visiting = Array.make n false in
-  let rec depth_of i =
-    if memo.(i) >= 0 then memo.(i)
+  (* 0: not reached yet; -1: on the current path; else the rule's depth *)
+  let memo = Array.make n 0 in
+  let rec rule_depth i =
+    let d = memo.(i) in
+    if d > 0 then d
+    else if d < 0 then invalid_arg "Grammar: cyclic grammar"
     else begin
-      if visiting.(i) then invalid_arg "Grammar.depth: cyclic grammar";
-      visiting.(i) <- true;
-      let d =
-        List.fold_left
-          (fun acc { sym; _ } ->
-            match sym with T _ -> max acc 1 | N j -> check_ref t j; max acc (1 + depth_of j))
-          0 t.rules.(i)
-      in
-      visiting.(i) <- false;
+      memo.(i) <- -1;
+      let d = body_depth 0 t.rules.(i) in
+      if d = 0 then invalid_arg "Grammar: empty rule";
       memo.(i) <- d;
       d
     end
+  and body_depth acc = function
+    | [] -> acc
+    | { sym; reps } :: rest ->
+        if reps < 1 then invalid_arg "Grammar: non-positive repetition";
+        let d =
+          match sym with
+          | T v ->
+              (match terminals with
+              | Some nt when v < 0 || v >= nt ->
+                  invalid_arg (Printf.sprintf "Grammar: terminal id %d out of range" v)
+              | _ -> ());
+              1
+          | N j ->
+              check_ref t j;
+              1 + rule_depth j
+        in
+        body_depth (if d > acc then d else acc) rest
   in
-  Array.init n depth_of
+  for i = 0 to n - 1 do
+    ignore (rule_depth i)
+  done;
+  (memo, body_depth 0)
+
+let depth t = fst (checked_depths t)
 
 let serialized_bytes t =
   (6 * entry_count t) + (8 * (rule_count t + 1))
@@ -89,21 +113,9 @@ let map_terminals f t =
   in
   { main = map_body t.main; rules = Array.map map_body t.rules }
 
-let validate t =
-  ignore (depth t);
-  List.iter (fun { sym; reps } ->
-      if reps < 1 then invalid_arg "Grammar: non-positive repetition";
-      match sym with N i -> check_ref t i | T _ -> ())
-    t.main;
-  Array.iter
-    (fun body ->
-      if body = [] then invalid_arg "Grammar: empty rule";
-      List.iter
-        (fun { sym; reps } ->
-          if reps < 1 then invalid_arg "Grammar: non-positive repetition";
-          match sym with N i -> check_ref t i | T _ -> ())
-        body)
-    t.rules
+let validate ~terminals t =
+  let _, body_depth = checked_depths ~terminals t in
+  ignore (body_depth t.main)
 
 let to_dot ?(terminal_label = fun i -> Printf.sprintf "t%d" i) t =
   let buf = Buffer.create 1024 in

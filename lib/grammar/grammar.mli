@@ -43,7 +43,10 @@ val depth : t -> int array
 (** [depth g] gives, for each rule, the height of its derivation tree
     (terminals have height 0, a rule is 1 + max over its body).  Used by
     the inter-process non-terminal merge, which only merges equal-depth
-    rules. *)
+    rules.  It runs {!validate}'s walk over the rules, with every check
+    but the terminal range.
+    @raise Invalid_argument on a bad reference or repetition, an empty
+    rule or a cycle. *)
 
 val equal : t -> t -> bool
 (** Structural equality — exact match of rule numbering, bodies and
@@ -64,9 +67,12 @@ val serialized_bytes : t -> int
     id + 2-byte repetition count) plus an 8-byte rule header each.  The
     terminal and computation tables are accounted separately. *)
 
-val validate : t -> unit
-(** Checks that rule references are in range and the rule graph is acyclic
-    (Sequitur grammars always are).  @raise Invalid_argument otherwise. *)
+val validate : terminals:int -> t -> unit
+(** Checks, in one walk that reads each rule once, that rule references
+    are in range, the rule graph is acyclic (Sequitur grammars always
+    are), no rule is empty, every repetition is positive and every
+    terminal id is in [\[0, terminals)].
+    @raise Invalid_argument otherwise. *)
 
 val pp : Format.formatter -> t -> unit
 

@@ -66,6 +66,10 @@ let stats t =
     (Siesta_util.Bytes_fmt.to_string (serialized_bytes t))
 
 let validate t =
+  if Array.length t.mains <> Array.length t.main_ranks then
+    invalid_arg
+      (Printf.sprintf "Merged: %d main rules but %d main rank lists" (Array.length t.mains)
+         (Array.length t.main_ranks));
   let covered = Array.make t.nranks 0 in
   Array.iter
     (fun rl -> List.iter (fun r ->
@@ -78,14 +82,15 @@ let validate t =
       if c <> 1 then
         invalid_arg (Printf.sprintf "Merged: rank %d covered by %d main rules" r c))
     covered;
-  let g = { Grammar.main = []; rules = t.rules } in
-  Grammar.validate g;
-  let nrules = Array.length t.rules in
+  let nrules = Array.length t.rules and nterms = Array.length t.terminals in
+  Grammar.validate ~terminals:nterms { Grammar.main = []; rules = t.rules };
   Array.iter
     (List.iter (fun { sym; reps; ranks } ->
          if reps < 1 then invalid_arg "Merged: non-positive repetition";
          if Rank_list.cardinal ranks = 0 then invalid_arg "Merged: empty rank list";
          match sym with
          | Grammar.N i when i < 0 || i >= nrules -> invalid_arg "Merged: rule ref out of range"
+         | Grammar.T v when v < 0 || v >= nterms ->
+             invalid_arg (Printf.sprintf "Merged: terminal id %d out of range" v)
          | Grammar.N _ | Grammar.T _ -> ()))
     t.mains

@@ -52,6 +52,8 @@ val stats : t -> string
 (** One-line human-readable summary. *)
 
 val validate : t -> unit
-(** Structural checks: disjoint main coverage of all ranks, rule
-    references in range, positive repetitions.
+(** Structural checks: one main rule per rank list, disjoint main
+    coverage of all ranks, an acyclic rule set, rule references and
+    terminal ids in range, positive repetitions.  A grammar that passes
+    is one {!iter_rank} walks for every rank without raising.
     @raise Invalid_argument on violation. *)

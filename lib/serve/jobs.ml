@@ -235,17 +235,16 @@ let run_job t job =
          { a_name = name; a_hash = hash; a_bytes = String.length content; a_ctype = ctype_of name }
          :: !arts
      in
+     let timeline, _ = Pipeline.record_timeline r.r_spec in
      add "proxy.c" (Codegen_c.generate sy.Pipeline.sy_proxy);
-     add "report.md" (Report.generate sy);
+     add "report.md" (Report.generate ~timeline sy);
      add "check.json" (Comm_check.to_json (Pipeline.check_synthesis sy));
      if r.r_diff then begin
        let f = Pipeline.diff_synthesis sy in
        add "diff.json" (Divergence.to_json f.Pipeline.f_report)
      end;
-     if r.r_timeline then begin
-       let tl, _ = Pipeline.record_timeline r.r_spec in
-       add "timeline.html" (Timeline_html.render ~title:("siesta job " ^ job.id) tl)
-     end;
+     if r.r_timeline then
+       add "timeline.html" (Timeline_html.render ~title:("siesta job " ^ job.id) timeline);
      (match r.r_sweep with
      | None -> ()
      | Some factors ->

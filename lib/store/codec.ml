@@ -228,8 +228,10 @@ let w_merged b (m : Merged.t) =
   Array.iter (w_rank_list b) m.Merged.main_ranks
 
 let r_merged r : Merged.t =
-  let nranks = r_varint r in
-  if nranks <= 0 then corrupt "non-positive nranks %d" nranks;
+  (* the main rank lists name every rank, so a rank count above the
+     bytes left is forged too *)
+  let nranks = r_count r "rank" in
+  if nranks = 0 then corrupt "non-positive nranks %d" nranks;
   let nterms = r_count r "terminal" in
   let terminals = Array.init nterms (fun _ -> r_event r) in
   let nrules = r_count r "rule" in
@@ -387,13 +389,21 @@ let encode_merged m =
   w_merged b m;
   frame ~kind:"merged" (contents b)
 
+(* A payload that parses can still name what the pipeline cannot walk
+   (a rule or terminal out of range, an uncovered rank); such a blob is
+   as corrupt as a truncated one. *)
+let validated what check x =
+  match check x with
+  | () -> x
+  | exception Invalid_argument msg -> corrupt "invalid %s: %s" what msg
+
 let decode_merged blob =
   let kind, payload = unframe blob in
   if kind <> "merged" then corrupt "expected a merged blob, got %S" kind;
   let r = reader payload in
   let m = r_merged r in
   if not (at_end r) then corrupt "trailing bytes after merged payload";
-  m
+  validated "merged grammar" Merged.validate m
 
 (* ------------------------------------------------------------------ *)
 (* Proxy / QP solution *)
@@ -435,13 +445,14 @@ let decode_proxy blob =
   let intercept = r_float r in
   let generated_on = r_string r in
   if not (at_end r) then corrupt "trailing bytes after proxy payload";
-  {
-    Proxy_ir.merged;
-    combos;
-    combo_errors;
-    shrink = Shrink.of_parts ~factor ~regression:{ Linreg.slope; intercept };
-    generated_on;
-  }
+  validated "proxy" Proxy_ir.validate
+    {
+      Proxy_ir.merged;
+      combos;
+      combo_errors;
+      shrink = Shrink.of_parts ~factor ~regression:{ Linreg.slope; intercept };
+      generated_on;
+    }
 
 (* ------------------------------------------------------------------ *)
 (* Run-ledger records.  The payload is a UTF-8 JSON document (the ledger

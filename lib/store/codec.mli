@@ -76,13 +76,18 @@ val decode_trace : string -> trace_meta * Siesta_trace.Trace_io.packed
     against the definition table; truncated chunks raise {!Corrupt}). *)
 
 val encode_merged : Siesta_merge.Merged.t -> string
+
 val decode_merged : string -> Siesta_merge.Merged.t
+(** Also runs {!Siesta_merge.Merged.validate}: a grammar the pipeline
+    cannot walk raises {!Corrupt} like any other damage. *)
 
 val encode_proxy : Siesta_synth.Proxy_ir.t -> string
 (** Self-contained: embeds the merged grammar alongside the block
     combinations, shrink plan and generation platform. *)
 
 val decode_proxy : string -> Siesta_synth.Proxy_ir.t
+(** Also runs {!Siesta_synth.Proxy_ir.validate}: a proxy that replay or
+    codegen cannot use raises {!Corrupt}. *)
 
 val encode_run : string -> string
 (** Frame a run-ledger record (kind ["run"]).  Unlike the stage

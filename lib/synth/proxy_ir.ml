@@ -34,6 +34,27 @@ let synthesize ~platform ~impl ?(factor = 1.0) ~merged ~compute_table () =
     generated_on = platform.Siesta_platform.Spec.name;
   }
 
+let validate t =
+  Merged.validate t.merged;
+  let n = Array.length t.combos in
+  if Array.length t.combo_errors <> n then
+    invalid_arg
+      (Printf.sprintf "Proxy_ir: %d search errors for %d combinations"
+         (Array.length t.combo_errors) n);
+  Array.iteri
+    (fun cid x ->
+      if Array.length x <> Block.count then
+        invalid_arg
+          (Printf.sprintf "Proxy_ir: combination %d has %d entries, not %d" cid (Array.length x)
+             Block.count))
+    t.combos;
+  Array.iter
+    (function
+      | Event.Compute cid when cid < 0 || cid >= n ->
+          invalid_arg (Printf.sprintf "Proxy_ir: compute cluster %d has no combination" cid)
+      | _ -> ())
+    t.merged.Merged.terminals
+
 let size_c_bytes t =
   Merged.serialized_bytes t.merged + (Array.length t.combos * ((Block.count * 4) + 4))
 

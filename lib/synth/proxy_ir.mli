@@ -27,6 +27,13 @@ val synthesize :
     divided by [factor] when given) and fit the communication shrink
     regression.  [factor] defaults to 1 (no shrinking). *)
 
+val validate : t -> unit
+(** {!Siesta_merge.Merged.validate} on the grammar, plus: one search
+    error and {!Siesta_blocks.Block.count} entries per combination, and a
+    combination for every computation terminal's cluster id.  A proxy
+    that passes is one {!program} and {!Codegen_c.generate} can use.
+    @raise Invalid_argument on violation. *)
+
 val size_c_bytes : t -> int
 (** The [size_C] of Table 3: exported grammar (terminals + rules + merged
     mains) plus the computation-proxy table (11 counts per cluster). *)

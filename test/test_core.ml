@@ -243,7 +243,8 @@ let test_per_metric_errors () =
 
 let test_report_generation () =
   let sy = full_synthesis () in
-  let report = Siesta.Report.generate sy in
+  let timeline, _ = Pipeline.record_timeline sy.Pipeline.sy_trace.Pipeline.ts_spec in
+  let report = Siesta.Report.generate ~timeline sy in
   List.iter
     (fun needle ->
       let n = String.length report and m = String.length needle in

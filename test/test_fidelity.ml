@@ -9,6 +9,7 @@ module Pipeline = Siesta.Pipeline
 module Registry = Siesta_workloads.Registry
 module E = Siesta_mpi.Engine
 module D = Siesta_mpi.Datatype
+module Call = Siesta_mpi.Call
 module Counters = Siesta_perf.Counters
 module Json = Siesta_obs.Json
 
@@ -245,14 +246,139 @@ let test_perturb_compute () =
 
 let test_rule_attribution_sums () =
   let sy = Lazy.force synthesis in
-  let cap = Pipeline.capture_original sy.Pipeline.sy_trace.Pipeline.ts_spec in
-  let cp =
-    Critical_path.compute ~merged:sy.Pipeline.sy_merged cap.Divergence.c_timeline
-  in
+  let tl, _ = Pipeline.record_timeline sy.Pipeline.sy_trace.Pipeline.ts_spec in
+  let cp = Critical_path.compute ~merged:sy.Pipeline.sy_merged tl in
   let sum l = List.fold_left (fun a (_, s) -> a +. s) 0.0 l in
   Alcotest.(check bool) "rule attribution present" true (cp.Critical_path.by_rule <> []);
   feq "by_rule sums to length" cp.Critical_path.length (sum cp.Critical_path.by_rule);
   feq "by_name sums to length" cp.Critical_path.length (sum cp.Critical_path.by_name)
+
+(* ------------------------------------------------------------------ *)
+(* The capture folds each call as the engine runs.  A test hook records
+   every rank's calls, and the reference folds that list after the run
+   the way the capture once did: a name-keyed table of counts and bytes,
+   and the world-rank send matrix (Send, Isend and a Sendrecv's send
+   side). *)
+
+let recorded_calls ~nranks program =
+  let calls = Array.make nranks [] in
+  let hook =
+    {
+      E.on_event = (fun ~rank ~papi:_ ~call -> calls.(rank) <- call :: calls.(rank));
+      per_event_overhead = 0.0;
+    }
+  in
+  ignore (E.run ~platform ~impl ~nranks ~hook program);
+  Array.map (fun l -> Array.of_list (List.rev l)) calls
+
+let reference_fold ~nranks calls =
+  let tbl = Hashtbl.create 32 in
+  Array.iter
+    (Array.iter (fun call ->
+         let name = Call.name call in
+         let n, b = Option.value ~default:(0, 0) (Hashtbl.find_opt tbl name) in
+         Hashtbl.replace tbl name (n + 1, b + Call.payload_bytes call)))
+    calls;
+  let m = Array.make_matrix nranks nranks 0.0 in
+  Array.iteri
+    (fun src calls ->
+      Array.iter
+        (fun call ->
+          match call with
+          | Call.Send p | Call.Isend (p, _) | Call.Sendrecv { send = p; _ } ->
+              let d = p.Call.peer in
+              if d >= 0 && d < nranks then
+                m.(src).(d) <- m.(src).(d) +. float_of_int (Call.payload_bytes call)
+          | _ -> ())
+        calls)
+    calls;
+  (List.sort compare (Hashtbl.fold (fun name (n, b) acc -> (name, n, b) :: acc) tbl []), m)
+
+let check_capture_folds what ~nranks program (c : Divergence.capture) timeline =
+  let table, matrix = reference_fold ~nranks (recorded_calls ~nranks program) in
+  let folded =
+    List.init Call.n_kinds Fun.id
+    |> List.filter (fun k -> c.Divergence.c_counts.(k) > 0)
+    |> List.map (fun k -> (Call.kind_name k, c.Divergence.c_counts.(k), c.Divergence.c_bytes.(k)))
+    |> List.sort compare
+  in
+  Alcotest.(check (list (triple string int int))) (what ^ ": counts and bytes") table folded;
+  let bits = Int64.bits_of_float in
+  Alcotest.(check bool)
+    (what ^ ": send matrix bit for bit")
+    true
+    (Array.for_all2 (Array.for_all2 (fun a b -> bits a = bits b)) matrix c.Divergence.c_send_matrix);
+  let sums totals = List.map (fun (k, s) -> (Timeline.kind_name k, bits s)) totals in
+  for r = 0 to nranks - 1 do
+    Alcotest.(check (list (pair string int64)))
+      (Printf.sprintf "%s: rank %d kind sums bit for bit" what r)
+      (sums (Timeline.kind_totals timeline r))
+      (sums c.Divergence.c_kind_totals.(r))
+  done
+
+let test_capture_folds_registry () =
+  List.iter
+    (fun (w : Registry.t) ->
+      let nranks = 4 in
+      let s = Pipeline.spec ~workload:w.Registry.name ~nranks () in
+      check_capture_folds w.Registry.name ~nranks
+        (w.Registry.program ~nranks ~iters:None)
+        (Pipeline.capture_original s)
+        (fst (Pipeline.record_timeline s)))
+    Registry.all
+
+(* Wildcard receives, non-blocking requests, a Sendrecv ring and a
+   collective, with unequal compute so the wildcards match in arrival
+   order. *)
+let wildcard_program ctx =
+  let r = E.rank ctx and n = E.size ctx in
+  let work k =
+    E.compute ctx
+      (Siesta_perf.Kernel.streaming ~label:"w" ~flops:(1e5 *. float_of_int k) ~bytes:1e5)
+  in
+  for it = 1 to 3 do
+    work (((r * 7) + it) mod 5 + 1);
+    if r = 0 then begin
+      let reqs =
+        List.init (n - 1) (fun _ ->
+            E.irecv ctx ~src:Call.any_source ~tag:Call.any_tag ~dt:D.Int ~count:64)
+      in
+      E.waitall ctx reqs;
+      for d = 1 to n - 1 do
+        E.send ctx ~dest:d ~tag:it ~dt:D.Double ~count:(100 * d)
+      done
+    end
+    else begin
+      let req = E.isend ctx ~dest:0 ~tag:r ~dt:D.Int ~count:64 in
+      work r;
+      E.wait ctx req;
+      E.recv ctx ~src:0 ~tag:Call.any_tag ~dt:D.Double ~count:(100 * r)
+    end;
+    E.sendrecv ctx ~dest:((r + 1) mod n) ~send_tag:9 ~src:((r + n - 1) mod n) ~recv_tag:9
+      ~dt:D.Byte ~send_count:(1000 + r) ~recv_count:(1000 + ((r + n - 1) mod n));
+    E.allreduce ctx (E.comm_world ctx) ~dt:D.Double ~count:8 ~op:Siesta_mpi.Op.Sum
+  done
+
+let test_capture_folds_wildcards () =
+  let nranks = 4 in
+  let c = Divergence.capture ~platform ~impl ~nranks wildcard_program in
+  Alcotest.(check bool) "some send volume" true
+    (Array.exists (Array.exists (fun v -> v > 0.0)) c.Divergence.c_send_matrix);
+  check_capture_folds "wildcards" ~nranks wildcard_program c
+    (fst (Timeline.record ~platform ~impl ~nranks wildcard_program))
+
+(* A capture keeps per-kind counts, the send matrix and per-rank sums:
+   apart from the computation deltas, its size does not grow with the
+   run. *)
+let test_capture_memory_flat () =
+  let words iters =
+    let c =
+      Divergence.capture ~platform ~impl ~nranks:4
+        ((Registry.find "CG").Registry.program ~nranks:4 ~iters:(Some iters))
+    in
+    Obj.reachable_words (Obj.repr c) - Obj.reachable_words (Obj.repr c.Divergence.c_compute)
+  in
+  Alcotest.(check int) "words beside c_compute, 200 vs 50 iterations" (words 50) (words 200)
 
 let suite =
   [
@@ -265,5 +391,11 @@ let suite =
     Alcotest.test_case "perturbed comm is detected" `Quick test_perturbed_diff_detected;
     Alcotest.test_case "perturbed compute is detected" `Quick test_perturb_compute;
     Alcotest.test_case "rule attribution sums" `Quick test_rule_attribution_sums;
+    Alcotest.test_case "capture folds equal the call-list reference (registry @4)" `Quick
+      test_capture_folds_registry;
+    Alcotest.test_case "capture folds equal the call-list reference (wildcards)" `Quick
+      test_capture_folds_wildcards;
+    Alcotest.test_case "capture memory does not grow with iterations" `Quick
+      test_capture_memory_flat;
   ]
   @ List.map QCheck_alcotest.to_alcotest [ prop_segments_tile ]

@@ -39,17 +39,17 @@ let test_depth () =
 let test_validate_rejects_bad_ref () =
   let g = { G.main = [ entry (G.N 5) ]; rules = [||] } in
   Alcotest.(check bool) "bad ref raises" true
-    (match G.validate g with exception Invalid_argument _ -> true | () -> false)
+    (match G.validate ~terminals:1 g with exception Invalid_argument _ -> true | () -> false)
 
 let test_validate_rejects_zero_reps () =
   let g = { G.main = [ entry ~reps:0 (G.T 1) ]; rules = [||] } in
   Alcotest.(check bool) "zero reps raises" true
-    (match G.validate g with exception Invalid_argument _ -> true | () -> false)
+    (match G.validate ~terminals:2 g with exception Invalid_argument _ -> true | () -> false)
 
 let test_validate_rejects_empty_rule () =
   let g = { G.main = [ entry (G.N 0) ]; rules = [| [] |] } in
   Alcotest.(check bool) "empty rule raises" true
-    (match G.validate g with exception Invalid_argument _ -> true | () -> false)
+    (match G.validate ~terminals:1 g with exception Invalid_argument _ -> true | () -> false)
 
 let test_serialized_bytes () =
   Alcotest.(check int) "6/entry + 8/rule" ((6 * 4) + (8 * 2))
@@ -60,7 +60,7 @@ let test_serialized_bytes () =
 
 let roundtrip ?rle input =
   let g = Q.of_seq ?rle input in
-  G.validate g;
+  G.validate ~terminals:(1 + Array.fold_left max 0 input) g;
   Alcotest.(check bool) "roundtrip" true (G.expand g = input);
   g
 
@@ -193,7 +193,8 @@ let prop_invariants =
 
 let prop_valid_grammar =
   QCheck.Test.make ~name:"exported grammar validates" ~count:300 arbitrary_seq (fun input ->
-      match G.validate (Q.of_seq input) with () -> true | exception _ -> false)
+      let terminals = 1 + Array.fold_left max 0 input in
+      match G.validate ~terminals (Q.of_seq input) with () -> true | exception _ -> false)
 
 let prop_no_expansion_blowup =
   QCheck.Test.make ~name:"grammar never larger than input + slack" ~count:300 arbitrary_seq

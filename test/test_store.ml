@@ -316,6 +316,148 @@ let test_codec_proxy_roundtrip () =
   Alcotest.(check string) "byte-identical C" (Codegen_c.generate p) (Codegen_c.generate p')
 
 (* ------------------------------------------------------------------ *)
+(* Decoders reject what the pipeline cannot walk.  The frame checksum
+   catches accidents, not a payload that parses yet names a rule or
+   terminal out of range or leaves a rank uncovered; the decoders
+   validate what they build, so such a blob raises [Corrupt] too. *)
+
+module Grammar = Siesta_grammar.Grammar
+module Rank_list = Siesta_merge.Rank_list
+module Event = Siesta_trace.Event
+
+let cg4 = lazy (Pipeline.synthesize (Pipeline.trace (Pipeline.spec ~workload:"CG" ~nranks:4 ())))
+
+let rejects ~needle what decode blob =
+  match decode blob with
+  | exception Codec.Corrupt msg ->
+      Alcotest.(check bool) (Printf.sprintf "%s: %s names %S" what msg needle) true
+        (Test_comm_check.contains_substring ~needle msg)
+  | exception e -> Alcotest.failf "%s: leaked %s" what (Printexc.to_string e)
+  | _ -> Alcotest.failf "%s: accepted" what
+
+let test_decode_rejects_rule_ref_out_of_range () =
+  let m = (Lazy.force cg4).Pipeline.sy_merged in
+  let rules = Array.copy m.Merged.rules in
+  rules.(0) <- { Grammar.sym = Grammar.N (Array.length rules); reps = 1 } :: rules.(0);
+  rejects ~needle:"rule reference" "rule ref past the table" Codec.decode_merged
+    (Codec.encode_merged { m with Merged.rules })
+
+let test_decode_rejects_terminal_out_of_range () =
+  let m = (Lazy.force cg4).Pipeline.sy_merged in
+  let past = Grammar.T (Array.length m.Merged.terminals) in
+  let mains = Array.copy m.Merged.mains in
+  mains.(0) <-
+    (match mains.(0) with
+    | e :: rest -> { e with Merged.sym = past } :: rest
+    | [] -> Alcotest.fail "empty main rule");
+  rejects ~needle:"terminal id" "terminal id past the table in a main rule" Codec.decode_merged
+    (Codec.encode_merged { m with Merged.mains });
+  let rules = Array.copy m.Merged.rules in
+  rules.(0) <- { Grammar.sym = past; reps = 1 } :: rules.(0);
+  rejects ~needle:"terminal id" "terminal id past the table in a rule" Codec.decode_merged
+    (Codec.encode_merged { m with Merged.rules })
+
+let test_decode_rejects_uncovered_rank () =
+  let m = (Lazy.force cg4).Pipeline.sy_merged in
+  let last = m.Merged.nranks - 1 in
+  let main_ranks =
+    Array.map
+      (fun rl -> Rank_list.of_list (List.filter (( <> ) last) (Rank_list.to_list rl)))
+      m.Merged.main_ranks
+  in
+  rejects ~needle:(Printf.sprintf "rank %d covered by 0" last) "uncovered last rank"
+    Codec.decode_merged
+    (Codec.encode_merged { m with Merged.main_ranks })
+
+let test_decode_proxy_rejects_bad_combinations () =
+  let p = (Lazy.force cg4).Pipeline.sy_proxy in
+  let n = Array.length p.Proxy_ir.combos in
+  let m = p.Proxy_ir.merged in
+  let terminals = Array.append m.Merged.terminals [| Event.Compute n |] in
+  rejects ~needle:"no combination" "compute cluster past the combinations" Codec.decode_proxy
+    (Codec.encode_proxy { p with Proxy_ir.merged = { m with Merged.terminals } });
+  let combos = Array.copy p.Proxy_ir.combos in
+  combos.(0) <- Array.sub combos.(0) 0 (Array.length combos.(0) - 1);
+  rejects ~needle:"entries" "short combination" Codec.decode_proxy
+    (Codec.encode_proxy { p with Proxy_ir.combos })
+
+(* 1-3 payload bytes of a CG@4 blob xor-ed with nonzero masks, then
+   re-framed so the checksum holds.  Positions are drawn wide and
+   reduced modulo the payload length when the blob is known. *)
+let flips_arb =
+  QCheck.make
+    ~print:QCheck.Print.(list (pair int int))
+    QCheck.Gen.(list_size (1 -- 3) (pair (0 -- 1_000_000) (1 -- 255)))
+
+let reframe blob flips =
+  let kind, payload = Codec.unframe blob in
+  let b = Bytes.of_string payload in
+  List.iter
+    (fun (pos, mask) ->
+      let i = pos mod Bytes.length b in
+      Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor mask)))
+    flips;
+  Codec.frame ~kind (Bytes.to_string b)
+
+(* Terminals that walking every rank visits, bounded above (each rank
+   counted as walking every main entry), in floats so a flipped
+   repetition cannot wrap it.  Decoding validated the grammar, so the
+   rule graph is acyclic and every reference is in range. *)
+let walk_bound m =
+  let memo = Array.make (Array.length m.Merged.rules) (-1.0) in
+  let rec sym_len = function
+    | Grammar.T _ -> 1.0
+    | Grammar.N i ->
+        if memo.(i) < 0.0 then
+          memo.(i) <-
+            List.fold_left
+              (fun acc { Grammar.sym; reps } -> acc +. (float_of_int reps *. sym_len sym))
+              0.0 m.Merged.rules.(i);
+        memo.(i)
+  in
+  let main_len =
+    Array.fold_left
+      (List.fold_left (fun acc { Merged.sym; reps; _ } -> acc +. (float_of_int reps *. sym_len sym)))
+      0.0 m.Merged.mains
+  in
+  float_of_int m.Merged.nranks *. main_len
+
+let cg4_merged_blob = lazy (Codec.encode_merged (Lazy.force cg4).Pipeline.sy_merged)
+let cg4_proxy_blob = lazy (Codec.encode_proxy (Lazy.force cg4).Pipeline.sy_proxy)
+
+(* A flipped repetition inside nested rules can make a valid grammar
+   expand for hours, and the codec has no expansion-length bound yet: a
+   decoded grammar more than 100x the original's walk is accepted
+   unwalked.  The cap goes when the schema gains that bound. *)
+let walk_cap = lazy (100.0 *. walk_bound (Lazy.force cg4).Pipeline.sy_merged)
+
+let walk_every_rank m =
+  if walk_bound m <= Lazy.force walk_cap then
+    for rank = 0 to m.Merged.nranks - 1 do
+      Merged.iter_rank ignore m rank
+    done
+
+let prop_flipped_merged =
+  QCheck.Test.make ~count:2000
+    ~name:"flipped merged blob: Corrupt, or every rank walks (qcheck)" flips_arb
+    (fun flips ->
+      match Codec.decode_merged (reframe (Lazy.force cg4_merged_blob) flips) with
+      | exception Codec.Corrupt _ -> true
+      | m ->
+          walk_every_rank m;
+          true)
+
+let prop_flipped_proxy =
+  QCheck.Test.make ~count:2000
+    ~name:"flipped proxy blob: Corrupt, or every rank walks and the C prints (qcheck)"
+    flips_arb (fun flips ->
+      match Codec.decode_proxy (reframe (Lazy.force cg4_proxy_blob) flips) with
+      | exception Codec.Corrupt _ -> true
+      | p ->
+          walk_every_rank p.Proxy_ir.merged;
+          String.length (Codegen_c.generate p) > 0)
+
+(* ------------------------------------------------------------------ *)
 (* Store *)
 
 let test_store_put_get_dedup () =
@@ -681,6 +823,13 @@ let suite =
     ("trace codec names a foreign file's magic", `Quick, test_codec_names_foreign_magic);
     ("merged codec round-trip", `Quick, test_codec_merged_roundtrip);
     ("proxy codec round-trip (byte-identical C)", `Quick, test_codec_proxy_roundtrip);
+    ("merged decoder rejects a rule reference out of range", `Quick,
+      test_decode_rejects_rule_ref_out_of_range);
+    ("merged decoder rejects a terminal id out of range", `Quick,
+      test_decode_rejects_terminal_out_of_range);
+    ("merged decoder rejects an uncovered rank", `Quick, test_decode_rejects_uncovered_rank);
+    ("proxy decoder rejects a missing or short combination", `Quick,
+      test_decode_proxy_rejects_bad_combinations);
     ("store put/get/dedup", `Quick, test_store_put_get_dedup);
     ("store detects on-disk corruption", `Quick, test_store_detects_disk_corruption);
     ("store manifest bind/resolve/rm", `Quick, test_store_manifest_bind_resolve_rm);
@@ -698,4 +847,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_varint_roundtrip;
     QCheck_alcotest.to_alcotest prop_codec_trace_roundtrip;
     QCheck_alcotest.to_alcotest prop_cached_equals_cold;
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 7 |]) prop_flipped_merged;
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 7 |]) prop_flipped_proxy;
   ]
