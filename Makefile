@@ -95,13 +95,17 @@ smoke: build
 	cmp $(SMOKE_PROXY_FROM) $(SMOKE_PROXY_LIVE) \
 		|| { echo "smoke: --from on the store's trace object differs from the live proxy" >&2; exit 1; }
 	@# Incremental cache: a cold run populates the store, the warm run
-	@# must report cache hits and reproduce the proxy byte-for-byte,
-	@# and the store it built must verify clean with nothing to sweep.
+	@# must report a hit on every stage and reproduce the proxy
+	@# byte-for-byte, and the store it built must verify clean with
+	@# nothing to sweep.
 	rm -rf $(SMOKE_STORE)
 	SIESTA_STORE=$(SMOKE_STORE) dune exec bin/siesta_cli.exe -- synth CG -n 8 \
 		--cache -o $(SMOKE_PROXY)
 	SIESTA_STORE=$(SMOKE_STORE) dune exec bin/siesta_cli.exe -- synth CG -n 8 \
-		--cache -o $(SMOKE_PROXY_WARM) --metrics-out $(SMOKE_METRICS)
+		--cache -o $(SMOKE_PROXY_WARM) --metrics-out $(SMOKE_METRICS) > $(SMOKE_PROXY_WARM).out
+	cat $(SMOKE_PROXY_WARM).out
+	@grep -qF 'cache: trace hit | merge hit | proxy search hit' $(SMOKE_PROXY_WARM).out \
+		|| { echo "smoke: warm run was not a trace, merge and proxy search hit" >&2; exit 1; }
 	@grep -Eq '"cache\.hits": \{"type": "counter", "value": [1-9]' $(SMOKE_METRICS) \
 		|| { echo "smoke: warm run reported no cache hits" >&2; exit 1; }
 	cmp $(SMOKE_PROXY) $(SMOKE_PROXY_WARM)
@@ -220,8 +224,8 @@ smoke: build
 	echo "smoke: serve cold job + coalesced id + warm all-hit replay + blob cmp + clean SIGTERM drain OK"
 	@rm -f $(SMOKE_TRACE) $(SMOKE_TIMELINE) $(SMOKE_TIMELINE_HTML) \
 		$(SMOKE_DUMP) $(SMOKE_DUMP).cut $(SMOKE_DUMP).json $(SMOKE_PROXY_FROM) \
-		$(SMOKE_PROXY_LIVE) $(SMOKE_PROXY) $(SMOKE_PROXY_WARM) $(SMOKE_METRICS) \
-		$(SMOKE_TREND_HTML) $(SMOKE_SWEEP_HTML) $(SMOKE_SWEEP_METRICS) \
+		$(SMOKE_PROXY_LIVE) $(SMOKE_PROXY) $(SMOKE_PROXY_WARM) $(SMOKE_PROXY_WARM).out \
+		$(SMOKE_METRICS) $(SMOKE_TREND_HTML) $(SMOKE_SWEEP_HTML) $(SMOKE_SWEEP_METRICS) \
 		$(SMOKE_SERVE_SOCK) $(SMOKE_SERVE_LOG) $(SMOKE_SERVE_BLOB) \
 		$(SMOKE_SERVE_METRICS)
 	@rm -rf $(SMOKE_STORE) $(SMOKE_SWEEP_STORE) $(SMOKE_SERVE_STORE)

@@ -46,7 +46,8 @@ let run_one (w : Registry.t) nranks =
         None
   in
   let pilgrim =
-    (Engine.run ~platform ~impl ~nranks (Pilgrim.program sy.Pipeline.sy_merged)).Engine.elapsed
+    let merged = sy.Pipeline.sy_proxy.Siesta_synth.Proxy_ir.merged in
+    (Engine.run ~platform ~impl ~nranks (Pilgrim.program merged)).Engine.elapsed
   in
   { name = w.Registry.name; nranks; original; siesta; siesta_scaled; scalabench; pilgrim }
 

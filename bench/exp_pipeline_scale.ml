@@ -98,7 +98,7 @@ let measure ~store (workload, nranks) =
     pipeline_warm_s;
     warm_all_hits;
     merge_s;
-    deterministic = Merged.equal batch sy.Pipeline.sy_merged;
+    deterministic = Merged.equal batch sy.Pipeline.sy_proxy.Siesta_synth.Proxy_ir.merged;
   }
 
 (* ------------------------------------------------------------------ *)

@@ -407,7 +407,8 @@ let synth_cmd =
     in
     print_cache_status sy.Pipeline.sy_status;
     let proxy = sy.Pipeline.sy_proxy in
-    Printf.printf "merged grammar: %s\n" (Siesta_merge.Merged.stats sy.Pipeline.sy_merged);
+    Printf.printf "merged grammar: %s\n"
+      (Siesta_merge.Merged.stats proxy.Siesta_synth.Proxy_ir.merged);
     Printf.printf "size_C: %s | mean computation-proxy error: %.2f%%\n"
       (Siesta_util.Bytes_fmt.to_string (Siesta_synth.Proxy_ir.size_c_bytes proxy))
       (100.0 *. Siesta_synth.Proxy_ir.mean_combo_error proxy);
@@ -654,7 +655,10 @@ let diff_cmd =
         r.Divergence.r_time_orig r.Divergence.r_time_proxy
         (100.0 *. r.Divergence.r_time_error);
       Printf.printf "timeline distance: %.3e\n" r.Divergence.r_timeline_distance;
-      let cp = Critical_path.compute ~merged:sy.Pipeline.sy_merged (Lazy.force timeline) in
+      let cp =
+        Critical_path.compute ~merged:sy.Pipeline.sy_proxy.Siesta_synth.Proxy_ir.merged
+          (Lazy.force timeline)
+      in
       print_string (Critical_path.render cp);
       Printf.printf "verdict: %s\n" (Divergence.verdict_name (Divergence.verdict r))
     end;

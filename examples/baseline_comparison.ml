@@ -34,7 +34,8 @@ let () =
     let scaled = 10.0 *. (Pipeline.run_proxy sy10 ~platform ~impl).Engine.elapsed in
     let scalabench = (Engine.run ~platform ~impl ~nranks (Scalabench.program sb)).Engine.elapsed in
     let pilgrim =
-      (Engine.run ~platform ~impl ~nranks (Pilgrim.program sy.Pipeline.sy_merged)).Engine.elapsed
+      let merged = sy.Pipeline.sy_proxy.Siesta_synth.Proxy_ir.merged in
+      (Engine.run ~platform ~impl ~nranks (Pilgrim.program merged)).Engine.elapsed
     in
     (original, [ ("Siesta", siesta); ("Siesta-scaled", scaled); ("ScalaBench", scalabench);
                  ("Pilgrim", pilgrim) ])

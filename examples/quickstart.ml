@@ -24,7 +24,8 @@ let () =
 
   Printf.printf "\n== 2. compress + merge + proxy search ==\n";
   let sy = Pipeline.synthesize traced in
-  Printf.printf "merged grammar: %s\n" (Siesta_merge.Merged.stats sy.Pipeline.sy_merged);
+  Printf.printf "merged grammar: %s\n"
+    (Siesta_merge.Merged.stats sy.Pipeline.sy_proxy.Siesta_synth.Proxy_ir.merged);
   Printf.printf "exported size_C: %s (%.0fx smaller than the trace)\n"
     (Siesta_util.Bytes_fmt.to_string (Siesta_synth.Proxy_ir.size_c_bytes sy.Pipeline.sy_proxy))
     (float_of_int (Recorder.raw_trace_bytes traced.Pipeline.recorder)

@@ -65,8 +65,8 @@ let offsets t =
   Hashtbl.fold (fun off m l -> (off, m) :: l) acc []
   |> List.sort (fun (_, a) (_, b) -> compare b a)
 
-let render ?(max_ranks = 32) t =
-  let n = min t.nranks max_ranks in
+let render t =
+  let n = min t.nranks 32 in
   let buf = Buffer.create ((n + 2) * (n + 2)) in
   Buffer.add_string buf
     (Printf.sprintf "p2p volume heat map (%d of %d ranks; digit = log10 bytes)\n" n t.nranks);

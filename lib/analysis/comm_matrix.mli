@@ -29,6 +29,6 @@ val offsets : t -> (int * int) list
     [(dst - src) mod nranks], descending by count — the fingerprint the
     topology detector reads. *)
 
-val render : ?max_ranks:int -> t -> string
-(** Text heat map ('.' none, digits = log10 of bytes), truncated to
-    [max_ranks] (default 32) rows/columns. *)
+val render : t -> string
+(** Text heat map ('.' none, digits = log10 of bytes), truncated to 32
+    rows/columns. *)

@@ -209,7 +209,6 @@ type trace_stage = {
 
 type synthesis = {
   sy_trace : trace_stage;
-  sy_merged : Merged.t;
   sy_proxy : Proxy_ir.t;
   sy_factor : float;
   sy_timings : (string * float) list;
@@ -309,7 +308,7 @@ let run_trace_stage store s =
       ~key:(fun () ->
         Cache.trace_key ~workload:s.workload.Registry.name ~nranks:s.nranks ~iters:s.iters
           ~seed:s.seed ~platform:s.platform.Spec_p.name ~impl:s.impl.Mpi_impl.name
-          ~cluster_threshold:s.cluster_threshold ())
+          ~cluster_threshold:s.cluster_threshold)
       ~decode:(fun blob ->
         let meta, pk = Codec.decode_trace blob in
         trace_stage_of s meta pk None)
@@ -339,36 +338,38 @@ let trace_stage ?(cache = false) ?store s =
   ts
 
 (* Merge and proxy search over a trace stage: the one path every
-   synthesis runs, cold or cached.  A stage key includes the blob hash of
-   the stage before it, which exists whenever a store does. *)
-let merge_and_search store ~factor ~rle ts =
+   synthesis runs, cold or cached.  Both stage keys name the trace blob's
+   hash, which exists whenever a store does.  A proxy blob embeds its
+   merged grammar, so the merge stage (its lookup or the merge itself)
+   runs only when the proxy search does, and a decoded proxy reports the
+   merge as a hit: the store supplied its grammar. *)
+let merge_and_search store ~factor ts =
   let s = ts.ts_spec in
-  let merged, merge_hash, m_outcome, m_timings =
-    memo store ~stage:"merge" ~span:"merge" ~kind:"merged" s
-      ~key:(fun () -> Cache.merge_key ~trace_hash:(Option.get ts.ts_hash) ~rle ())
-      ~decode:Codec.decode_merged ~encode:Codec.encode_merged
-      (fun () ->
-        let merged, t_merge =
-          stage "merge" (fun () ->
-              Merge_pipeline.merge_packed
-                ~config:{ Merge_pipeline.default_config with rle }
-                ts.ts_trace)
-        in
-        (merged, [ t_merge ]))
-  in
-  let proxy, _, p_outcome, p_timings =
+  let trace_hash () = Option.get ts.ts_hash in
+  let (proxy, m_outcome), _, p_outcome, timings =
     memo store ~stage:"proxy" ~span:"synthesize" ~kind:"proxy" s
       ~key:(fun () ->
-        Cache.proxy_key ~merge_hash:(Option.get merge_hash) ~trace_hash:(Option.get ts.ts_hash)
-          ~factor ~platform:s.platform.Spec_p.name ~impl:s.impl.Mpi_impl.name ())
-      ~decode:Codec.decode_proxy ~encode:Codec.encode_proxy
+        Cache.proxy_key ~trace_hash:(trace_hash ()) ~factor ~platform:s.platform.Spec_p.name
+          ~impl:s.impl.Mpi_impl.name)
+      ~decode:(fun blob -> (Codec.decode_proxy blob, Cache_hit))
+      ~encode:(fun (proxy, _) -> Codec.encode_proxy proxy)
       (fun () ->
+        let merged, _, m_outcome, m_timings =
+          memo store ~stage:"merge" ~span:"merge" ~kind:"merged" s
+            ~key:(fun () -> Cache.merge_key ~trace_hash:(trace_hash ()))
+            ~decode:Codec.decode_merged ~encode:Codec.encode_merged
+            (fun () ->
+              let merged, t_merge =
+                stage "merge" (fun () -> Merge_pipeline.merge_packed ts.ts_trace)
+              in
+              (merged, [ t_merge ]))
+        in
         let proxy, t_synth =
           stage "synthesize" (fun () ->
               Proxy_ir.synthesize ~platform:s.platform ~impl:s.impl ~factor ~merged
                 ~compute_table:ts.ts_table ())
         in
-        (proxy, [ t_synth ]))
+        ((proxy, m_outcome), m_timings @ [ t_synth ]))
   in
   Option.iter
     (fun st ->
@@ -380,17 +381,14 @@ let merge_and_search store ~factor ~rle ts =
         [
           ("workload", s.workload.Registry.name);
           ("factor", Printf.sprintf "%g" factor);
-          ("merged", Merged.stats merged);
+          ("merged", Merged.stats proxy.Proxy_ir.merged);
         ]
-        @ List.map
-            (fun (name, t) -> (name ^ "_s", Printf.sprintf "%.6f" t))
-            (m_timings @ p_timings) ));
+        @ List.map (fun (name, t) -> (name ^ "_s", Printf.sprintf "%.6f" t)) timings ));
   {
     sy_trace = ts;
-    sy_merged = merged;
     sy_proxy = proxy;
     sy_factor = factor;
-    sy_timings = ts.ts_timings @ m_timings @ p_timings;
+    sy_timings = ts.ts_timings @ timings;
     sy_status =
       {
         cs_root = Option.map Store.root store;
@@ -400,16 +398,15 @@ let merge_and_search store ~factor ~rle ts =
       };
   }
 
-let synthesize ?(factor = 1.0) ?(rle = true) traced =
-  merge_and_search None ~factor ~rle (stage_of_traced traced)
+let synthesize ?(factor = 1.0) traced = merge_and_search None ~factor (stage_of_traced traced)
 
 let synthesize_blob ?(factor = 1.0) s blob =
   let meta, pk = Codec.decode_trace blob in
-  merge_and_search None ~factor ~rle:true (trace_stage_of s meta pk None)
+  merge_and_search None ~factor (trace_stage_of s meta pk None)
 
 let synthesize_spec ?(cache = false) ?store ?(factor = 1.0) s =
   let store = store_of ~cache store in
-  let sy = merge_and_search store ~factor ~rle:true (run_trace_stage store s) in
+  let sy = merge_and_search store ~factor (run_trace_stage store s) in
   Ledger.emit (fun () ->
       let st = sy.sy_status in
       let cache =
@@ -432,7 +429,7 @@ let run_proxy sy ~platform ~impl =
 
 let diff_synthesis sy =
   let s = sy.sy_trace.ts_spec in
-  let check = run_check s sy.sy_merged in
+  let check = run_check s sy.sy_proxy.Proxy_ir.merged in
   let fid, total_s =
     Clock.wall (fun () ->
         let original = capture_original s in
@@ -461,9 +458,8 @@ let diff_synthesis sy =
 
 let check_synthesis ?fault sy =
   let s = sy.sy_trace.ts_spec in
-  let merged =
-    match fault with None -> sy.sy_merged | Some f -> Comm_check.perturb f sy.sy_merged
-  in
+  let merged = sy.sy_proxy.Proxy_ir.merged in
+  let merged = match fault with None -> merged | Some f -> Comm_check.perturb f merged in
   let report, total_s = Clock.wall (fun () -> run_check s merged) in
   Ledger.emit (fun () ->
       Ledger.make ~kind:"check" ~spec:(spec_kvs s)

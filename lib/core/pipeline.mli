@@ -121,19 +121,22 @@ type fidelity = {
 
     Stage-level memoization over the content-addressed artifact store
     ({!Siesta_store.Store}).  Each stage's output is bound to a key
-    hashing exactly the inputs that influence it (see [Cache]):
+    hashing exactly the inputs that determine it (see [Cache]):
 
     - {e trace}: workload, nranks, iters, seed, platform, impl,
       cluster_threshold;
-    - {e merge}: the trace blob's content hash + the [rle] option;
-    - {e proxy}: the merged blob's hash, the trace hash (its compute
-      table feeds the QP search), the scaling [factor] and the
-      platform/impl pair.
+    - {e merge}: the trace blob's content hash;
+    - {e proxy}: the trace hash (its events determine the merged
+      grammar, its compute table feeds the QP search), the scaling
+      [factor] and the platform/impl pair.
 
-    So re-running with only a different [factor] reuses the cached trace
-    and merged program and pays only proxy search + codegen; a warm run
-    with an unchanged spec skips everything and produces a byte-identical
-    C proxy.  Hits/misses/bytes are published as [cache.*] and [store.*]
+    A proxy blob embeds its merged grammar, so the merge stage is looked
+    up (or run) only when the proxy search misses: a warm run with an
+    unchanged spec reads the trace and proxy blobs, decodes one grammar
+    and produces a byte-identical C proxy, and its merge reports
+    [Cache_hit].  Re-running with only a different [factor] reuses the
+    cached trace and merged program and pays only proxy search +
+    codegen.  Hits/misses/bytes are published as [cache.*] and [store.*]
     metrics and appear in [siesta report]'s Cache section. *)
 
 type cache_outcome = Cache_off | Cache_miss | Cache_hit
@@ -171,19 +174,19 @@ val trace_stage : ?cache:bool -> ?store:Siesta_store.Store.t -> spec -> trace_st
 
 type synthesis = {
   sy_trace : trace_stage;
-  sy_merged : Siesta_merge.Merged.t;
   sy_proxy : Siesta_synth.Proxy_ir.t;
+      (** the merged grammar ([sy_proxy.merged]) plus one block
+          combination per computation cluster *)
   sy_factor : float;
   sy_timings : (string * float) list;
       (** cached stages appear as "<stage>.cached" lookup times *)
   sy_status : cache_status;
 }
 
-val synthesize : ?factor:float -> ?rle:bool -> traced -> synthesis
+val synthesize : ?factor:float -> traced -> synthesis
 (** Compress, merge and search computation proxies for a live run, with
     every stage [Cache_off].  [factor] (default 1) produces a shrunk
-    proxy; [rle] (default true) controls the Sequitur run-length
-    constraint (ablation). *)
+    proxy. *)
 
 val synthesize_blob : ?factor:float -> spec -> string -> synthesis
 (** Merge and search computation proxies for a framed trace blob
@@ -217,15 +220,16 @@ val diff_synthesis : synthesis -> fidelity
 (** Capture original and proxy on the generation platform, diff them, and
     publish the headline scores as [Siesta_obs.Metrics] gauges (a no-op
     when the registry is disabled).  Also runs the static communication
-    check ({!Siesta_analysis.Comm_check}) over the merged grammar and
+    check ({!Siesta_analysis.Comm_check}) over the proxy's own grammar
+    ([sy_proxy.merged], so a perturbed proxy is checked as perturbed) and
     stamps its verdict into the ["diff"] ledger record.  Drives
     [siesta diff] and the report's Fidelity/Correctness sections. *)
 
 val check_synthesis :
   ?fault:Siesta_analysis.Comm_check.fault -> synthesis -> Siesta_analysis.Comm_check.report
 (** Run the static communication-correctness check over the synthesis'
-    merged grammar — no replay, purely symbolic expansion.  [fault]
-    perturbs the merged program first
+    merged grammar ([sy_proxy.merged]) — no replay, purely symbolic
+    expansion.  [fault] perturbs the merged program first
     ({!Siesta_analysis.Comm_check.perturb}), which is how the CLI's
     [--perturb] flag and the tests prove the checker actually fires.
     Publishes [check.*] metrics and appends a ["check"] ledger record

@@ -34,6 +34,7 @@ let generate ~timeline (sy : Pipeline.synthesis) =
   let meta = ts.Pipeline.ts_meta in
   let trace = Trace_io.of_packed ts.Pipeline.ts_trace in
   let table = ts.Pipeline.ts_table in
+  let merged = sy.Pipeline.sy_proxy.Proxy_ir.merged in
   let nranks = trace.Trace_io.nranks in
   let mpip = Mpip.of_streams ~nranks trace.Trace_io.streams in
   let matrix = Comm_matrix.of_streams ~nranks trace.Trace_io.streams in
@@ -62,7 +63,7 @@ let generate ~timeline (sy : Pipeline.synthesis) =
     (Comm_matrix.total_messages matrix)
     (Bytes_fmt.to_string (Comm_matrix.total_bytes matrix));
   p "## Compression\n\n";
-  p "- merged grammar: %s\n" (Merged.stats sy.Pipeline.sy_merged);
+  p "- merged grammar: %s\n" (Merged.stats merged);
   p "- exported size_C: %s (%.0fx below the raw trace)\n\n"
     (Bytes_fmt.to_string (Proxy_ir.size_c_bytes sy.Pipeline.sy_proxy))
     (float_of_int meta.Codec.tm_raw_bytes
@@ -195,7 +196,7 @@ let generate ~timeline (sy : Pipeline.synthesis) =
   p "\n## Fidelity (simulated clock)\n\n";
   Buffer.add_string buf (Divergence.to_markdown fid.Pipeline.f_report);
   p "\n### Critical path (original run)\n\n```\n%s```\n"
-    (Critical_path.render (Critical_path.compute ~merged:sy.Pipeline.sy_merged timeline));
+    (Critical_path.render (Critical_path.compute ~merged timeline));
   p "\n### Per-rank simulated-time breakdown (original run)\n\n```\n%s```\n"
     (Timeline.render timeline);
   Buffer.contents buf

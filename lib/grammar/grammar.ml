@@ -3,6 +3,9 @@ type entry = { sym : symbol; reps : int }
 type rule = entry list
 type t = { main : rule; rules : rule array }
 
+let symbol_code = function T v -> 2 * v | N i -> (2 * i) + 1
+let symbol_of_code c = if c land 1 = 0 then T (c lsr 1) else N (c lsr 1)
+
 let check_ref t i =
   if i < 0 || i >= Array.length t.rules then
     invalid_arg (Printf.sprintf "Grammar: rule reference %d out of range" i)
@@ -116,36 +119,6 @@ let map_terminals f t =
 let validate ~terminals t =
   let _, body_depth = checked_depths ~terminals t in
   ignore (body_depth t.main)
-
-let to_dot ?(terminal_label = fun i -> Printf.sprintf "t%d" i) t =
-  let buf = Buffer.create 1024 in
-  let p fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  let escape s = String.concat "\\\"" (String.split_on_char '"' s) in
-  p "digraph grammar {\n  rankdir=LR;\n  node [shape=box, fontname=\"monospace\"];\n";
-  p "  main [label=\"S\", style=bold];\n";
-  Array.iteri (fun i _ -> p "  r%d [label=\"R%d\"];\n" i i) t.rules;
-  (* terminals used anywhere become leaf nodes *)
-  let terminals = Hashtbl.create 32 in
-  let note_terms body =
-    List.iter (fun { sym; _ } -> match sym with T v -> Hashtbl.replace terminals v () | N _ -> ()) body
-  in
-  note_terms t.main;
-  Array.iter note_terms t.rules;
-  Hashtbl.iter
-    (fun v () -> p "  t%d [label=\"%s\", shape=ellipse];\n" v (escape (terminal_label v)))
-    terminals;
-  let edges src body =
-    List.iteri
-      (fun pos { sym; reps } ->
-        let dst = match sym with T v -> Printf.sprintf "t%d" v | N i -> Printf.sprintf "r%d" i in
-        let label = if reps = 1 then Printf.sprintf "%d" pos else Printf.sprintf "%d (x%d)" pos reps in
-        p "  %s -> %s [label=\"%s\"];\n" src dst label)
-      body
-  in
-  edges "main" t.main;
-  Array.iteri (fun i body -> edges (Printf.sprintf "r%d" i) body) t.rules;
-  p "}\n";
-  Buffer.contents buf
 
 let pp ppf t =
   let pp_entry ppf { sym; reps } =

@@ -15,6 +15,14 @@ type rule = entry list
 
 type t = { main : rule; rules : rule array }
 
+val symbol_code : symbol -> int
+(** The symbol as one integer, the tag in the low bit: [T v] is [2v],
+    [N i] is [2i+1].  The store codec writes rule and main entries with
+    it, and the merge keys rule bodies by it. *)
+
+val symbol_of_code : int -> symbol
+(** The inverse of {!symbol_code} on non-negative codes. *)
+
 val expand : t -> int array
 (** The terminal sequence the grammar derives — the inverse of
     construction.  @raise Invalid_argument on a malformed grammar (rule
@@ -75,9 +83,3 @@ val validate : terminals:int -> t -> unit
     @raise Invalid_argument otherwise. *)
 
 val pp : Format.formatter -> t -> unit
-
-val to_dot : ?terminal_label:(int -> string) -> t -> string
-(** Graphviz rendering of the derivation structure: one node per rule
-    (main included), edges to referenced rules and terminals, edge labels
-    carrying repetition counts.  [terminal_label] maps terminal ids to
-    display strings (default ["t<i>"]). *)

@@ -18,7 +18,9 @@
     degrading large merges to concatenation). *)
 
 val length : eq:('a -> 'a -> bool) -> 'a array -> 'a array -> int
-(** Length of an LCS. *)
+(** Length of an LCS.  No pipeline stage calls it: it stays in the
+    library as the reference the tests check {!length_int} against, and
+    as the generic side of the bechamel LCS case. *)
 
 val length_int : int array -> int array -> int
 (** {!length} specialized to ints, bit-parallel. *)

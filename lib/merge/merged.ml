@@ -27,11 +27,6 @@ let iter_rank f t rank =
       if Rank_list.mem ranks rank then Grammar.iter_rule f g [ { Grammar.sym; reps } ])
     t.mains.(cluster)
 
-let expand_for_rank t rank =
-  let out = ref [] in
-  iter_rank (fun v -> out := v :: !out) t rank;
-  Array.of_list (List.rev !out)
-
 let serialized_bytes t =
   let terminal_bytes =
     Array.fold_left (fun acc ev -> acc + Event.serialized_bytes ev) 0 t.terminals

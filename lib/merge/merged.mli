@@ -40,9 +40,6 @@ val iter_rank : (int -> unit) -> t -> int -> unit
     @raise Invalid_argument on a rule reference out of range, in a main
     entry or inside a rule. *)
 
-val expand_for_rank : t -> int -> int array
-(** The ids [iter_rank] visits, collected into an array. *)
-
 val serialized_bytes : t -> int
 (** Export size of terminals + rules + merged mains (the grammar part of
     Table 3's [size_C]; the computation-proxy table is accounted by the

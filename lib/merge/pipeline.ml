@@ -30,8 +30,6 @@ let pack_entry enc reps =
     invalid_arg "Merge_pipeline: symbol id or repetition count exceeds packable range";
   (enc lsl 31) lor reps
 
-let enc_sym = function Grammar.T v -> 2 * v | Grammar.N i -> (2 * i) + 1
-
 (* ------------------------------------------------------------------ *)
 (* Non-terminal merging (Section 2.6.2, first half)                     *)
 
@@ -42,7 +40,8 @@ type nt_merge = {
 }
 
 let body_key body =
-  Array.of_list (List.map (fun { Grammar.sym; reps } -> pack_entry (enc_sym sym) reps) body)
+  Array.of_list
+    (List.map (fun { Grammar.sym; reps } -> pack_entry (Grammar.symbol_code sym) reps) body)
 
 (* One sequential pass per depth over all ranks, deduping bodies into a
    first-occurrence global numbering: depth-major, then first occurrence
@@ -95,8 +94,10 @@ let merge_nonterminals (grammars : Grammar.t array) =
 (* A main-rule position before rank attribution. *)
 type pos = { p_sym : Grammar.symbol; p_reps : int }
 
-let id_of_pos p = pack_entry (enc_sym p.p_sym) p.p_reps
-let id_of_mentry (e : Merged.mentry) = pack_entry (enc_sym e.Merged.sym) e.Merged.reps
+let id_of_pos p = pack_entry (Grammar.symbol_code p.p_sym) p.p_reps
+
+let id_of_mentry (e : Merged.mentry) =
+  pack_entry (Grammar.symbol_code e.Merged.sym) e.Merged.reps
 
 let positions_of_main rule_map main =
   Array.of_list

@@ -780,7 +780,10 @@ let file_read_at ctx file ~dt ~count =
 (* ------------------------------------------------------------------ *)
 (* Scheduler                                                            *)
 
-let run ~platform ~impl ~nranks ?hook ?observer ?(seed = 42) ?(counter_noise = 0.01) program =
+(* Relative noise of every counter reading. *)
+let counter_noise = 0.01
+
+let run ~platform ~impl ~nranks ?hook ?observer ?(seed = 42) program =
   if nranks <= 0 then invalid_arg "Engine.run: nranks must be positive";
   let root_rng = Rng.create seed in
   let procs =

@@ -233,12 +233,11 @@ val run :
   ?hook:hook ->
   ?observer:observer ->
   ?seed:int ->
-  ?counter_noise:float ->
   (ctx -> unit) ->
   result
-(** Run an SPMD program on [nranks] simulated ranks.  [counter_noise] is
-    the relative noise of counter readings (default 0.01).  [observer]
-    passively watches the simulated clock (see {!observer}); it does not
-    affect timing, so results are bit-identical with or without one.
+(** Run an SPMD program on [nranks] simulated ranks.  Counter readings
+    carry a relative noise of 0.01.  [observer] passively watches the
+    simulated clock (see {!observer}); it does not affect timing, so
+    results are bit-identical with or without one.
     @raise Deadlock when the program cannot make progress.
     @raise Collective_mismatch on inconsistent collective use. *)

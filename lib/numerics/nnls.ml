@@ -36,10 +36,10 @@ let solve_passive a b passive =
     x
   end
 
-let solve ?max_iter a b =
+let solve a b =
   if Array.length b <> Matrix.rows a then invalid_arg "Nnls.solve: dimension mismatch";
   let n = Matrix.cols a in
-  let max_iter = match max_iter with Some m -> m | None -> 30 * n in
+  let max_iter = 30 * n in
   let passive = Array.make n false in
   let x = Array.make n 0.0 in
   let tol =

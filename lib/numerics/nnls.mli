@@ -12,10 +12,10 @@ type result = {
   iterations : int;  (** outer active-set iterations used *)
 }
 
-val solve : ?max_iter:int -> Matrix.t -> float array -> result
-(** [solve a b] minimizes ||a x - b||^2 over x >= 0.  [max_iter] bounds the
-    outer iterations (default [30 * cols]); the algorithm terminates earlier
-    at a KKT point.
+val solve : Matrix.t -> float array -> result
+(** [solve a b] minimizes ||a x - b||^2 over x >= 0, in at most
+    [30 * cols] outer iterations; the algorithm terminates earlier at a
+    KKT point.
     @raise Invalid_argument on dimension mismatch. *)
 
 val kkt_violation : Matrix.t -> float array -> float array -> float

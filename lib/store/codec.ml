@@ -160,28 +160,28 @@ let r_event r =
   | ev -> ev
   | exception Failure m -> corrupt "bad event key %S: %s" key m
 
+(* A rule or main entry: the symbol's {!Grammar.symbol_code}, then its
+   repetition count.  The reader hands both to [make] with the reader
+   itself, so a main entry can read its rank list next; each [make]
+   below is closed, so reading an entry allocates only its result. *)
+let w_entry b sym reps =
+  w_varint b (Grammar.symbol_code sym);
+  w_varint b reps
+
+let r_entry r make =
+  let code = r_varint r in
+  if code < 0 then corrupt "negative symbol code";
+  let reps = r_varint r in
+  if reps < 1 then corrupt "non-positive repetition count %d" reps;
+  make r (Grammar.symbol_of_code code) reps
+
 let w_rule b (rule : Grammar.rule) =
   w_varint b (List.length rule);
-  List.iter
-    (fun { Grammar.sym; reps } ->
-      (* Tag-in-low-bit symbol encoding: T v -> 2v, N i -> 2i+1. *)
-      (match sym with
-      | Grammar.T v -> w_varint b (v lsl 1)
-      | Grammar.N i -> w_varint b ((i lsl 1) lor 1));
-      w_varint b reps)
-    rule
+  List.iter (fun { Grammar.sym; reps } -> w_entry b sym reps) rule
 
 let r_rule r : Grammar.rule =
-  let n = r_count r "rule entry" in
-  List.init n (fun _ ->
-      let tagged = r_varint r in
-      if tagged < 0 then corrupt "negative symbol code";
-      let sym =
-        if tagged land 1 = 0 then Grammar.T (tagged lsr 1) else Grammar.N (tagged lsr 1)
-      in
-      let reps = r_varint r in
-      if reps < 1 then corrupt "non-positive repetition count %d" reps;
-      { Grammar.sym; reps })
+  List.init (r_count r "rule entry") (fun _ ->
+      r_entry r (fun _ sym reps -> { Grammar.sym; reps }))
 
 let w_rank_list b rl =
   let ranks = Rank_list.to_list rl in
@@ -217,10 +217,7 @@ let w_merged b (m : Merged.t) =
       w_varint b (List.length entries);
       List.iter
         (fun { Merged.sym; reps; ranks } ->
-          (match sym with
-          | Grammar.T v -> w_varint b (v lsl 1)
-          | Grammar.N i -> w_varint b ((i lsl 1) lor 1));
-          w_varint b reps;
+          w_entry b sym reps;
           w_rank_list b ranks)
         entries)
     m.Merged.mains;
@@ -241,16 +238,7 @@ let r_merged r : Merged.t =
     Array.init nmains (fun _ ->
         let n = r_count r "main entry" in
         List.init n (fun _ ->
-            let tagged = r_varint r in
-            if tagged < 0 then corrupt "negative symbol code";
-            let sym =
-              if tagged land 1 = 0 then Grammar.T (tagged lsr 1)
-              else Grammar.N (tagged lsr 1)
-            in
-            let reps = r_varint r in
-            if reps < 1 then corrupt "non-positive repetition count %d" reps;
-            let ranks = r_rank_list r in
-            { Merged.sym; reps; ranks }))
+            r_entry r (fun r sym reps -> { Merged.sym; reps; ranks = r_rank_list r })))
   in
   let nmr = r_count r "main rank-list" in
   let main_ranks = Array.init nmr (fun _ -> r_rank_list r) in
@@ -299,7 +287,7 @@ let encode_trace ~meta (pk : Trace_io.packed) =
      so this is the difference between O(trace) and O(distinct events)
      text — and with the SoA representation the codes already exist. *)
   w_varint b (Array.length pk.Trace_io.p_defs);
-  Array.iter (fun ev -> w_string b (Event.to_key ev)) pk.Trace_io.p_defs;
+  Array.iter (w_event_key b) pk.Trace_io.p_defs;
   w_varint b (Array.length pk.Trace_io.p_codes);
   Array.iter
     (fun codes ->
@@ -337,13 +325,7 @@ let decode_trace blob =
         (Counters.of_array a, members))
   in
   let ndefs = r_count r "event definition" in
-  let defs =
-    Array.init ndefs (fun _ ->
-        let key = r_string r in
-        match Event.of_key key with
-        | ev -> ev
-        | exception Failure m -> corrupt "bad event key %S: %s" key m)
-  in
+  let defs = Array.init ndefs (fun _ -> r_event r) in
   let nstreams = r_count r "stream" in
   if nstreams <> nranks then corrupt "stream count %d <> nranks %d" nstreams nranks;
   let p_codes =

@@ -1,8 +1,8 @@
 let fnv_offset_basis = 0xcbf29ce484222325L
 let fnv_prime = 0x100000001b3L
 
-let fnv64 ?(seed = fnv_offset_basis) s =
-  let h = ref seed in
+let fnv64 s =
+  let h = ref fnv_offset_basis in
   for i = 0 to String.length s - 1 do
     h := Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get s i)));
     h := Int64.mul !h fnv_prime

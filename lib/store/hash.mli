@@ -11,10 +11,9 @@
       keys are content hashes; equality of hashes is treated as equality
       of content. *)
 
-val fnv64 : ?seed:int64 -> string -> int64
-(** FNV-1a over the bytes of the string.  [seed] defaults to the
-    standard 64-bit offset basis [0xcbf29ce484222325]; passing a
-    previous result chains the hash over several fragments. *)
+val fnv64 : string -> int64
+(** FNV-1a over the bytes of the string, from the standard 64-bit offset
+    basis [0xcbf29ce484222325]. *)
 
 val fnv64_hex : string -> string
 (** [fnv64] rendered as 16 lowercase hex characters. *)

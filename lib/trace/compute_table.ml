@@ -5,9 +5,9 @@ type t = { threshold : float; mutable clusters : cluster array; mutable used : i
 
 let create ~threshold = { threshold; clusters = [||]; used = 0 }
 
-let restore ?(threshold = 0.05) pairs =
+let restore pairs =
   {
-    threshold;
+    threshold = 0.05;
     clusters = Array.map (fun (centroid, members) -> { centroid; members }) pairs;
     used = Array.length pairs;
   }

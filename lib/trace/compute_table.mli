@@ -18,9 +18,10 @@ val create : threshold:float -> t
 (** [threshold] is the maximum mean relative distance (over the six
     metrics) for an event to join an existing cluster. *)
 
-val restore : ?threshold:float -> (Siesta_perf.Counters.t * int) array -> t
+val restore : (Siesta_perf.Counters.t * int) array -> t
 (** Rebuild a table from saved (centroid, member-count) pairs; cluster ids
-    are the array indices.  Used by {!Trace_io.packed_compute_table}. *)
+    are the array indices and the threshold is 0.05.  Used by
+    {!Trace_io.packed_compute_table}. *)
 
 val classify : t -> Siesta_perf.Counters.t -> int
 (** Return the cluster id for a reading, creating a new cluster when no

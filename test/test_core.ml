@@ -30,7 +30,7 @@ let full_synthesis ?workload ?nranks () =
 
 let test_synthesize_validates () =
   let sy = full_synthesis () in
-  Siesta_merge.Merged.validate sy.Pipeline.sy_merged;
+  Siesta_merge.Merged.validate sy.Pipeline.sy_proxy.Siesta_synth.Proxy_ir.merged;
   Alcotest.(check (float 1e-9)) "factor 1" 1.0 sy.Pipeline.sy_factor
 
 let test_table3_row_sane () =
@@ -168,14 +168,6 @@ let test_btio_pipeline_end_to_end () =
     (fun m -> Alcotest.(check bool) m true (contains m))
     [ "MPI_File_open"; "MPI_File_write_all"; "MPI_File_read_all"; "MPI_File_close" ]
 
-let test_rle_ablation_hook () =
-  let traced = Pipeline.trace (small_spec ()) in
-  let with_rle = Pipeline.synthesize ~rle:true traced in
-  let without = Pipeline.synthesize ~rle:false traced in
-  (* both lossless; sizes may differ *)
-  Siesta_merge.Merged.validate with_rle.Pipeline.sy_merged;
-  Siesta_merge.Merged.validate without.Pipeline.sy_merged
-
 let test_nbc_pipeline_end_to_end () =
   (* non-blocking collectives flow through trace -> merge -> proxy -> C *)
   let nranks = 8 in
@@ -278,7 +270,6 @@ let suite =
     ("cross-platform portability", `Quick, test_cross_platform_portability);
     ("cross-implementation portability", `Quick, test_cross_impl_portability);
     ("BT-IO end-to-end (I/O extension)", `Quick, test_btio_pipeline_end_to_end);
-    ("rle ablation entry point", `Quick, test_rle_ablation_hook);
     ("non-blocking collectives end-to-end", `Quick, test_nbc_pipeline_end_to_end);
     ("per-metric error breakdown", `Quick, test_per_metric_errors);
     ("run report generation", `Quick, test_report_generation);

@@ -247,7 +247,7 @@ let test_perturb_compute () =
 let test_rule_attribution_sums () =
   let sy = Lazy.force synthesis in
   let tl, _ = Pipeline.record_timeline sy.Pipeline.sy_trace.Pipeline.ts_spec in
-  let cp = Critical_path.compute ~merged:sy.Pipeline.sy_merged tl in
+  let cp = Critical_path.compute ~merged:sy.Pipeline.sy_proxy.Siesta_synth.Proxy_ir.merged tl in
   let sum l = List.fold_left (fun a (_, s) -> a +. s) 0.0 l in
   Alcotest.(check bool) "rule attribution present" true (cp.Critical_path.by_rule <> []);
   feq "by_rule sums to length" cp.Critical_path.length (sum cp.Critical_path.by_rule);

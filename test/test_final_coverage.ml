@@ -124,11 +124,6 @@ let test_rank_list_serialized_bytes () =
   Alcotest.(check int) "stride is 8 bytes" 8 (Rank_list.serialized_bytes strided);
   Alcotest.(check int) "general pays per member" 20 (Rank_list.serialized_bytes general)
 
-let test_dot_export_empty_grammar () =
-  let g = Q.of_seq [||] in
-  let dot = G.to_dot g in
-  Alcotest.(check bool) "still a digraph" true (String.length dot > 20)
-
 let test_report_with_scaling_factor () =
   let spec = Siesta.Pipeline.spec ~iters:3 ~workload:"IS" ~nranks:8 () in
   let traced = Siesta.Pipeline.trace spec in
@@ -180,7 +175,6 @@ let suite =
     ("NBC: trace_io roundtrip", `Quick, test_nbc_event_roundtrip_through_codec);
     ("NBC: baseline loses overlap", `Quick, test_scalabench_converts_nbc_to_blocking);
     ("rank-list export sizes", `Quick, test_rank_list_serialized_bytes);
-    ("dot export of an empty grammar", `Quick, test_dot_export_empty_grammar);
     ("report with a scaling factor", `Quick, test_report_with_scaling_factor);
     ("workloads strand no messages", `Quick, test_engine_result_clean_for_workloads);
     ("mixed barrier generations ordered", `Quick, test_mixed_blocking_and_nonblocking_barrier_generations);

@@ -71,7 +71,7 @@ let replays spec traced sy =
     ([
        run a (Proxy_ir.program shrunk);
        run b (Proxy_ir.program shrunk);
-       run a (Pilgrim.program sy.Pipeline.sy_merged);
+       run a (Pilgrim.program sy.Pipeline.sy_proxy.Proxy_ir.merged);
      ]
     @ scalabench)
 
@@ -81,7 +81,7 @@ let replays spec traced sy =
    run metadata next to the packed events: the raw trace size of Table 3
    ([tm_raw_bytes]), the event count and the simulated original and
    instrumented elapsed times.  The merged digest is the codec encoding
-   of [sy_merged], the blob the store keeps for the merge stage.  The
+   of [sy_proxy.merged], the blob the store keeps for the merge stage.  The
    replay digest covers {!replays}. *)
 let digests ~workload ~nranks =
   let spec = Pipeline.spec ~workload ~nranks () in
@@ -95,11 +95,11 @@ let digests ~workload ~nranks =
     |> String.concat "\n--\n"
   in
   let proxy = Codegen_c.generate sy.Pipeline.sy_proxy in
-  let check = Comm_check.to_json (Comm_check.check ~impl:spec.Pipeline.impl sy.Pipeline.sy_merged) in
+  let check = Comm_check.to_json (Comm_check.check ~impl:spec.Pipeline.impl sy.Pipeline.sy_proxy.Proxy_ir.merged) in
   let diff = Divergence.to_json (Pipeline.diff_synthesis sy).Pipeline.f_report in
   let ts = sy.Pipeline.sy_trace in
   let trace = Codec.encode_trace ~meta:ts.Pipeline.ts_meta ts.Pipeline.ts_trace in
-  let merged = Codec.encode_merged sy.Pipeline.sy_merged in
+  let merged = Codec.encode_merged sy.Pipeline.sy_proxy.Proxy_ir.merged in
   let replay = replays spec traced sy in
   String.concat " "
     [ hex grammars; hex proxy; hex check; hex diff; hex trace; hex merged; hex replay ]

@@ -116,23 +116,6 @@ let test_builder_incremental () =
   let g2 = Q.finalize t in
   Alcotest.(check bool) "extended" true (G.expand g2 = [| 1; 2; 1; 2; 1; 2 |])
 
-let test_dot_export () =
-  let g = Q.of_seq [| 1; 2; 1; 2; 1; 2; 9 |] in
-  let dot = G.to_dot ~terminal_label:(fun i -> Printf.sprintf "ev%d" i) g in
-  let contains needle =
-    let n = String.length dot and m = String.length needle in
-    let rec go i = i + m <= n && (String.sub dot i m = needle || go (i + 1)) in
-    go 0
-  in
-  Alcotest.(check bool) "digraph" true (contains "digraph grammar");
-  Alcotest.(check bool) "main node" true (contains "main [label=\"S\"");
-  Alcotest.(check bool) "terminal label" true (contains "ev9");
-  Alcotest.(check bool) "repetition label" true (contains "(x3)");
-  (* balanced braces *)
-  let depth = ref 0 in
-  String.iter (fun c -> if c = '{' then incr depth else if c = '}' then decr depth) dot;
-  Alcotest.(check int) "balanced" 0 !depth
-
 let test_invariants_exposed () =
   let t = Q.create () in
   Array.iter (Q.push t) (Array.init 200 (fun i -> i mod 3));
@@ -272,6 +255,5 @@ let suite =
     ("sequitur shares digrams", `Quick, test_shared_digrams_become_rules);
     ("sequitur incremental builder", `Quick, test_builder_incremental);
     ("sequitur invariant checker", `Quick, test_invariants_exposed);
-    ("grammar dot export", `Quick, test_dot_export);
   ]
   @ qcheck_tests

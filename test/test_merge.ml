@@ -191,7 +191,7 @@ let test_merge_lossless_random () =
     let table = Terminal_table.build streams in
     let seqs = Terminal_table.sequences table in
     for r = 0 to nranks - 1 do
-      if Merged.expand_for_rank merged r <> seqs.(r) then
+      if Walk.expand_for_rank merged r <> seqs.(r) then
         Alcotest.failf "rank %d not reconstructed" r
     done
   done
@@ -217,7 +217,7 @@ let test_merge_rank_lists_partition_variants () =
   let table = Terminal_table.build streams in
   let seqs = Terminal_table.sequences table in
   for r = 0 to 7 do
-    Alcotest.(check bool) "lossless" true (Merged.expand_for_rank merged r = seqs.(r))
+    Alcotest.(check bool) "lossless" true (Walk.expand_for_rank merged r = seqs.(r))
   done;
   (* the extra send appears with the even-rank list in some main *)
   let found = ref false in
@@ -290,7 +290,7 @@ let test_many_variant_clusters () =
     merged.Merged.main_ranks;
   let seqs = Terminal_table.sequences (Terminal_table.build streams) in
   for r = 0 to nranks - 1 do
-    if Merged.expand_for_rank merged r <> seqs.(r) then Alcotest.failf "rank %d lost" r
+    if Walk.expand_for_rank merged r <> seqs.(r) then Alcotest.failf "rank %d lost" r
   done
 
 (* ------------------------------------------------------------------ *)
@@ -363,7 +363,7 @@ let prop_merge_lossless =
       Merged.validate merged;
       let seqs = Terminal_table.sequences (Terminal_table.build streams) in
       Array.for_all Fun.id
-        (Array.init nranks (fun r -> Merged.expand_for_rank merged r = seqs.(r))))
+        (Array.init nranks (fun r -> Walk.expand_for_rank merged r = seqs.(r))))
 
 let prop_merge_size_bounded =
   QCheck.Test.make ~name:"merged size never exceeds raw streams" ~count:150 arb_bundle

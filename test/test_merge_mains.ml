@@ -21,7 +21,7 @@ let merge ?config streams =
   Merged.validate merged;
   let seqs = Terminal_table.sequences (Terminal_table.build streams) in
   for r = 0 to nranks - 1 do
-    if Merged.expand_for_rank merged r <> seqs.(r) then
+    if Walk.expand_for_rank merged r <> seqs.(r) then
       Alcotest.failf "rank %d not reconstructed" r
   done;
   merged
@@ -51,8 +51,8 @@ let test_disjoint_tails_keep_order () =
   let a = [| barrier; send 1; send 2 |] in
   let b = [| barrier; send 3; send 4 |] in
   let merged = merge [| a; b |] in
-  let expanded0 = Merged.expand_for_rank merged 0 in
-  let expanded1 = Merged.expand_for_rank merged 1 in
+  let expanded0 = Walk.expand_for_rank merged 0 in
+  let expanded1 = Walk.expand_for_rank merged 1 in
   Alcotest.(check int) "rank0 3 events" 3 (Array.length expanded0);
   Alcotest.(check int) "rank1 3 events" 3 (Array.length expanded1)
 
@@ -123,7 +123,7 @@ let test_depth_consistency_after_merge () =
 let test_empty_streams () =
   let merged = merge [| [||]; [||] |] in
   Alcotest.(check int) "no terminals" 0 (Array.length merged.Merged.terminals);
-  Alcotest.(check int) "empty expansion" 0 (Array.length (Merged.expand_for_rank merged 0))
+  Alcotest.(check int) "empty expansion" 0 (Array.length (Walk.expand_for_rank merged 0))
 
 (* A main entry and a rule body are both walked by Grammar.iter_rule, so
    an out-of-range reference in either raises the same typed error. *)
@@ -139,7 +139,7 @@ let test_bad_rule_reference () =
   in
   let raises what m =
     Alcotest.check_raises what (Invalid_argument "Grammar: rule reference 99 out of range")
-      (fun () -> ignore (Merged.expand_for_rank m 0))
+      (fun () -> ignore (Walk.expand_for_rank m 0))
   in
   raises "main entry N 99" (one_rank (Grammar.N 99) [ { Grammar.sym = T 0; reps = 1 } ]);
   raises "rule entry N 99" (one_rank (Grammar.N 0) [ { Grammar.sym = N 99; reps = 1 } ])

@@ -292,11 +292,12 @@ let test_codec_names_foreign_magic () =
   rejects_with ~needle:"magic" "text file"
     "siesta-trace v2\nnranks 1\ncompute-table 0\nevents 0\nrank 0 0\n"
 
+let merged_of sy = sy.Pipeline.sy_proxy.Proxy_ir.merged
 let synthesis_once = lazy (Pipeline.synthesize (Lazy.force traced_once))
 
 let test_codec_merged_roundtrip () =
   let sy = Lazy.force synthesis_once in
-  let m = sy.Pipeline.sy_merged in
+  let m = merged_of sy in
   let m' = Codec.decode_merged (Codec.encode_merged m) in
   Alcotest.(check bool) "Merged.equal" true (Merged.equal m m');
   Merged.validate m'
@@ -336,14 +337,14 @@ let rejects ~needle what decode blob =
   | _ -> Alcotest.failf "%s: accepted" what
 
 let test_decode_rejects_rule_ref_out_of_range () =
-  let m = (Lazy.force cg4).Pipeline.sy_merged in
+  let m = merged_of (Lazy.force cg4) in
   let rules = Array.copy m.Merged.rules in
   rules.(0) <- { Grammar.sym = Grammar.N (Array.length rules); reps = 1 } :: rules.(0);
   rejects ~needle:"rule reference" "rule ref past the table" Codec.decode_merged
     (Codec.encode_merged { m with Merged.rules })
 
 let test_decode_rejects_terminal_out_of_range () =
-  let m = (Lazy.force cg4).Pipeline.sy_merged in
+  let m = merged_of (Lazy.force cg4) in
   let past = Grammar.T (Array.length m.Merged.terminals) in
   let mains = Array.copy m.Merged.mains in
   mains.(0) <-
@@ -358,7 +359,7 @@ let test_decode_rejects_terminal_out_of_range () =
     (Codec.encode_merged { m with Merged.rules })
 
 let test_decode_rejects_uncovered_rank () =
-  let m = (Lazy.force cg4).Pipeline.sy_merged in
+  let m = merged_of (Lazy.force cg4) in
   let last = m.Merged.nranks - 1 in
   let main_ranks =
     Array.map
@@ -422,14 +423,14 @@ let walk_bound m =
   in
   float_of_int m.Merged.nranks *. main_len
 
-let cg4_merged_blob = lazy (Codec.encode_merged (Lazy.force cg4).Pipeline.sy_merged)
+let cg4_merged_blob = lazy (Codec.encode_merged (merged_of (Lazy.force cg4)))
 let cg4_proxy_blob = lazy (Codec.encode_proxy (Lazy.force cg4).Pipeline.sy_proxy)
 
 (* A flipped repetition inside nested rules can make a valid grammar
    expand for hours, and the codec has no expansion-length bound yet: a
    decoded grammar more than 100x the original's walk is accepted
    unwalked.  The cap goes when the schema gains that bound. *)
-let walk_cap = lazy (100.0 *. walk_bound (Lazy.force cg4).Pipeline.sy_merged)
+let walk_cap = lazy (100.0 *. walk_bound (merged_of (Lazy.force cg4)))
 
 let walk_every_rank m =
   if walk_bound m <= Lazy.force walk_cap then
@@ -552,10 +553,12 @@ let test_store_gc_sweeps_exactly_unreferenced () =
 (* ------------------------------------------------------------------ *)
 (* Cache keys *)
 
-let base_trace_key ?schema ?(workload = "CG") ?(nranks = 8) ?(iters = Some 3) ?(seed = 42)
+let base_trace ?(workload = "CG") ?(nranks = 8) ?(iters = Some 3) ?(seed = 42)
     ?(platform = "A") ?(impl = "openmpi") ?(ct = 0.05) () =
-  fst (Cache.trace_key ?schema ~workload ~nranks ~iters ~seed ~platform ~impl
-         ~cluster_threshold:ct ())
+  Cache.trace_key ~workload ~nranks ~iters ~seed ~platform ~impl ~cluster_threshold:ct
+
+let base_trace_key ?workload ?nranks ?iters ?seed ?platform ?impl ?ct () =
+  fst (base_trace ?workload ?nranks ?iters ?seed ?platform ?impl ?ct ())
 
 let test_cache_key_sensitivity () =
   let base = base_trace_key () in
@@ -568,26 +571,31 @@ let test_cache_key_sensitivity () =
   differs "platform" (base_trace_key ~platform:"B" ());
   differs "impl" (base_trace_key ~impl:"mpich" ());
   differs "cluster_threshold" (base_trace_key ~ct:0.1 ());
-  differs "schema bump" (base_trace_key ~schema:(Codec.schema_version + 1) ());
-  (* merge key: trace hash and rle matter *)
-  let mk ?schema ?(th = "t1") ?(rle = true) () =
-    fst (Cache.merge_key ?schema ~trace_hash:th ~rle ())
-  in
-  Alcotest.(check string) "merge deterministic" (mk ()) (mk ());
-  Alcotest.(check bool) "merge: trace hash" false (String.equal (mk ()) (mk ~th:"t2" ()));
-  Alcotest.(check bool) "merge: rle" false (String.equal (mk ()) (mk ~rle:false ()));
-  Alcotest.(check bool) "merge: schema" false
-    (String.equal (mk ()) (mk ~schema:(Codec.schema_version + 1) ()));
+  (* merge key: the trace hash is its only input *)
+  let mk th = Cache.merge_key ~trace_hash:th in
+  Alcotest.(check string) "merge deterministic" (fst (mk "t1")) (fst (mk "t1"));
+  Alcotest.(check bool) "merge: trace hash" false
+    (String.equal (fst (mk "t1")) (fst (mk "t2")));
   (* proxy key: factor matters there and only there *)
-  let pk ?(factor = 1.0) () =
-    fst
-      (Cache.proxy_key ~merge_hash:"m" ~trace_hash:"t" ~factor ~platform:"A" ~impl:"openmpi"
-         ())
+  let proxy ?(factor = 1.0) () =
+    Cache.proxy_key ~trace_hash:"t" ~factor ~platform:"A" ~impl:"openmpi"
   in
+  let pk ?factor () = fst (proxy ?factor ()) in
   Alcotest.(check bool) "proxy: factor" false (String.equal (pk ()) (pk ~factor:2.0 ()));
+  Alcotest.(check bool) "proxy: trace hash" false
+    (String.equal (pk ())
+       (fst (Cache.proxy_key ~trace_hash:"u" ~factor:1.0 ~platform:"A" ~impl:"openmpi")));
   (* float keys are bit-pattern exact, not printf-rounded *)
   Alcotest.(check bool) "0.1+0.2 <> 0.3" false
-    (String.equal (pk ~factor:(0.1 +. 0.2) ()) (pk ~factor:0.3 ()))
+    (String.equal (pk ~factor:(0.1 +. 0.2) ()) (pk ~factor:0.3 ()));
+  (* a format bump invalidates every binding: each descriptor names the
+     codec's schema version *)
+  let schema = Printf.sprintf "|v%d|" Codec.schema_version in
+  List.iter
+    (fun (stage, (_, descr)) ->
+      if not (Test_comm_check.contains_substring ~needle:schema descr) then
+        Alcotest.failf "%s key %S does not name schema %s" stage descr schema)
+    [ ("trace", base_trace ()); ("merge", mk "t1"); ("proxy", proxy ()) ]
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end incremental cache *)
@@ -618,9 +626,10 @@ let test_cached_synthesis_end_to_end () =
     (Pipeline.outcome_name warm.Pipeline.sy_status.Pipeline.cs_merge);
   Alcotest.(check string) "proxy hit" "hit"
     (Pipeline.outcome_name warm.Pipeline.sy_status.Pipeline.cs_proxy);
-  Alcotest.(check int) "3 hits counted" 3 (counter_value "cache.hits");
+  (* the proxy blob carries the grammar: the merge stage is not looked up *)
+  Alcotest.(check int) "2 hits counted" 2 (counter_value "cache.hits");
   Alcotest.(check bool) "merged identical" true
-    (Merged.equal cold.Pipeline.sy_merged warm.Pipeline.sy_merged);
+    (Merged.equal (merged_of cold) (merged_of warm));
   Alcotest.(check string) "byte-identical C"
     (Codegen_c.generate cold.Pipeline.sy_proxy)
     (Codegen_c.generate warm.Pipeline.sy_proxy);
@@ -654,7 +663,7 @@ let test_cache_off_matches_legacy () =
   Alcotest.(check bool) "no store root" true (sy.Pipeline.sy_status.Pipeline.cs_root = None);
   let cold = Lazy.force synthesis_once in
   Alcotest.(check bool) "same merged as legacy path" true
-    (Merged.equal cold.Pipeline.sy_merged sy.Pipeline.sy_merged)
+    (Merged.equal (merged_of cold) (merged_of sy))
 
 (* The file `siesta trace --dump` writes is the trace object a cached
    run keeps: the same bytes whether the stage ran (miss) or decoded the
@@ -684,7 +693,7 @@ let test_synthesize_blob_equals_live () =
       let blob = Codec.encode_trace ~meta:ts.Pipeline.ts_meta ts.Pipeline.ts_trace in
       let sy = Pipeline.synthesize_blob s blob in
       Alcotest.(check bool) (name ^ ": merged equal") true
-        (Merged.equal live.Pipeline.sy_merged sy.Pipeline.sy_merged);
+        (Merged.equal (merged_of live) (merged_of sy));
       Alcotest.(check string) (name ^ ": byte-identical C")
         (Codegen_c.generate live.Pipeline.sy_proxy)
         (Codegen_c.generate sy.Pipeline.sy_proxy);
@@ -718,7 +727,7 @@ let test_timings_per_cache_outcome () =
     ]
     (names (Pipeline.synthesize_spec ~cache:true ~store:st s));
   Alcotest.(check (list string)) "warm"
-    [ "trace.cached"; "merge.cached"; "synthesize.cached" ]
+    [ "trace.cached"; "synthesize.cached" ]
     (names (Pipeline.synthesize_spec ~cache:true ~store:st s));
   Alcotest.(check (list string)) "factor change"
     [ "trace.cached"; "merge.cached"; "synthesize"; "synthesize.store" ]
@@ -741,8 +750,8 @@ let prop_cached_equals_cold =
       let plain = Pipeline.synthesize_spec s in
       let cold = Pipeline.synthesize_spec ~cache:true ~store:st s in
       let warm = Pipeline.synthesize_spec ~cache:true ~store:st s in
-      Merged.equal plain.Pipeline.sy_merged cold.Pipeline.sy_merged
-      && Merged.equal cold.Pipeline.sy_merged warm.Pipeline.sy_merged
+      Merged.equal (merged_of plain) (merged_of cold)
+      && Merged.equal (merged_of cold) (merged_of warm)
       && warm.Pipeline.sy_status.Pipeline.cs_trace = Pipeline.Cache_hit
       && warm.Pipeline.sy_status.Pipeline.cs_merge = Pipeline.Cache_hit
       && warm.Pipeline.sy_status.Pipeline.cs_proxy = Pipeline.Cache_hit
@@ -769,9 +778,47 @@ let test_corrupt_cache_degrades_to_miss () =
   Alcotest.(check string) "degrades to miss" "miss"
     (Pipeline.outcome_name again.Pipeline.sy_status.Pipeline.cs_trace);
   Alcotest.(check bool) "same result" true
-    (Merged.equal cold.Pipeline.sy_merged again.Pipeline.sy_merged);
+    (Merged.equal (merged_of cold) (merged_of again));
   let r = Store.verify st in
   Alcotest.(check (list string)) "repaired" [] r.Store.v_issues
+
+(* A proxy hit reads no merged blob: the proxy blob carries the grammar.
+   With the merged object damaged on disk (manifest kept), a warm run
+   still reports three hits and emits the same C; the next factor's
+   proxy search then misses, finds the merged object unreadable and
+   merges again, which repairs the store. *)
+let test_proxy_hit_reads_no_merged_blob () =
+  with_temp_store @@ fun st ->
+  let s = small_spec () in
+  let cold = Pipeline.synthesize_spec ~cache:true ~store:st s in
+  List.iter
+    (fun (e : Store.entry) ->
+      if e.Store.e_kind = "merged" then begin
+        let oc = open_out_bin (object_path (Store.root st) e.Store.e_hash) in
+        output_string oc "rotten";
+        close_out oc
+      end)
+    (Store.entries st);
+  let outcomes sy =
+    let c = sy.Pipeline.sy_status in
+    List.map Pipeline.outcome_name [ c.Pipeline.cs_trace; c.Pipeline.cs_merge; c.Pipeline.cs_proxy ]
+  in
+  let warm = Pipeline.synthesize_spec ~cache:true ~store:st s in
+  Alcotest.(check (list string)) "warm: all hits" [ "hit"; "hit"; "hit" ] (outcomes warm);
+  Alcotest.(check string) "warm: byte-identical C"
+    (Codegen_c.generate cold.Pipeline.sy_proxy)
+    (Codegen_c.generate warm.Pipeline.sy_proxy);
+  Alcotest.(check (list string)) "warm: no merge lookup"
+    [ "trace.cached"; "synthesize.cached" ]
+    (List.map fst warm.Pipeline.sy_timings);
+  let shrunk = Pipeline.synthesize_spec ~cache:true ~store:st ~factor:2.0 s in
+  Alcotest.(check (list string)) "factor: merge miss" [ "hit"; "miss"; "miss" ] (outcomes shrunk);
+  Alcotest.(check bool) "factor: merged again" true
+    (List.mem_assoc "merge" shrunk.Pipeline.sy_timings);
+  Alcotest.(check bool) "factor: same grammar" true
+    (Merged.equal (merged_of cold) (merged_of shrunk));
+  let r = Store.verify st in
+  Alcotest.(check (list string)) "store verifies clean" [] r.Store.v_issues
 
 (* Concurrent access: the serve daemon points several worker threads at
    one store root, so two writers racing on the same and on different
@@ -843,6 +890,7 @@ let suite =
     ("synthesis from a trace blob equals the live one", `Quick,
       test_synthesize_blob_equals_live);
     ("corrupt cache degrades to a miss", `Quick, test_corrupt_cache_degrades_to_miss);
+    ("a proxy hit reads no merged blob", `Quick, test_proxy_hit_reads_no_merged_blob);
     ("concurrent writers leave a clean store", `Quick, test_store_concurrent_writers);
     QCheck_alcotest.to_alcotest prop_varint_roundtrip;
     QCheck_alcotest.to_alcotest prop_codec_trace_roundtrip;
