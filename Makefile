@@ -113,8 +113,10 @@ smoke: build
 	SIESTA_STORE=$(SMOKE_STORE) dune exec bin/siesta_cli.exe -- store gc --expect-clean
 	@# Run ledger & regression radar: the two cached synth runs above
 	@# each appended a run record; comparing them must pass, a perturbed
-	@# diff must flip the radar to exit 1, and retention gc must leave
-	@# the store verifiable with stage artifacts untouched.
+	@# diff must flip the radar to exit 1, each invocation must append
+	@# exactly one record (a diff record carries the static check), and
+	@# retention gc must leave the store verifiable with stage artifacts
+	@# untouched.
 	SIESTA_STORE=$(SMOKE_STORE) dune exec bin/siesta_cli.exe -- runs ls
 	@test "$$(SIESTA_STORE=$(SMOKE_STORE) dune exec bin/siesta_cli.exe -- runs ls | grep -c ' synth ')" -ge 2 \
 		|| { echo "smoke: expected two synth records in the ledger" >&2; exit 1; }
@@ -124,6 +126,11 @@ smoke: build
 	@SIESTA_STORE=$(SMOKE_STORE) dune exec bin/siesta_cli.exe -- runs compare --baseline last; \
 		st=$$?; [ $$st -eq 1 ] \
 		|| { echo "smoke: expected regression exit 1 from perturbed diff, got $$st" >&2; exit 1; }
+	@test "$$(SIESTA_STORE=$(SMOKE_STORE) dune exec bin/siesta_cli.exe -- runs ls | grep -c '^#')" -eq 4 \
+		|| { echo "smoke: expected four records (two synth, two diff) in the ledger" >&2; exit 1; }
+	@SIESTA_STORE=$(SMOKE_STORE) dune exec bin/siesta_cli.exe -- runs show 3 \
+		| grep -q '^check   : verdict=clean' \
+		|| { echo "smoke: runs show 3 printed no clean check line" >&2; exit 1; }
 	SIESTA_STORE=$(SMOKE_STORE) dune exec bin/siesta_cli.exe -- runs html -o $(SMOKE_TREND_HTML)
 	@grep -q 'ledger-data' $(SMOKE_TREND_HTML) \
 		|| { echo "smoke: trend HTML missing its data block" >&2; exit 1; }
@@ -179,7 +186,8 @@ smoke: build
 	@# job and poll it to done, warm re-submit must replay purely from
 	@# the stage caches (all-hit metrics, zero misses after the warm
 	@# run), the artifact blob over HTTP must be byte-identical to the
-	@# store object on disk, and SIGTERM must drain and exit 0.  The
+	@# store object on disk, SIGTERM must drain and exit 0, and the two
+	@# jobs must have appended exactly one "report" record each.  The
 	@# daemon runs from _build directly so the background process holds
 	@# no dune lock.
 	@rm -rf $(SMOKE_SERVE_STORE); rm -f $(SMOKE_SERVE_SOCK)
@@ -221,7 +229,12 @@ smoke: build
 	wait $$pid; rc=$$?; \
 	[ $$rc -eq 0 ] || { echo "smoke: serve daemon exited $$rc on SIGTERM, not 0" >&2; exit 1; }; \
 	[ ! -e $(SMOKE_SERVE_SOCK) ] || { echo "smoke: serve daemon left its socket behind" >&2; exit 1; }; \
-	echo "smoke: serve cold job + coalesced id + warm all-hit replay + blob cmp + clean SIGTERM drain OK"
+	$$CLI runs ls --store $(SMOKE_SERVE_STORE); \
+	n=$$($$CLI runs ls --store $(SMOKE_SERVE_STORE) | grep -c '^#' || true); \
+	r=$$($$CLI runs ls --store $(SMOKE_SERVE_STORE) | grep -c '^#.* report ' || true); \
+	[ "$$n" -eq 2 ] && [ "$$r" -eq 2 ] \
+		|| { echo "smoke: expected two report records from the daemon, got $$n record(s), $$r report" >&2; exit 1; }; \
+	echo "smoke: serve cold job + coalesced id + warm all-hit replay + blob cmp + clean SIGTERM drain + one record per job OK"
 	@rm -f $(SMOKE_TRACE) $(SMOKE_TIMELINE) $(SMOKE_TIMELINE_HTML) \
 		$(SMOKE_DUMP) $(SMOKE_DUMP).cut $(SMOKE_DUMP).json $(SMOKE_PROXY_FROM) \
 		$(SMOKE_PROXY_LIVE) $(SMOKE_PROXY) $(SMOKE_PROXY_WARM) $(SMOKE_PROXY_WARM).out \

@@ -37,6 +37,7 @@ module Spec = Siesta_platform.Spec
 module Mpi_impl = Siesta_platform.Mpi_impl
 module Obs_span = Siesta_obs.Span
 module Obs_metrics = Siesta_obs.Metrics
+module Clock = Siesta_obs.Clock
 module Obs_log = Siesta_obs.Log
 module Obs_json = Siesta_obs.Json
 module Timeline = Siesta_analysis.Timeline
@@ -124,22 +125,13 @@ let iters_arg =
   let doc = "Override the workload's iteration/timestep count." in
   Arg.(value & opt (some int) None & info [ "iters" ] ~docv:"I" ~doc)
 
-let platform_conv =
-  let parse s =
-    match Spec.by_name (String.uppercase_ascii s) with
-    | p -> Ok p
-    | exception Not_found -> Error (`Msg (Printf.sprintf "unknown platform %S (A, B or C)" s))
-  in
-  Arg.conv (parse, fun ppf p -> Format.pp_print_string ppf p.Spec.name)
+let named_conv by_name name =
+  Arg.conv
+    ( (fun s -> Result.map_error (fun m -> `Msg m) (by_name s)),
+      fun ppf v -> Format.pp_print_string ppf (name v) )
 
-let impl_conv =
-  let parse s =
-    match Mpi_impl.by_name (String.lowercase_ascii s) with
-    | i -> Ok i
-    | exception Not_found ->
-        Error (`Msg (Printf.sprintf "unknown MPI implementation %S (openmpi, mpich, mvapich)" s))
-  in
-  Arg.conv (parse, fun ppf i -> Format.pp_print_string ppf i.Mpi_impl.name)
+let platform_conv = named_conv Spec.by_name (fun p -> p.Spec.name)
+let impl_conv = named_conv Mpi_impl.by_name (fun i -> i.Mpi_impl.name)
 
 let platform_arg =
   let doc = "Evaluation platform: A (Xeon cluster), B (Xeon Phi cluster) or C (single node)." in
@@ -204,9 +196,10 @@ let store_root_arg =
 
 (* --cache / --no-cache / --store as one term: the store when caching is
    on, else [None].  Whenever a pipeline subcommand runs with the cache
-   on, its store also receives a run-ledger record; metrics are
-   force-enabled so the record's snapshot has content ([with_obs] then
-   publishes the run id, tying the snapshot to the log/span streams). *)
+   on, it appends its one run-ledger record there ([Ledger.emit store])
+   before it renders or exits; metrics are force-enabled so the record's
+   snapshot has content ([with_obs] then publishes the run id, tying the
+   snapshot to the log/span streams). *)
 let cache_term =
   let cache_arg =
     let doc =
@@ -224,7 +217,6 @@ let cache_term =
     if cache && not no_cache then begin
       let st = Store.open_ ?root () in
       Obs_metrics.set_enabled true;
-      Ledger.set_sink (Some st);
       Some st
     end
     else None
@@ -335,6 +327,7 @@ let trace_cmd =
   let run obs s dump report timeline_out timeline_html store =
     with_obs obs @@ fun () ->
     let ts = Pipeline.trace_stage ~cache:(Option.is_some store) ?store s in
+    Ledger.emit store (fun () -> Pipeline.trace_record ts);
     emit_timelines
       ~title:
         (Printf.sprintf "Siesta timeline — %s @ %d ranks" (workload_name s) s.Pipeline.nranks)
@@ -403,7 +396,10 @@ let synth_cmd =
           | exception Siesta_store.Codec.Corrupt msg ->
               Printf.eprintf "synth: %s: %s\n" trace_path msg;
               exit 1)
-      | None -> Pipeline.synthesize_spec ~cache:(Option.is_some store) ?store ~factor s
+      | None ->
+          let sy = Pipeline.synthesize_spec ~cache:(Option.is_some store) ?store ~factor s in
+          Ledger.emit store (fun () -> Pipeline.ledger_record ~kind:"synth" sy);
+          sy
     in
     print_cache_status sy.Pipeline.sy_status;
     let proxy = sy.Pipeline.sy_proxy in
@@ -511,12 +507,16 @@ let report_cmd =
     let sy = Pipeline.synthesize_spec ~cache:(Option.is_some store) ?store ~factor s in
     (* one recording serves both the report's sections and the file *)
     let timeline = fst (Pipeline.record_timeline s) in
+    let fidelity, diff_s = Clock.wall (fun () -> Pipeline.diff_synthesis sy) in
+    (* recorded before rendering, so the report's History lists this run *)
+    Ledger.emit store (fun () ->
+        Pipeline.ledger_record ~kind:"report" ~diff:(fidelity, diff_s) sy);
     Option.iter (fun path -> write_timeline ~path timeline) timeline_out;
     match output with
     | Some path ->
-        Siesta.Report.write_file ~timeline sy ~path;
+        Siesta.Report.write_file ~timeline ~fidelity sy ~path;
         Printf.printf "wrote %s\n" path
-    | None -> print_string (Siesta.Report.generate ~timeline sy)
+    | None -> print_string (Siesta.Report.generate ~timeline ~fidelity sy)
   in
   Cmd.v
     (Cmd.info "report" ~doc:"Run the full pipeline and produce a markdown quality report")
@@ -614,7 +614,8 @@ let diff_cmd =
       | Some what ->
           { sy with Pipeline.sy_proxy = Divergence.perturb what sy.Pipeline.sy_proxy }
     in
-    let fid = Pipeline.diff_synthesis sy in
+    let fid, diff_s = Clock.wall (fun () -> Pipeline.diff_synthesis sy) in
+    Ledger.emit store (fun () -> Pipeline.ledger_record ~kind:"diff" ~diff:(fid, diff_s) sy);
     let r = fid.Pipeline.f_report in
     (* the capture keeps no timeline; the original's is recorded at most
        once, for the timeline files and the critical path *)
@@ -715,6 +716,7 @@ let sweep_cmd =
           exit 2
     in
     let t = Sweep.run ~cache:(Option.is_some store) ?store ?perturb ~factors s in
+    Ledger.emit store (fun () -> Sweep.record t);
     if json then print_string (Sweep.to_json t) else print_string (Sweep.render t);
     Option.iter
       (fun path ->
@@ -759,7 +761,9 @@ let check_cmd =
     with_obs obs @@ fun () ->
     let fault = check_fault_of perturb in
     let sy = Pipeline.synthesize_spec ~cache:(Option.is_some store) ?store s in
-    let report = Pipeline.check_synthesis ?fault sy in
+    let report, check_s = Clock.wall (fun () -> Pipeline.check_synthesis ?fault sy) in
+    Ledger.emit store (fun () ->
+        Pipeline.ledger_record ~kind:"check" ~check:(report, check_s) sy);
     if json then print_string (Comm_check.to_json report)
     else begin
       Printf.printf "%s @ %d ranks (%s, eager threshold %d B)%s\n" (workload_name s)
@@ -1011,6 +1015,11 @@ let runs_cmd =
              comm_matrix_dist=%.4g max_compute_mean=%.4g\n"
             f.lf_verdict f.lf_lossless f.lf_time_error f.lf_timeline_distance
             f.lf_comm_matrix_dist f.lf_max_compute_mean);
+      (match r.r_check with
+      | None -> ()
+      | Some c ->
+          Printf.printf "check   : verdict=%s violations=%d\n" c.lc_verdict c.lc_violations;
+          List.iter (fun reason -> Printf.printf "  - %s\n" reason) c.lc_reasons);
       if r.r_sweep <> [] then begin
         Printf.printf "sweep   : %d factor(s)\n" (List.length r.r_sweep);
         Printf.printf "  %-8s %-18s %10s %12s %12s %12s %10s %10s  %s\n" "factor"

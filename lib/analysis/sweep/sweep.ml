@@ -81,7 +81,6 @@ let point_of ~cache ?store ?compute_tolerance ?perturb ~original spec factor =
         (sy, proxy_ir, Divergence.diff ~original ~proxy))
   in
   let verdict = Divergence.verdict_at ?compute_tolerance ~factor report in
-  let st = sy.Pipeline.sy_status in
   Log.info (fun () ->
       ( "sweep.point",
         [
@@ -99,12 +98,7 @@ let point_of ~cache ?store ?compute_tolerance ?perturb ~original spec factor =
         (fun acc (name, s) -> if is_prefix "synthesize" name then acc +. s else acc)
         0.0 sy.Pipeline.sy_timings;
     p_total_s = total_s;
-    p_cache =
-      [
-        ("trace", Pipeline.outcome_name st.Pipeline.cs_trace);
-        ("merge", Pipeline.outcome_name st.Pipeline.cs_merge);
-        ("proxy", Pipeline.outcome_name st.Pipeline.cs_proxy);
-      ];
+    p_cache = Pipeline.stage_outcomes sy.Pipeline.sy_status;
   }
 
 let ledger_point p =
@@ -125,31 +119,20 @@ let ledger_point p =
 let run ?(cache = false) ?store ?compute_tolerance ?perturb ?(factors = default_factors)
     spec =
   (match factors with [] -> invalid_arg "Sweep.run: empty factor schedule" | _ -> ());
-  (* Per-factor synthesize/diff calls emit their own ledger records; a
-     sweep over 7 factors must not bury the history under 14 of them.
-     The sink is parked for the duration and exactly one "sweep" record
-     carrying the whole curve is emitted afterwards. *)
-  let saved_sink = Ledger.sink () in
   let points, total_s =
     Clock.wall (fun () ->
-        Fun.protect
-          ~finally:(fun () -> Ledger.set_sink saved_sink)
-          (fun () ->
-            Ledger.set_sink None;
-            let original = Pipeline.capture_original spec in
-            List.map
-              (point_of ~cache ?store ?compute_tolerance ?perturb ~original spec)
-              factors))
+        let original = Pipeline.capture_original spec in
+        List.map (point_of ~cache ?store ?compute_tolerance ?perturb ~original spec) factors)
   in
-  let t = { s_spec = spec; s_factors = factors; s_points = points; s_total_s = total_s } in
-  Ledger.emit (fun () ->
-      Ledger.make ~kind:"sweep"
-        ~spec:
-          (("factors", String.concat "," (List.map factor_str factors))
-          :: Pipeline.spec_kvs spec)
-        ~timings:[ ("sweep.total", total_s) ]
-        ~sweep:(List.map ledger_point points) ());
-  t
+  { s_spec = spec; s_factors = factors; s_points = points; s_total_s = total_s }
+
+let record t =
+  Ledger.make ~kind:"sweep"
+    ~spec:
+      (("factors", String.concat "," (List.map factor_str t.s_factors))
+      :: Pipeline.spec_kvs t.s_spec)
+    ~timings:[ ("sweep.total", t.s_total_s) ]
+    ~sweep:(List.map ledger_point t.s_points) ()
 
 let comm_divergent t =
   List.filter_map

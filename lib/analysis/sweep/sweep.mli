@@ -16,12 +16,12 @@
     read as communication divergence, and the compute check bounds the
     excess over the expected shrink error [1 - 1/factor].
 
-    One schema-versioned ["sweep"] {!Siesta_ledger.Ledger} record is
-    emitted per {!run} (never the per-factor synth/diff records — the
-    sink is parked while the schedule executes), which makes curves
-    first-class in [runs ls/show/compare]: {!Siesta_ledger.Regression}
-    compares curves point-wise and flags "fidelity at factor F degraded
-    vs baseline sweep". *)
+    A sweep invocation appends one schema-versioned ["sweep"]
+    {!Siesta_ledger.Ledger} record, built by {!record} (never per-factor
+    synth/diff records), which makes curves first-class in
+    [runs ls/show/compare]: {!Siesta_ledger.Regression} compares curves
+    point-wise and flags "fidelity at factor F degraded vs baseline
+    sweep". *)
 
 val default_factors : float list
 (** [1, 2, 4, ..., 64] — the powers-of-two schedule. *)
@@ -42,7 +42,7 @@ type point = {
   p_proxy_bytes : int;  (** encoded proxy IR size *)
   p_search_s : float;  (** proxy-search (synthesize stages) seconds *)
   p_total_s : float;  (** synthesize + capture + diff seconds *)
-  p_cache : (string * string) list;  (** trace/merge/proxy outcomes *)
+  p_cache : (string * string) list;  (** {!Siesta.Pipeline.stage_outcomes} *)
 }
 
 type t = {
@@ -64,9 +64,13 @@ val run :
     are forwarded to every synthesis; [compute_tolerance] to every
     {!Siesta_analysis.Divergence.verdict_at}; [perturb] damages every
     per-factor proxy via {!Siesta_analysis.Divergence.perturb} before
-    diffing, for exercising the curve-regression gate.  Emits exactly
-    one ["sweep"] ledger record when a sink is armed.
+    diffing, for exercising the curve-regression gate.
     @raise Invalid_argument on an empty schedule. *)
+
+val record : t -> Siesta_ledger.Ledger.record
+(** The one ["sweep"] record of a sweep invocation: the spec with its
+    factor schedule, a ["sweep.total"] timing and one point per
+    factor. *)
 
 val comm_divergent : t -> float list
 (** The factors whose verdict crossed the comm-divergence rank — the

@@ -143,21 +143,6 @@ let ledger_check_of_report (r : Comm_check.report) =
     lc_reasons = r.Comm_check.k_reasons;
   }
 
-let run_check s merged =
-  let report =
-    Span.with_ ~cat:"pipeline" "check" (fun () -> Comm_check.check ~impl:s.impl merged)
-  in
-  Comm_check.publish_metrics report;
-  Log.info (fun () ->
-      ( "pipeline.check",
-        [
-          ("workload", s.workload.Registry.name);
-          ("nranks", string_of_int s.nranks);
-          ("verdict", Comm_check.verdict_name (Comm_check.verdict report));
-          ("violations", string_of_int (List.length report.Comm_check.k_reasons));
-        ] ));
-  report
-
 type fidelity = {
   f_original : Divergence.capture;
   f_proxy : Divergence.capture;
@@ -302,7 +287,13 @@ let trace_stage_of s meta pk traced =
 let stage_of_traced tr =
   trace_stage_of tr.run_spec (meta_of_traced tr) (Trace_io.pack tr.recorder) (Some tr)
 
-let run_trace_stage store s =
+(* Caching on means a store: the given one, else the default root. *)
+let store_of ~cache store =
+  if not cache then None
+  else Some (match store with Some st -> st | None -> Store.open_ ())
+
+let trace_stage ?(cache = false) ?store s =
+  let store = store_of ~cache store in
   let ts, hash, outcome, timings =
     memo store ~stage:"trace" ~span:"trace" ~kind:"trace" s
       ~key:(fun () ->
@@ -318,24 +309,6 @@ let run_trace_stage store s =
         (ts, ts.ts_timings))
   in
   { ts with ts_hash = hash; ts_outcome = outcome; ts_timings = timings }
-
-(* Caching on means a store: the given one, else the default root. *)
-let store_of ~cache store =
-  if not cache then None
-  else Some (match store with Some st -> st | None -> Store.open_ ())
-
-(* One ledger record per public trace invocation.  The synth path runs
-   [run_trace_stage] directly, so a synth run appends a single "synth"
-   record rather than a "trace" + "synth" pair. *)
-let trace_stage ?(cache = false) ?store s =
-  let ts = run_trace_stage (store_of ~cache store) s in
-  Ledger.emit (fun () ->
-      Ledger.make ~kind:"trace" ~spec:(spec_kvs s)
-        ~cache:
-          (("trace", outcome_name ts.ts_outcome)
-          :: (match ts.ts_hash with Some h -> [ ("trace_hash", h) ] | None -> []))
-        ~timings:ts.ts_timings ());
-  ts
 
 (* Merge and proxy search over a trace stage: the one path every
    synthesis runs, cold or cached.  Both stage keys name the trace blob's
@@ -406,40 +379,36 @@ let synthesize_blob ?(factor = 1.0) s blob =
 
 let synthesize_spec ?(cache = false) ?store ?(factor = 1.0) s =
   let store = store_of ~cache store in
-  let sy = merge_and_search store ~factor (run_trace_stage store s) in
-  Ledger.emit (fun () ->
-      let st = sy.sy_status in
-      let cache =
-        (match st.cs_root with Some root -> [ ("root", root) ] | None -> [])
-        @ [
-            ("trace", outcome_name st.cs_trace);
-            ("merge", outcome_name st.cs_merge);
-            ("proxy", outcome_name st.cs_proxy);
-          ]
-        @ (match sy.sy_trace.ts_hash with Some h -> [ ("trace_hash", h) ] | None -> [])
-      in
-      Ledger.make ~kind:"synth"
-        ~spec:(("factor", Printf.sprintf "%g" factor) :: spec_kvs s)
-        ~cache ~timings:sy.sy_timings ());
-  sy
+  merge_and_search store ~factor (trace_stage ~cache ?store s)
 
 let run_proxy sy ~platform ~impl =
   let s = sy.sy_trace.ts_spec in
   Engine.run ~platform ~impl ~nranks:s.nranks ~seed:s.seed (Proxy_ir.program sy.sy_proxy)
 
+let check_synthesis ?fault sy =
+  let s = sy.sy_trace.ts_spec in
+  let merged = sy.sy_proxy.Proxy_ir.merged in
+  let merged = match fault with None -> merged | Some f -> Comm_check.perturb f merged in
+  let report =
+    Span.with_ ~cat:"pipeline" "check" (fun () -> Comm_check.check ~impl:s.impl merged)
+  in
+  Comm_check.publish_metrics report;
+  Log.info (fun () ->
+      ( "pipeline.check",
+        [
+          ("workload", s.workload.Registry.name);
+          ("nranks", string_of_int s.nranks);
+          ("verdict", Comm_check.verdict_name (Comm_check.verdict report));
+          ("violations", string_of_int (List.length report.Comm_check.k_reasons));
+        ] ));
+  report
+
 let diff_synthesis sy =
   let s = sy.sy_trace.ts_spec in
-  let check = run_check s sy.sy_proxy.Proxy_ir.merged in
-  let fid, total_s =
-    Clock.wall (fun () ->
-        let original = capture_original s in
-        let proxy = capture_proxy_ir s sy.sy_proxy in
-        let report =
-          Span.with_ ~cat:"pipeline" "diff" (fun () -> Divergence.diff ~original ~proxy)
-        in
-        { f_original = original; f_proxy = proxy; f_report = report; f_check = Some check })
-  in
-  let report = fid.f_report in
+  let check = check_synthesis sy in
+  let original = capture_original s in
+  let proxy = capture_proxy_ir s sy.sy_proxy in
+  let report = Span.with_ ~cat:"pipeline" "diff" (fun () -> Divergence.diff ~original ~proxy) in
   Divergence.publish_metrics report;
   Log.info (fun () ->
       ( "pipeline.diff",
@@ -449,20 +418,36 @@ let diff_synthesis sy =
           ("time_error", Printf.sprintf "%.4f" report.Divergence.r_time_error);
           ("timeline_distance", Printf.sprintf "%.4e" report.Divergence.r_timeline_distance);
         ] ));
-  Ledger.emit (fun () ->
-      Ledger.make ~kind:"diff" ~spec:(spec_kvs s)
-        ~timings:[ ("diff.total", total_s) ]
-        ~fidelity:(ledger_fidelity_of_report report)
-        ~check:(ledger_check_of_report check) ());
-  fid
+  { f_original = original; f_proxy = proxy; f_report = report; f_check = Some check }
 
-let check_synthesis ?fault sy =
-  let s = sy.sy_trace.ts_spec in
-  let merged = sy.sy_proxy.Proxy_ir.merged in
-  let merged = match fault with None -> merged | Some f -> Comm_check.perturb f merged in
-  let report, total_s = Clock.wall (fun () -> run_check s merged) in
-  Ledger.emit (fun () ->
-      Ledger.make ~kind:"check" ~spec:(spec_kvs s)
-        ~timings:[ ("check.total", total_s) ]
-        ~check:(ledger_check_of_report report) ());
-  report
+(* ------------------------------------------------------------------ *)
+(* Run-ledger records.  The front end that owns an invocation builds its
+   one record here and appends it to the store it opened. *)
+
+let stage_outcomes st =
+  List.map
+    (fun (stage, o) -> (stage, outcome_name o))
+    [ ("trace", st.cs_trace); ("merge", st.cs_merge); ("proxy", st.cs_proxy) ]
+
+let trace_hash_kv ts = match ts.ts_hash with Some h -> [ ("trace_hash", h) ] | None -> []
+
+let trace_record ts =
+  Ledger.make ~kind:"trace" ~spec:(spec_kvs ts.ts_spec)
+    ~cache:(("trace", outcome_name ts.ts_outcome) :: trace_hash_kv ts)
+    ~timings:ts.ts_timings ()
+
+let ledger_record ~kind ?diff ?check sy =
+  let st = sy.sy_status in
+  let total name = function Some (_, s) -> [ (name, s) ] | None -> [] in
+  let check_report =
+    match check with Some (c, _) -> Some c | None -> Option.bind diff (fun (f, _) -> f.f_check)
+  in
+  Ledger.make ~kind
+    ~spec:(("factor", Printf.sprintf "%g" sy.sy_factor) :: spec_kvs sy.sy_trace.ts_spec)
+    ~cache:
+      ((match st.cs_root with Some root -> [ ("root", root) ] | None -> [])
+      @ stage_outcomes st @ trace_hash_kv sy.sy_trace)
+    ~timings:(sy.sy_timings @ total "diff.total" diff @ total "check.total" check)
+    ?fidelity:(Option.map (fun (f, _) -> ledger_fidelity_of_report f.f_report) diff)
+    ?check:(Option.map ledger_check_of_report check_report)
+    ()

@@ -103,11 +103,6 @@ val ledger_fidelity_of_report :
     [Divergence.verdict_at] results so shrunken-by-design byte deltas
     don't read as communication divergence. *)
 
-val ledger_check_of_report :
-  Siesta_analysis.Comm_check.report -> Siesta_ledger.Ledger.check
-(** The static checker's verdict, violation count and reasons in ledger
-    form (what [runs compare] gates on via the [check.*] dimensions). *)
-
 type fidelity = {
   f_original : Siesta_analysis.Divergence.capture;
   f_proxy : Siesta_analysis.Divergence.capture;
@@ -191,18 +186,17 @@ val synthesize : ?factor:float -> traced -> synthesis
 val synthesize_blob : ?factor:float -> spec -> string -> synthesis
 (** Merge and search computation proxies for a framed trace blob
     ({!Siesta_store.Codec.encode_trace}: a [siesta trace --dump] file or
-    a store's trace object), with every stage [Cache_off] and no ledger
-    record.  The trace, its compute table and its run measurements come
-    from the blob; [spec] supplies the platform and implementation the
+    a store's trace object), with every stage [Cache_off].  The trace,
+    its compute table and its run measurements come from the blob; [spec] supplies the platform and implementation the
     proxy is searched for.  A blob of a run of [spec] yields the
     synthesis {!synthesize} gives for that run.
     @raise Siesta_store.Codec.Corrupt on a damaged or foreign file. *)
 
 val synthesize_spec :
   ?cache:bool -> ?store:Siesta_store.Store.t -> ?factor:float -> spec -> synthesis
-(** The whole pipeline with optional stage memoization, appending a
-    ["synth"] ledger record.  With [~cache:false] (the default) this is
-    exactly [synthesize (trace s)]; with [~cache:true] each stage first
+(** The whole pipeline with optional stage memoization.  With
+    [~cache:false] (the default) this is exactly
+    [synthesize (trace s)]; with [~cache:true] each stage first
     consults the store.  Decoded artifacts are
     {!Siesta_merge.Merged.equal} to freshly computed ones and generate
     byte-identical C (qcheck-enforced). *)
@@ -220,10 +214,10 @@ val diff_synthesis : synthesis -> fidelity
 (** Capture original and proxy on the generation platform, diff them, and
     publish the headline scores as [Siesta_obs.Metrics] gauges (a no-op
     when the registry is disabled).  Also runs the static communication
-    check ({!Siesta_analysis.Comm_check}) over the proxy's own grammar
-    ([sy_proxy.merged], so a perturbed proxy is checked as perturbed) and
-    stamps its verdict into the ["diff"] ledger record.  Drives
-    [siesta diff] and the report's Fidelity/Correctness sections. *)
+    check ({!check_synthesis}) over the proxy's own grammar
+    ([sy_proxy.merged], so a perturbed proxy is checked as perturbed) into
+    [f_check].  Drives [siesta diff] and the report's
+    Fidelity/Correctness sections. *)
 
 val check_synthesis :
   ?fault:Siesta_analysis.Comm_check.fault -> synthesis -> Siesta_analysis.Comm_check.report
@@ -232,6 +226,32 @@ val check_synthesis :
     expansion.  [fault] perturbs the merged program first
     ({!Siesta_analysis.Comm_check.perturb}), which is how the CLI's
     [--perturb] flag and the tests prove the checker actually fires.
-    Publishes [check.*] metrics and appends a ["check"] ledger record
-    carrying the verdict, so [runs compare] gates on it.  Drives
-    [siesta check]. *)
+    Publishes [check.*] metrics.  Drives [siesta check]. *)
+
+(** {1 Run-ledger records}
+
+    The pipeline appends nothing: the front end that owns an invocation
+    builds its one record here and appends it to the store it opened
+    ({!Siesta_ledger.Ledger}). *)
+
+val stage_outcomes : cache_status -> (string * string) list
+(** [("trace", _); ("merge", _); ("proxy", _)]: each stage's
+    {!outcome_name}, in stage order. *)
+
+val trace_record : trace_stage -> Siesta_ledger.Ledger.record
+(** The ["trace"] record of a [siesta trace] invocation: the spec, the
+    trace outcome and hash, and the trace-stage timings. *)
+
+val ledger_record :
+  kind:string ->
+  ?diff:fidelity * float ->
+  ?check:Siesta_analysis.Comm_check.report * float ->
+  synthesis ->
+  Siesta_ledger.Ledger.record
+(** The record of an invocation over one synthesis: the spec with its
+    factor, the cache root, the {!stage_outcomes}, the trace hash and
+    the stage timings.  [diff] is a {!diff_synthesis} result with its
+    wall seconds; it adds the fidelity block, the check block of
+    [f_check] and a ["diff.total"] timing.  [check] is a
+    {!check_synthesis} result with its wall seconds; it adds the check
+    block (in place of [f_check]'s) and a ["check.total"] timing. *)

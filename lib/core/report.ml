@@ -22,13 +22,13 @@ let pct x = Printf.sprintf "%.2f%%" (100.0 *. x)
    is either a live traced run or a decoded blob plus stored run
    measurements.
    Everything below reads only what both flavours carry — streams,
-   centroids, meta — plus the fidelity captures and the original's
-   timeline.  The captures re-run both programs under the simulated clock
-   and keep only summaries; the critical path and the per-rank breakdown
-   need every segment, so they read the [timeline] the caller recorded
-   with [Pipeline.record_timeline].  Runs are deterministic per seed, so
-   each reproduces the original run's [Engine.result] exactly. *)
-let generate ~timeline (sy : Pipeline.synthesis) =
+   centroids, meta — plus the caller's fidelity captures and timeline.
+   The captures re-ran both programs under the simulated clock and keep
+   only summaries; the critical path and the per-rank breakdown need
+   every segment, so they read the [timeline] the caller recorded with
+   [Pipeline.record_timeline].  Runs are deterministic per seed, so each
+   reproduces the original run's [Engine.result] exactly. *)
+let generate ~timeline ~fidelity:(fid : Pipeline.fidelity) (sy : Pipeline.synthesis) =
   let ts = sy.Pipeline.sy_trace in
   let spec = ts.Pipeline.ts_spec in
   let meta = ts.Pipeline.ts_meta in
@@ -38,7 +38,6 @@ let generate ~timeline (sy : Pipeline.synthesis) =
   let nranks = trace.Trace_io.nranks in
   let mpip = Mpip.of_streams ~nranks trace.Trace_io.streams in
   let matrix = Comm_matrix.of_streams ~nranks trace.Trace_io.streams in
-  let fid = Pipeline.diff_synthesis sy in
   (* the capture's hook is zero-overhead and the observer is passive, so
      these *are* the plain runs on the generation platform *)
   let original_run = fid.Pipeline.f_original.Divergence.c_result in
@@ -201,7 +200,7 @@ let generate ~timeline (sy : Pipeline.synthesis) =
     (Timeline.render timeline);
   Buffer.contents buf
 
-let write_file ~timeline sy ~path =
+let write_file ~timeline ~fidelity sy ~path =
   let oc = open_out path in
-  output_string oc (generate ~timeline sy);
+  output_string oc (generate ~timeline ~fidelity sy);
   close_out oc

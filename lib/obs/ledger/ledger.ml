@@ -327,12 +327,19 @@ let next_seq st =
         else acc)
       0 (Store.entries st)
 
+(* Held from [next_seq] to [bind], so two threads (the daemon's workers)
+   never draw the same sequence number. *)
+let append_lock = Mutex.create ()
+
 let append st r =
-  let r = { r with r_seq = next_seq st } in
-  let blob = Codec.encode_run (encode r) in
-  let hash = Store.put st blob in
-  let descr = descr_of r in
-  Store.bind st ~key:(Hash.content_hash descr) ~hash ~kind:run_kind ~descr;
+  let r =
+    Mutex.protect append_lock (fun () ->
+        let r = { r with r_seq = next_seq st } in
+        let descr = descr_of r in
+        let hash = Store.put st (Codec.encode_run (encode r)) in
+        Store.bind st ~key:(Hash.content_hash descr) ~hash ~kind:run_kind ~descr;
+        r)
+  in
   Log.debug (fun () ->
       ("ledger.append", [ ("seq", string_of_int r.r_seq); ("kind", r.r_kind) ]));
   r
@@ -385,18 +392,10 @@ let gc st ~keep =
   drop
 
 (* ------------------------------------------------------------------ *)
-(* Sink *)
+(* Emission *)
 
-(* Global, like the other telemetry gates: [emit] is a no-op (the thunk
-   is never forced) until a front end arms it, so library code can
-   record unconditionally without polluting test stores. *)
-let sink_ref : Store.t option Atomic.t = Atomic.make None
-
-let set_sink s = Atomic.set sink_ref s
-let sink () = Atomic.get sink_ref
-
-let emit thunk =
-  match Atomic.get sink_ref with
+let emit store thunk =
+  match store with
   | None -> ()
   | Some st -> (
       try ignore (append st (thunk ()))

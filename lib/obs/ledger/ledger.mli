@@ -1,4 +1,4 @@
-(** Persistent run ledger: one schema-versioned record per pipeline
+(** Persistent run ledger: one schema-versioned record per front-end
     invocation, appended into the content-addressed artifact store.
 
     Each record is a JSON document inside a {!Siesta_store.Codec} frame
@@ -11,12 +11,11 @@
     figures, heap statistics, the full metrics snapshot, and the
     divergence verdict when one was computed.
 
-    Emission is gated exactly like the other telemetry streams: library
-    code calls {!emit} unconditionally, and nothing is written until a
-    front end installs a sink with {!set_sink} (the CLI arms it whenever
-    [--cache] is active, the bench driver points it at a bench-local
-    root).  See {!Regression} for the compare path and {!Trend_html} for
-    the dashboard. *)
+    The front end that owns an invocation appends its one record through
+    {!emit} on the store it opened: the CLI when [--cache] is active,
+    the [siesta serve] daemon for each job.  Library code computes and
+    appends nothing.  See {!Regression} for the compare path and
+    {!Trend_html} for the dashboard. *)
 
 val schema_version : int
 (** Version of the record's field layout (inside the JSON document —
@@ -66,8 +65,8 @@ type record = {
   r_id : string;  (** {!Siesta_obs.Run_id} of the emitting process *)
   r_seq : int;  (** per-store sequence number, assigned by {!append} *)
   r_kind : string;
-      (** ["trace"], ["synth"], ["diff"], ["sweep"], ["check"] or
-          ["bench"] *)
+      (** ["trace"], ["synth"], ["report"], ["diff"], ["sweep"],
+          ["check"] or ["bench"] *)
   r_time : float;  (** unix time of emission *)
   r_git : string;  (** [git describe --always --dirty], or ["unknown"] *)
   r_argv : string list;
@@ -81,14 +80,13 @@ type record = {
           leave it empty *)
   r_heap : (string * float) list;  (** [Gc.quick_stat] highlights *)
   r_metrics : Siesta_obs.Json.t;  (** full [Metrics.to_json] snapshot *)
-  r_fidelity : fidelity option;  (** present on ["diff"] records *)
+  r_fidelity : fidelity option;  (** present on ["diff"] and ["report"] records *)
   r_sweep : sweep_point list;
       (** the factor curve of a ["sweep"] record; [[]] everywhere else
           (and on records written before schema v2) *)
   r_check : check option;
-      (** present on ["check"] records and on ["diff"] records that ran
-          the static checker; [None] on records written before
-          schema v3 *)
+      (** present on ["check"], ["diff"] and ["report"] records; [None]
+          on records written before schema v3 *)
 }
 
 val make :
@@ -140,14 +138,9 @@ val gc : Siesta_store.Store.t -> keep:int -> int
     dropped.  Blobs are reclaimed by the next [Store.gc] — stage
     artifacts and their bindings are never touched. *)
 
-(** {1 Emission sink} *)
+(** {1 Emission} *)
 
-val set_sink : Siesta_store.Store.t option -> unit
-(** Arm (or disarm) the global emission sink. *)
-
-val sink : unit -> Siesta_store.Store.t option
-
-val emit : (unit -> record) -> unit
-(** Append [thunk ()] to the sink; a no-op that never forces the thunk
-    when no sink is installed, and logs (rather than raises) on append
-    failure — telemetry must not fail the pipeline. *)
+val emit : Siesta_store.Store.t option -> (unit -> record) -> unit
+(** [emit store thunk] appends [thunk ()] to [store].  On [None] it
+    never forces the thunk; a failing append is logged, not raised, so
+    telemetry never fails the invocation that records it. *)

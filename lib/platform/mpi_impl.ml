@@ -66,4 +66,7 @@ let mvapich =
   }
 
 let all = [ openmpi; mpich; mvapich ]
-let by_name name = List.find (fun t -> t.name = name) all
+let by_name name =
+  match List.find_opt (fun t -> t.name = String.lowercase_ascii name) all with
+  | Some t -> Ok t
+  | None -> Error (Printf.sprintf "unknown MPI implementation %S (openmpi, mpich, mvapich)" name)

@@ -33,5 +33,6 @@ val mvapich : t
 
 val all : t list
 
-val by_name : string -> t
-(** @raise Not_found for an unknown name. *)
+val by_name : string -> (t, string) result
+(** The implementation named [name], in any case; [Error] carries the
+    message a front end prints for an unknown name. *)

@@ -129,7 +129,10 @@ let platform_c =
   { name = "C"; cpu = xeon_e5_2680v4; network = no_network; cores_per_node = 28; storage = local_ssd }
 
 let all = [ platform_a; platform_b; platform_c ]
-let by_name name = List.find (fun t -> t.name = name) all
+let by_name name =
+  match List.find_opt (fun t -> t.name = String.uppercase_ascii name) all with
+  | Some t -> Ok t
+  | None -> Error (Printf.sprintf "unknown platform %S (A, B or C)" name)
 let node_of_rank t rank = rank / t.cores_per_node
 let same_node t a b = node_of_rank t a = node_of_rank t b
 

@@ -34,8 +34,9 @@ val platform_b : t
 val platform_c : t
 
 val all : t list
-val by_name : string -> t
-(** @raise Not_found for an unknown name. *)
+val by_name : string -> (t, string) result
+(** The platform named [name], in any case; [Error] carries the message
+    a front end prints for an unknown name. *)
 
 val node_of_rank : t -> int -> int
 (** Block mapping of ranks onto nodes ([rank / cores_per_node]). *)

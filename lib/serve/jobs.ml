@@ -3,7 +3,9 @@ module Report = Siesta.Report
 module Store = Siesta_store.Store
 module Codec = Siesta_store.Codec
 module Hash = Siesta_store.Hash
+module Ledger = Siesta_ledger.Ledger
 module Metrics = Siesta_obs.Metrics
+module Clock = Siesta_obs.Clock
 module Log = Siesta_obs.Log
 module Json = Siesta_obs.Json
 module Comm_check = Siesta_analysis.Comm_check
@@ -70,23 +72,14 @@ let request_of_json body =
           | None -> None
         in
         let seed = Option.value (int_field "seed") ~default:42 in
-        let platform =
-          match str "platform" with
-          | None -> Spec_p.platform_a
-          | Some s -> (
-              match Spec_p.by_name (String.uppercase_ascii s) with
-              | p -> p
-              | exception Not_found -> fail "unknown platform %S (A, B or C)" s)
+        let named by_name default field =
+          match Option.map by_name (str field) with
+          | None -> default
+          | Some (Ok v) -> v
+          | Some (Error m) -> fail "%s" m
         in
-        let impl =
-          match str "impl" with
-          | None -> Mpi_impl.openmpi
-          | Some s -> (
-              match Mpi_impl.by_name (String.lowercase_ascii s) with
-              | i -> i
-              | exception Not_found ->
-                  fail "unknown MPI implementation %S (openmpi, mpich, mvapich)" s)
-        in
+        let platform = named Spec_p.by_name Spec_p.platform_a "platform" in
+        let impl = named Mpi_impl.by_name Mpi_impl.openmpi "impl" in
         let factor =
           match Json.member "factor" j with
           | None -> 1.0
@@ -180,10 +173,6 @@ type t = {
   mutable threads : Thread.t list;
   mutable running : int;
   executed : int Atomic.t;
-  sweep_mu : Mutex.t;
-      (* one sweep at a time: [Sweep.run] parks the process-wide ledger
-         sink for its whole schedule and restores it afterwards, so two
-         overlapping sweeps could restore each other's parked [None] *)
 }
 
 let g_depth () = Metrics.gauge "serve.queue_depth"
@@ -236,24 +225,22 @@ let run_job t job =
          :: !arts
      in
      let timeline, _ = Pipeline.record_timeline r.r_spec in
+     (* one fidelity feeds report.md, check.json and diff.json; the job's
+        "report" record goes in first, so the report's History lists it *)
+     let fid, diff_s = Clock.wall (fun () -> Pipeline.diff_synthesis sy) in
+     Ledger.emit (Some t.store) (fun () ->
+         Pipeline.ledger_record ~kind:"report" ~diff:(fid, diff_s) sy);
      add "proxy.c" (Codegen_c.generate sy.Pipeline.sy_proxy);
-     add "report.md" (Report.generate ~timeline sy);
-     add "check.json" (Comm_check.to_json (Pipeline.check_synthesis sy));
-     if r.r_diff then begin
-       let f = Pipeline.diff_synthesis sy in
-       add "diff.json" (Divergence.to_json f.Pipeline.f_report)
-     end;
+     add "report.md" (Report.generate ~timeline ~fidelity:fid sy);
+     add "check.json" (Comm_check.to_json (Option.get fid.Pipeline.f_check));
+     if r.r_diff then add "diff.json" (Divergence.to_json fid.Pipeline.f_report);
      if r.r_timeline then
        add "timeline.html" (Timeline_html.render ~title:("siesta job " ^ job.id) timeline);
      (match r.r_sweep with
      | None -> ()
      | Some factors ->
-         let sw =
-           Mutex.lock t.sweep_mu;
-           Fun.protect
-             ~finally:(fun () -> Mutex.unlock t.sweep_mu)
-             (fun () -> Sweep.run ~cache:true ~store:t.store ~factors r.r_spec)
-         in
+         let sw = Sweep.run ~cache:true ~store:t.store ~factors r.r_spec in
+         Ledger.emit (Some t.store) (fun () -> Sweep.record sw);
          add "sweep.json" (Sweep.to_json sw);
          add "sweep.html" (Sweep_html.render ~title:("siesta job " ^ job.id) sw));
      with_mu t (fun () ->
@@ -329,7 +316,6 @@ let create ?(workers = 1) ?(max_queue = 64) ~store () =
       threads = [];
       running = 0;
       executed = Atomic.make 0;
-      sweep_mu = Mutex.create ();
     }
   in
   add_workers t workers;
@@ -439,11 +425,7 @@ let job_json t job =
             [
               ( "cache",
                 Json.Obj
-                  [
-                    ("trace", Json.Str (Pipeline.outcome_name st.Pipeline.cs_trace));
-                    ("merge", Json.Str (Pipeline.outcome_name st.Pipeline.cs_merge));
-                    ("proxy", Json.Str (Pipeline.outcome_name st.Pipeline.cs_proxy));
-                  ] );
+                  (List.map (fun (k, v) -> (k, Json.Str v)) (Pipeline.stage_outcomes st)) );
             ]
       in
       let artifacts =

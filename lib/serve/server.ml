@@ -5,7 +5,6 @@ module Metrics = Siesta_obs.Metrics
 module Log = Siesta_obs.Log
 module Json = Siesta_obs.Json
 module Run_id = Siesta_obs.Run_id
-module Ledger = Siesta_ledger.Ledger
 
 type config = {
   listen : Http.address;
@@ -59,12 +58,10 @@ let bind_listener = function
 
 let create config =
   let store = Store.open_ ?root:config.store_root () in
-  (* arm the observability stack exactly like the CLI's --ledger path:
-     the daemon is long-running, so metrics and the run ledger are on
-     for its whole life, not per-request *)
+  (* the daemon is long-running, so metrics are on for its whole life,
+     not per-request; each job appends its own ledger record (Jobs) *)
   Metrics.set_enabled true;
   Run_id.publish ();
-  Ledger.set_sink (Some store);
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let jobs = Jobs.create ~workers:config.workers ~max_queue:config.max_queue ~store () in
   let listener = bind_listener config.listen in

@@ -40,8 +40,9 @@ val default_config : config
 type t
 
 val create : config -> t
-(** Open the store, arm metrics + run id + ledger sink, start the worker
-    threads, bind and listen.  A stale unix-socket file is unlinked. *)
+(** Open the store, arm metrics and the run id, start the worker
+    threads, bind and listen.  A stale unix-socket file is unlinked.
+    It arms no ledger sink: each job appends its own records. *)
 
 val install_signals : t -> unit
 (** SIGTERM/SIGINT trigger graceful shutdown (daemon mode only — tests

@@ -129,7 +129,9 @@ let test_report_with_scaling_factor () =
   let traced = Siesta.Pipeline.trace spec in
   let sy = Siesta.Pipeline.synthesize ~factor:5.0 traced in
   let timeline, _ = Siesta.Pipeline.record_timeline spec in
-  let report = Siesta.Report.generate ~timeline sy in
+  let report =
+    Siesta.Report.generate ~timeline ~fidelity:(Siesta.Pipeline.diff_synthesis sy) sy
+  in
   let contains needle =
     let n = String.length report and m = String.length needle in
     let rec go i = i + m <= n && (String.sub report i m = needle || go (i + 1)) in

@@ -1,8 +1,8 @@
 (* Tests for the persistent run ledger (Siesta_ledger): record
-   encode/decode, append/seq assignment, retention gc, the emission
-   sink's gating, the regression radar's per-dimension verdicts, the
-   trend dashboard's embedded data block, and the pipeline integration
-   that writes one record per public invocation.
+   encode/decode, append/seq assignment, retention gc, emit's gating on
+   an explicit store, the regression radar's per-dimension verdicts, the
+   trend dashboard's embedded data block, and the records the pipeline
+   builds for a front end to append, one per invocation.
 
    The ledger rides on the content-addressed store, so every test runs
    against a throwaway store root and checks `Store.verify` stays clean
@@ -19,15 +19,14 @@ module Regression = Siesta_ledger.Regression
 module Trend_html = Siesta_ledger.Trend_html
 module Pipeline = Siesta.Pipeline
 
-(* A fresh, empty store rooted in a temp directory; the sink is always
-   disarmed on the way out so later suites never write here. *)
+(* A fresh, empty store rooted in a temp directory, removed on the way
+   out. *)
 let with_temp_store f =
   let root = Filename.temp_file "siesta_ledger" ".d" in
   Sys.remove root;
   let st = Store.open_ ~root () in
   Fun.protect
     ~finally:(fun () ->
-      Ledger.set_sink None;
       Metrics.set_enabled false;
       Metrics.reset ();
       let rec rm p =
@@ -241,19 +240,16 @@ let test_gc_keeps_newest_and_spares_stages () =
 
 let test_emit_sink_gating () =
   with_temp_store @@ fun st ->
-  Ledger.set_sink None;
   let forced = ref false in
-  Ledger.emit (fun () -> forced := true; mk ());
-  Alcotest.(check bool) "thunk never forced without a sink" false !forced;
-  Ledger.set_sink (Some st);
-  Ledger.emit (fun () -> forced := true; mk ());
-  Alcotest.(check bool) "thunk forced once armed" true !forced;
+  Ledger.emit None (fun () -> forced := true; mk ());
+  Alcotest.(check bool) "thunk never forced without a store" false !forced;
+  Ledger.emit (Some st) (fun () -> forced := true; mk ());
+  Alcotest.(check bool) "thunk forced with a store" true !forced;
   Alcotest.(check int) "record landed" 1 (List.length (Ledger.runs st));
   (* a raising thunk is logged, not propagated: telemetry must not fail
-     the pipeline *)
-  Ledger.emit (fun () -> failwith "boom");
-  Alcotest.(check int) "failed emission appends nothing" 1 (List.length (Ledger.runs st));
-  Ledger.set_sink None
+     the invocation it records *)
+  Ledger.emit (Some st) (fun () -> failwith "boom");
+  Alcotest.(check int) "failed emission appends nothing" 1 (List.length (Ledger.runs st))
 
 (* ------------------------------------------------------------------ *)
 (* Regression radar *)
@@ -444,11 +440,15 @@ let test_pipeline_emits_records () =
   with_temp_store @@ fun st ->
   Metrics.reset ();
   Metrics.set_enabled true;
-  Ledger.set_sink (Some st);
   let s = Pipeline.spec ~iters:3 ~seed:42 ~workload:"CG" ~nranks:8 () in
-  let _cold = Pipeline.synthesize_spec ~cache:true ~store:st s in
-  let _warm = Pipeline.synthesize_spec ~cache:true ~store:st s in
-  Ledger.set_sink None;
+  let synth () =
+    let sy = Pipeline.synthesize_spec ~cache:true ~store:st s in
+    Ledger.emit (Some st) (fun () -> Pipeline.ledger_record ~kind:"synth" sy)
+  in
+  synth ();
+  Alcotest.(check int) "the front end appends; the pipeline does not" 1
+    (List.length (Ledger.runs st));
+  synth ();
   Metrics.set_enabled false;
   Metrics.reset ();
   let synths = List.filter (fun r -> r.Ledger.r_kind = "synth") (Ledger.runs st) in
@@ -460,6 +460,13 @@ let test_pipeline_emits_records () =
     (List.assoc_opt "trace" warm.Ledger.r_cache);
   Alcotest.(check (option string)) "spec captured" (Some "CG")
     (List.assoc_opt "workload" warm.Ledger.r_spec);
+  Alcotest.(check (option string)) "factor captured" (Some "1")
+    (List.assoc_opt "factor" warm.Ledger.r_spec);
+  Alcotest.(check (list (pair string string))) "warm stage outcomes, in stage order"
+    [ ("trace", "hit"); ("merge", "hit"); ("proxy", "hit") ]
+    (List.filter (fun (k, _) -> k <> "root" && k <> "trace_hash") warm.Ledger.r_cache);
+  Alcotest.(check bool) "trace hash captured" true
+    (List.mem_assoc "trace_hash" warm.Ledger.r_cache);
   Alcotest.(check bool) "timings captured" true (List.length warm.Ledger.r_timings > 0);
   Alcotest.(check bool) "metrics snapshot non-trivial" true
     (warm.Ledger.r_metrics <> Json.Obj []);
@@ -471,14 +478,19 @@ let test_pipeline_emits_records () =
 
 let test_diff_emits_fidelity () =
   with_temp_store @@ fun st ->
-  Ledger.set_sink (Some st);
   let s = Pipeline.spec ~iters:3 ~seed:42 ~workload:"CG" ~nranks:8 () in
   let sy = Pipeline.synthesize_spec s in
-  let _fid = Pipeline.diff_synthesis sy in
-  Ledger.set_sink None;
+  let fid = Pipeline.diff_synthesis sy in
+  Ledger.emit (Some st) (fun () -> Pipeline.ledger_record ~kind:"diff" ~diff:(fid, 0.25) sy);
   let diffs = List.filter (fun r -> r.Ledger.r_kind = "diff") (Ledger.runs st) in
   Alcotest.(check int) "diff emitted one record" 1 (List.length diffs);
-  match (List.hd diffs).Ledger.r_fidelity with
+  let d = List.hd diffs in
+  Alcotest.(check (option (float 0.0))) "diff.total is the given wall time" (Some 0.25)
+    (List.assoc_opt "diff.total" d.Ledger.r_timings);
+  (match d.Ledger.r_check with
+  | None -> Alcotest.fail "diff record carries no check block"
+  | Some c -> Alcotest.(check string) "check verdict" "clean" c.Ledger.lc_verdict);
+  match d.Ledger.r_fidelity with
   | None -> Alcotest.fail "diff record carries no fidelity"
   | Some f ->
       Alcotest.(check bool) "verdict is a known name" true

@@ -78,9 +78,15 @@ let test_network_transfer_time () =
   Alcotest.(check bool) "intra faster" true (intra < t0)
 
 let test_impl_lookup () =
-  Alcotest.(check string) "openmpi" "openmpi" (Mpi_impl.by_name "openmpi").Mpi_impl.name;
+  let name = Result.map (fun i -> i.Mpi_impl.name) in
+  Alcotest.(check (result string string)) "openmpi" (Ok "openmpi")
+    (name (Mpi_impl.by_name "openmpi"));
+  Alcotest.(check (result string string)) "case folded" (Ok "mpich")
+    (name (Mpi_impl.by_name "MPICH"));
   Alcotest.(check int) "three impls" 3 (List.length Mpi_impl.all);
-  Alcotest.check_raises "unknown" Not_found (fun () -> ignore (Mpi_impl.by_name "lam"))
+  Alcotest.(check (result string string)) "unknown"
+    (Error "unknown MPI implementation \"lam\" (openmpi, mpich, mvapich)")
+    (name (Mpi_impl.by_name "lam"))
 
 let test_impl_distinct_profiles () =
   let thresholds = List.map (fun i -> i.Mpi_impl.eager_threshold_bytes) Mpi_impl.all in
@@ -88,7 +94,12 @@ let test_impl_distinct_profiles () =
     (List.length (List.sort_uniq compare thresholds))
 
 let test_spec_lookup_and_nodes () =
-  Alcotest.(check string) "A" "A" (Spec.by_name "A").Spec.name;
+  let name = Result.map (fun p -> p.Spec.name) in
+  Alcotest.(check (result string string)) "A" (Ok "A") (name (Spec.by_name "A"));
+  Alcotest.(check (result string string)) "case folded" (Ok "B") (name (Spec.by_name "b"));
+  Alcotest.(check (result string string)) "unknown"
+    (Error "unknown platform \"Z\" (A, B or C)")
+    (name (Spec.by_name "Z"));
   Alcotest.(check int) "three platforms" 3 (List.length Spec.all);
   let p = Spec.platform_a in
   Alcotest.(check int) "rank 0 node" 0 (Spec.node_of_rank p 0);

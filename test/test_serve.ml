@@ -1,7 +1,9 @@
 (* Tests for the synthesis-as-a-service layer (siesta_serve): the
-   hand-rolled HTTP parser's defensive behavior, job-spec parsing, and
-   an end-to-end daemon exercise proving the singleflight dedup — two
-   concurrent submissions of the same spec run the pipeline once. *)
+   hand-rolled HTTP parser's defensive behavior, job-spec parsing, an
+   end-to-end daemon exercise proving the singleflight dedup — two
+   concurrent submissions of the same spec run the pipeline once — and
+   the run ledger: each job appends its own records, and a stopped
+   daemon's store receives none. *)
 
 module Http = Siesta_serve.Http
 module Jobs = Siesta_serve.Jobs
@@ -11,22 +13,21 @@ module Store = Siesta_store.Store
 module Hash = Siesta_store.Hash
 module Pipeline = Siesta.Pipeline
 module Json = Siesta_obs.Json
+module Span = Siesta_obs.Span
+module Ledger = Siesta_ledger.Ledger
+
+let rec rm_rf p =
+  if Sys.is_directory p then begin
+    Array.iter (fun e -> rm_rf (Filename.concat p e)) (Sys.readdir p);
+    Unix.rmdir p
+  end
+  else Sys.remove p
 
 let with_temp_dir f =
   let root = Filename.temp_file "siesta_serve" ".d" in
   Sys.remove root;
   Unix.mkdir root 0o755;
-  Fun.protect
-    ~finally:(fun () ->
-      let rec rm p =
-        if Sys.is_directory p then begin
-          Array.iter (fun e -> rm (Filename.concat p e)) (Sys.readdir p);
-          Unix.rmdir p
-        end
-        else Sys.remove p
-      in
-      if Sys.file_exists root then rm root)
-    (fun () -> f root)
+  Fun.protect ~finally:(fun () -> if Sys.file_exists root then rm_rf root) (fun () -> f root)
 
 (* ------------------------------------------------------------------ *)
 (* HTTP parser units *)
@@ -285,6 +286,101 @@ let test_e2e_singleflight () =
                 (str_field ("cache/" ^ stage) body3))
             [ "trace"; "merge"; "proxy" ]))
 
+(* ------------------------------------------------------------------ *)
+(* Run ledger: the daemon's jobs append their own records *)
+
+let request body =
+  match Jobs.request_of_json body with Ok r -> r | Error e -> Alcotest.fail e
+
+(* Submit every request to a worker-less manager, then let [workers]
+   threads drain them together. *)
+let run_jobs ~workers st bodies =
+  let jobs = Jobs.create ~workers:0 ~store:st () in
+  let submitted =
+    List.map
+      (fun b ->
+        match Jobs.submit jobs (request b) with
+        | Ok (job, _) -> job
+        | Error _ -> Alcotest.fail "submission refused")
+      bodies
+  in
+  Jobs.add_workers jobs workers;
+  Jobs.drain jobs;
+  List.iter
+    (fun (j : Jobs.job) ->
+      Alcotest.(check string) "job done" "done" (Jobs.state_name j.Jobs.state))
+    submitted;
+  (jobs, submitted)
+
+let kinds st = List.sort compare (List.map (fun r -> r.Ledger.r_kind) (Ledger.runs st))
+
+let test_stopped_daemon_appends_nothing () =
+  with_temp_dir (fun dir ->
+      let root = Filename.concat dir "store" in
+      let t =
+        Server.create
+          {
+            Server.default_config with
+            Server.listen = `Unix (Filename.concat dir "serve.sock");
+            store_root = Some root;
+            workers = 0;
+          }
+      in
+      Server.start t;
+      Server.stop t;
+      rm_rf root;
+      let s = Pipeline.spec ~iters:2 ~workload:"CG" ~nranks:4 () in
+      ignore (Pipeline.diff_synthesis (Pipeline.synthesize_spec s));
+      Alcotest.(check bool) "the deleted store stays deleted" false (Sys.file_exists root))
+
+(* A sweep parks nothing: a plain job running on another worker during
+   the sweep still appends its record. *)
+let test_concurrent_sweep_keeps_records () =
+  with_temp_dir (fun dir ->
+      let st = Store.open_ ~root:(Filename.concat dir "store") () in
+      ignore
+        (run_jobs ~workers:2 st
+           [
+             {|{"workload":"CG","nranks":4,"iters":2,"factors":"1,2"}|};
+             {|{"workload":"CG","nranks":8,"iters":2}|};
+           ]);
+      Alcotest.(check (list string)) "one report per job and one sweep"
+        [ "report"; "report"; "sweep" ] (kinds st);
+      Alcotest.(check (list int)) "distinct sequence numbers" [ 1; 2; 3 ]
+        (List.map (fun r -> r.Ledger.r_seq) (Ledger.runs st)))
+
+(* One fidelity serves report.md, check.json and diff.json. *)
+let test_diff_job_diffs_once () =
+  with_temp_dir (fun dir ->
+      let st = Store.open_ ~root:(Filename.concat dir "store") () in
+      Span.reset ();
+      Span.set_enabled true;
+      let jobs, submitted =
+        Fun.protect
+          ~finally:(fun () -> Span.set_enabled false)
+          (fun () ->
+            run_jobs ~workers:1 st [ {|{"workload":"CG","nranks":4,"iters":2,"diff":true}|} ])
+      in
+      let spans name =
+        match Json.member "traceEvents" (Json.parse_exn (Span.to_chrome_json ())) with
+        | Some (Json.Arr evs) ->
+            List.length
+              (List.filter (fun e -> Json.member "name" e = Some (Json.Str name)) evs)
+        | _ -> Alcotest.fail "no traceEvents"
+      in
+      let count name = (name, spans name) in
+      Alcotest.(check (list (pair string int))) "one diff and one check per job"
+        [ ("capture.original", 1); ("capture.proxy", 1); ("diff", 1); ("check", 1) ]
+        [ count "capture.original"; count "capture.proxy"; count "diff"; count "check" ];
+      Span.reset ();
+      Alcotest.(check (list string)) "one report record" [ "report" ] (kinds st);
+      let job = List.hd submitted in
+      List.iter
+        (fun name ->
+          Alcotest.(check bool) (name ^ " stored") true
+            (Option.is_some (Jobs.artifact_content jobs job name)))
+        [ "proxy.c"; "report.md"; "check.json"; "diff.json" ])
+
 let suite =
   [
     ("http parser accepts a valid request", `Quick, test_parser_valid);
@@ -296,4 +392,7 @@ let suite =
     ("job ids are canonical content hashes", `Quick, test_job_id_canonical);
     ("singleflight coalesces and evicts", `Quick, test_singleflight);
     ("e2e: concurrent identical submissions run once", `Slow, test_e2e_singleflight);
+    ("a stopped daemon's store receives no records", `Slow, test_stopped_daemon_appends_nothing);
+    ("a sweep job keeps a concurrent job's record", `Slow, test_concurrent_sweep_keeps_records);
+    ("a diff job diffs and checks once", `Slow, test_diff_job_diffs_once);
   ]

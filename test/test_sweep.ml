@@ -1,8 +1,8 @@
 (* Tests for the fidelity-sweep observatory (Siesta_sweep): factor
    schedule parsing, the factor-aware verdict, the schema-v2 ledger
    sweep record, the curve-regression dimensions, the sweep dashboard's
-   embedded data block, and the end-to-end one-record-per-invocation
-   contract of Sweep.run. *)
+   embedded data block, and Sweep.run end to end with the one record a
+   front end appends per invocation (Sweep.record). *)
 
 module Json = Siesta_obs.Json
 module Metrics = Siesta_obs.Metrics
@@ -21,7 +21,6 @@ let with_temp_store f =
   let st = Store.open_ ~root () in
   Fun.protect
     ~finally:(fun () ->
-      Ledger.set_sink None;
       Metrics.set_enabled false;
       Metrics.reset ();
       let rec rm p =
@@ -303,14 +302,17 @@ let test_comparison_to_json () =
 
 let test_sweep_run_end_to_end () =
   with_temp_store @@ fun st ->
-  Ledger.set_sink (Some st);
   let s = Pipeline.spec ~iters:3 ~seed:42 ~workload:"CG" ~nranks:8 () in
   let factors = [ 1.0; 2.0 ] in
-  let cold = Sweep.run ~cache:true ~store:st ~factors s in
-  let warm = Sweep.run ~cache:true ~store:st ~factors s in
-  Ledger.set_sink None;
-  (* one "sweep" record per invocation — the per-factor synth/diff
-     emissions are parked while the schedule executes *)
+  let sweep ?perturb () =
+    let t = Sweep.run ~cache:true ~store:st ?perturb ~factors s in
+    Ledger.emit (Some st) (fun () -> Sweep.record t);
+    t
+  in
+  let cold = sweep () in
+  let warm = sweep () in
+  (* one "sweep" record per invocation: the per-factor syntheses and
+     diffs append nothing *)
   let rs = Ledger.runs st in
   Alcotest.(check int) "exactly two records" 2 (List.length rs);
   Alcotest.(check (list string)) "both are sweep records" [ "sweep"; "sweep" ]
@@ -346,9 +348,7 @@ let test_sweep_run_end_to_end () =
      deltas are the shrink working as specified; its record still trips
      the curve-regression gate against the clean baseline through the
      factor-1 verdict worsening *)
-  Ledger.set_sink (Some st);
-  let bad = Sweep.run ~cache:true ~store:st ~perturb:`Comm ~factors s in
-  Ledger.set_sink None;
+  let bad = sweep ~perturb:`Comm () in
   Alcotest.(check (list (float 0.0))) "perturbed sweep comm-divergent at factor 1 only"
     [ 1.0 ]
     (Sweep.comm_divergent bad);
