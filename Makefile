@@ -43,7 +43,12 @@ smoke: build
 		--timeline-out $(SMOKE_TIMELINE)
 	dune exec bin/siesta_cli.exe -- check-trace $(SMOKE_TIMELINE) \
 		--min-tracks 8
-	dune exec bin/siesta_cli.exe -- diff -w CG -n 8
+	@# diff prints the report's Fidelity section (Divergence.to_markdown);
+	@# its stdout is kept next to SMOKE_PROXY.
+	dune exec bin/siesta_cli.exe -- diff -w CG -n 8 > $(SMOKE_PROXY).diff.out
+	cat $(SMOKE_PROXY).diff.out
+	@grep -qF '**Communication replay: lossless.**' $(SMOKE_PROXY).diff.out \
+		|| { echo "smoke: diff printed no lossless communication replay line" >&2; exit 1; }
 	dune exec bin/siesta_cli.exe -- diff -w CG -n 8 --timeline-out $(SMOKE_TIMELINE)
 	dune exec bin/siesta_cli.exe -- check-trace $(SMOKE_TIMELINE) \
 		--min-tracks 8
@@ -140,8 +145,9 @@ smoke: build
 	@# Fidelity-sweep observatory: a cold sweep populates the store, the
 	@# warm re-sweep must be pure cache replay (hit counters only — any
 	@# trace/merge miss counter means a stage re-ran), the dashboard must
-	@# embed its scrapeable data block, and comparing the two sweep
-	@# records must find identical curves (exit 0).
+	@# embed its scrapeable data block, the two records (one per
+	@# process) must list two different run ids, and comparing them must
+	@# find identical curves (exit 0).
 	rm -rf $(SMOKE_SWEEP_STORE)
 	SIESTA_STORE=$(SMOKE_SWEEP_STORE) dune exec bin/siesta_cli.exe -- sweep CG -n 8 \
 		--iters 3 --factors 1,2,4 --cache
@@ -156,6 +162,8 @@ smoke: build
 		|| { echo "smoke: warm sweep re-ran a trace/merge stage" >&2; exit 1; }
 	@test "$$(SIESTA_STORE=$(SMOKE_SWEEP_STORE) dune exec bin/siesta_cli.exe -- runs ls | grep -c ' sweep ')" -eq 2 \
 		|| { echo "smoke: expected exactly two sweep records in the ledger" >&2; exit 1; }
+	@test "$$(SIESTA_STORE=$(SMOKE_SWEEP_STORE) dune exec bin/siesta_cli.exe -- runs ls | awk '/^#/ { print $$6 }' | sort -u | wc -l)" -eq 2 \
+		|| { echo "smoke: the two sweep processes list one run id" >&2; exit 1; }
 	SIESTA_STORE=$(SMOKE_SWEEP_STORE) dune exec bin/siesta_cli.exe -- runs compare 1 2 --json
 	@# A degraded curve must trip the sweep.f<factor> regression gate.
 	SIESTA_STORE=$(SMOKE_SWEEP_STORE) dune exec bin/siesta_cli.exe -- sweep CG -n 8 \
@@ -237,7 +245,8 @@ smoke: build
 	echo "smoke: serve cold job + coalesced id + warm all-hit replay + blob cmp + clean SIGTERM drain + one record per job OK"
 	@rm -f $(SMOKE_TRACE) $(SMOKE_TIMELINE) $(SMOKE_TIMELINE_HTML) \
 		$(SMOKE_DUMP) $(SMOKE_DUMP).cut $(SMOKE_DUMP).json $(SMOKE_PROXY_FROM) \
-		$(SMOKE_PROXY_LIVE) $(SMOKE_PROXY) $(SMOKE_PROXY_WARM) $(SMOKE_PROXY_WARM).out \
+		$(SMOKE_PROXY_LIVE) $(SMOKE_PROXY) $(SMOKE_PROXY).diff.out \
+		$(SMOKE_PROXY_WARM) $(SMOKE_PROXY_WARM).out \
 		$(SMOKE_METRICS) $(SMOKE_TREND_HTML) $(SMOKE_SWEEP_HTML) $(SMOKE_SWEEP_METRICS) \
 		$(SMOKE_SERVE_SOCK) $(SMOKE_SERVE_LOG) $(SMOKE_SERVE_BLOB) \
 		$(SMOKE_SERVE_METRICS)

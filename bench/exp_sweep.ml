@@ -12,7 +12,7 @@
    of the unperturbed seed workload reads as comm-divergent. *)
 
 module Sweep = Siesta_sweep.Sweep
-module Divergence = Siesta_analysis.Divergence
+module Ledger = Siesta_ledger.Ledger
 module Store = Siesta_store.Store
 
 let bench_store_root = ".siesta-bench-sweep-store"
@@ -27,8 +27,8 @@ let rec rm_rf p =
 
 let factors = [ 1.0; 2.0; 4.0 ]
 
-let cache_str p = String.concat "/" (List.map snd p.Sweep.p_cache)
-let all_hits p = List.for_all (fun (_, v) -> v = "hit") p.Sweep.p_cache
+let cache_str (p : Ledger.sweep_point) = String.concat "/" (List.map snd p.Ledger.sp_cache)
+let all_hits (p : Ledger.sweep_point) = List.for_all (fun (_, v) -> v = "hit") p.Ledger.sp_cache
 
 let fail_strict fmt =
   Printf.ksprintf
@@ -47,19 +47,19 @@ let run () =
   let spec = Siesta.Pipeline.spec ~workload ~nranks ~iters () in
   rm_rf bench_store_root;
   let store = Store.open_ ~root:bench_store_root () in
-  let cold = Sweep.run ~cache:true ~store ~factors spec in
-  let warm = Sweep.run ~cache:true ~store ~factors spec in
+  let cold = Sweep.run ~store ~factors spec in
+  let warm = Sweep.run ~store ~factors spec in
   Exp_common.table
     ~header:[ "factor"; "cold cache"; "warm cache"; "cold search (s)"; "warm search (s)" ]
     ~rows:
       (List.map2
          (fun c w ->
            [
-             Sweep.factor_str c.Sweep.p_factor;
+             Ledger.factor_str c.Ledger.sp_factor;
              cache_str c;
              cache_str w;
-             Exp_common.secs c.Sweep.p_search_s;
-             Exp_common.secs w.Sweep.p_search_s;
+             Exp_common.secs c.Ledger.sp_search_s;
+             Exp_common.secs w.Ledger.sp_search_s;
            ])
          cold.Sweep.s_points warm.Sweep.s_points);
   Printf.printf "cold sweep %.4f s, warm sweep %.4f s\n" cold.Sweep.s_total_s
@@ -69,19 +69,19 @@ let run () =
     (fun p ->
       if not (all_hits p) then
         fail_strict "warm sweep re-ran a stage at factor %s (%s)"
-          (Sweep.factor_str p.Sweep.p_factor) (cache_str p))
+          (Ledger.factor_str p.Ledger.sp_factor) (cache_str p))
     warm.Sweep.s_points;
   (* Gate 2: replayed artifacts produce the same curve. *)
   List.iter2
     (fun c w ->
-      let cr = c.Sweep.p_report and wr = w.Sweep.p_report in
+      let cf = c.Ledger.sp_fidelity and wf = w.Ledger.sp_fidelity in
       if
-        cr.Divergence.r_time_error <> wr.Divergence.r_time_error
-        || cr.Divergence.r_comm_matrix_dist <> wr.Divergence.r_comm_matrix_dist
-        || c.Sweep.p_proxy_bytes <> w.Sweep.p_proxy_bytes
+        cf.Ledger.lf_time_error <> wf.Ledger.lf_time_error
+        || cf.Ledger.lf_comm_matrix_dist <> wf.Ledger.lf_comm_matrix_dist
+        || c.Ledger.sp_proxy_bytes <> w.Ledger.sp_proxy_bytes
       then
         fail_strict "warm curve diverges from cold at factor %s"
-          (Sweep.factor_str c.Sweep.p_factor))
+          (Ledger.factor_str c.Ledger.sp_factor))
     cold.Sweep.s_points warm.Sweep.s_points;
   (* Gate 3: the unperturbed seed workload never crosses the
      comm-divergence rank at any scheduled factor. *)
@@ -89,6 +89,6 @@ let run () =
   | [] -> ()
   | l ->
       fail_strict "comm-divergent at factor(s) %s"
-        (String.concat ", " (List.map Sweep.factor_str l)));
+        (String.concat ", " (List.map Ledger.factor_str l)));
   Printf.printf "warm sweep: all %d point(s) replayed from cache\n"
     (List.length warm.Sweep.s_points)

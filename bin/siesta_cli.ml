@@ -20,13 +20,19 @@
      http        METHOD PATH      script the daemon's API (smoke tests)
 
    Pipeline subcommands (trace, synth, report, diff, sweep, check) take
-   --cache / --no-cache to memoize stage outputs in the content-addressed
-   store (root: --store DIR, else SIESTA_STORE, else .siesta-store/).
+   --cache to memoize stage outputs in the content-addressed store (root:
+   --store DIR, else SIESTA_STORE, else .siesta-store/); store, runs and
+   serve take --store alone.
 
-   Every subcommand takes the global observability flags:
+   Every subcommand from list to check takes the observability flags
+   (store, runs, check-trace, serve and http do not):
      --trace-out FILE.json        Chrome trace_event spans (chrome://tracing)
      --metrics-out FILE[.json]    metrics-registry snapshot
-     -v / -vv                     info / debug structured logging to stderr *)
+     -v / -vv                     info / debug structured logging to stderr
+
+   Each subcommand prints its result through the library function that
+   owns it (Divergence.to_markdown, Comm_check.to_markdown,
+   Ledger.runs_table, Ledger.sweep_table, ...). *)
 
 open Cmdliner
 module Pipeline = Siesta.Pipeline
@@ -40,6 +46,9 @@ module Obs_metrics = Siesta_obs.Metrics
 module Clock = Siesta_obs.Clock
 module Obs_log = Siesta_obs.Log
 module Obs_json = Siesta_obs.Json
+module Trace_io = Siesta_trace.Trace_io
+module Mpip_report = Siesta_trace.Mpip_report
+module Comm_matrix = Siesta_analysis.Comm_matrix
 module Timeline = Siesta_analysis.Timeline
 module Timeline_html = Siesta_analysis.Timeline_html
 module Critical_path = Siesta_analysis.Critical_path
@@ -55,7 +64,7 @@ module Sweep = Siesta_sweep.Sweep
 module Sweep_html = Siesta_sweep.Sweep_html
 
 (* ------------------------------------------------------------------ *)
-(* Observability flags (shared by every subcommand)                     *)
+(* Observability flags                                                  *)
 
 type obs = { trace_out : string option; metrics_out : string option; verbosity : int }
 
@@ -86,7 +95,7 @@ let obs_term =
 (* Arm the sinks before the command body runs; drain them afterwards —
    also on exit/exception paths, so a failing run still leaves its
    telemetry behind. *)
-let with_obs o f =
+let with_obs o body =
   (match o.verbosity with
   | 0 -> ()
   | 1 -> Obs_log.set_level Obs_log.Info
@@ -108,7 +117,11 @@ let with_obs o f =
           Printf.eprintf "metrics: wrote %s\n" path)
         o.metrics_out;
       Obs_log.flush ())
-    f
+    body
+
+(* A subcommand that runs under the observability flags: [term] yields
+   the body, which runs once the sinks are armed. *)
+let cmd name ~doc term = Cmd.v (Cmd.info name ~doc) Term.(const with_obs $ obs_term $ term)
 
 (* ------------------------------------------------------------------ *)
 (* Common arguments                                                     *)
@@ -151,6 +164,20 @@ let factor_arg =
   in
   Arg.(value & opt float 1.0 & info [ "factor" ] ~docv:"K" ~doc)
 
+let json_arg doc = Arg.(value & flag & info [ "json" ] ~doc)
+
+let output_arg doc =
+  Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE" ~doc)
+
+(* --perturb tokens are validated by hand (see [divergence_fault_of] and
+   [check_fault_of]) rather than with [Arg.enum], so an unknown token
+   exits 2 naming itself, the same contract as a bad --factors schedule,
+   instead of cmdliner's generic usage error. *)
+let perturb_arg doc =
+  Arg.(value & opt (some string) None & info [ "perturb" ] ~docv:"WHAT" ~doc)
+
+let perturbed_suffix = function None -> "" | Some what -> Printf.sprintf " [perturbed: %s]" what
+
 let timeline_out_arg =
   let doc =
     "Write a per-rank $(i,simulated-clock) timeline of the original run as Chrome trace_event \
@@ -186,7 +213,7 @@ let emit_timelines ~title ~timeline_out ~timeline_html record =
       Option.iter (fun path -> write_timeline_html ~title ~path tl) timeline_html
 
 (* ------------------------------------------------------------------ *)
-(* Incremental-cache flags (pipeline subcommands)                       *)
+(* Store flags                                                          *)
 
 let store_root_arg =
   let doc =
@@ -194,10 +221,13 @@ let store_root_arg =
   in
   Arg.(value & opt (some string) None & info [ "store" ] ~docv:"DIR" ~doc)
 
-(* --cache / --no-cache / --store as one term: the store when caching is
-   on, else [None].  Whenever a pipeline subcommand runs with the cache
-   on, it appends its one run-ledger record there ([Ledger.emit store])
-   before it renders or exits; metrics are force-enabled so the record's
+(* The store the maintenance subcommands (store, runs) work on. *)
+let store_term = Term.(const (fun root -> Store.open_ ?root ()) $ store_root_arg)
+
+(* --cache / --store as one term: the store when caching is on, else
+   [None].  Whenever a pipeline subcommand runs with the cache on, it
+   appends its one run-ledger record there ([Ledger.emit store]) before
+   it renders or exits; metrics are force-enabled so the record's
    snapshot has content ([with_obs] then publishes the run id, tying the
    snapshot to the log/span streams). *)
 let cache_term =
@@ -209,19 +239,15 @@ let cache_term =
     in
     Arg.(value & flag & info [ "cache" ] ~doc)
   in
-  let no_cache_arg =
-    let doc = "Disable stage memoization (overrides $(b,--cache))." in
-    Arg.(value & flag & info [ "no-cache" ] ~doc)
-  in
-  let make cache no_cache root =
-    if cache && not no_cache then begin
+  let make cache root =
+    if cache then begin
       let st = Store.open_ ?root () in
       Obs_metrics.set_enabled true;
       Some st
     end
     else None
   in
-  Term.(const make $ cache_arg $ no_cache_arg $ store_root_arg)
+  Term.(const make $ cache_arg $ store_root_arg)
 
 let print_cache_status (st : Pipeline.cache_status) =
   Option.iter
@@ -253,9 +279,6 @@ let spec_term workload =
 
 let workload_name s = s.Pipeline.workload.Registry.name
 
-(* --perturb tokens are validated by hand rather than with [Arg.enum] so
-   an unknown token exits 2 naming itself (the same contract as a bad
-   --factors schedule), instead of cmdliner's generic usage error. *)
 let divergence_fault_of cmd = function
   | None -> None
   | Some "comm" -> Some `Comm
@@ -277,8 +300,7 @@ let check_fault_of = function
 (* Subcommands                                                          *)
 
 let list_cmd =
-  let run obs =
-    with_obs obs @@ fun () ->
+  let run () =
     Printf.printf "Workloads:\n";
     List.iter
       (fun (w : Registry.t) ->
@@ -296,20 +318,18 @@ let list_cmd =
     Printf.printf "\nMPI implementations: %s\n"
       (String.concat ", " (List.map (fun i -> i.Mpi_impl.name) Mpi_impl.all))
   in
-  Cmd.v (Cmd.info "list" ~doc:"List workloads, platforms and MPI implementations")
-    Term.(const run $ obs_term)
+  cmd "list" ~doc:"List workloads, platforms and MPI implementations" Term.(const run)
 
 let run_cmd =
-  let run obs s =
-    with_obs obs @@ fun () ->
+  let run s () =
     let platform = s.Pipeline.platform and impl = s.Pipeline.impl in
     let res = Pipeline.run_original s ~platform ~impl in
     Printf.printf "%s on %d ranks (platform %s, %s): %.4f s, %d MPI calls\n" (workload_name s)
       s.Pipeline.nranks platform.Spec.name impl.Mpi_impl.name res.Engine.elapsed
       res.Engine.total_calls
   in
-  Cmd.v (Cmd.info "run" ~doc:"Execute a workload on the simulated MPI runtime")
-    Term.(const run $ obs_term $ spec_term workload_arg)
+  cmd "run" ~doc:"Execute a workload on the simulated MPI runtime"
+    Term.(const run $ spec_term workload_arg)
 
 let trace_cmd =
   let dump_arg =
@@ -324,9 +344,8 @@ let trace_cmd =
     let doc = "Print an mpiP-style aggregate statistics report." in
     Arg.(value & flag & info [ "report" ] ~doc)
   in
-  let run obs s dump report timeline_out timeline_html store =
-    with_obs obs @@ fun () ->
-    let ts = Pipeline.trace_stage ~cache:(Option.is_some store) ?store s in
+  let run s dump report timeline_out timeline_html store () =
+    let ts = Pipeline.trace_stage ?store s in
     Ledger.emit store (fun () -> Pipeline.trace_record ts);
     emit_timelines
       ~title:
@@ -349,10 +368,8 @@ let trace_cmd =
           (Store.root st))
       store;
     if report then begin
-      let t = Siesta_trace.Trace_io.of_packed ts.Pipeline.ts_trace in
-      Siesta_trace.Mpip_report.print
-        (Siesta_trace.Mpip_report.of_streams ~nranks:t.Siesta_trace.Trace_io.nranks
-           t.Siesta_trace.Trace_io.streams)
+      let t = Trace_io.of_packed ts.Pipeline.ts_trace in
+      Mpip_report.print (Mpip_report.of_streams ~nranks:t.Trace_io.nranks t.Trace_io.streams)
     end;
     match dump with
     | Some path ->
@@ -362,16 +379,12 @@ let trace_cmd =
         Printf.printf "trace saved to %s\n" path
     | None -> ()
   in
-  Cmd.v (Cmd.info "trace" ~doc:"Execute a workload under the PMPI tracer")
+  cmd "trace" ~doc:"Execute a workload under the PMPI tracer"
     Term.(
-      const run $ obs_term $ spec_term workload_arg $ dump_arg $ report_arg $ timeline_out_arg
+      const run $ spec_term workload_arg $ dump_arg $ report_arg $ timeline_out_arg
       $ timeline_html_arg $ cache_term)
 
 let synth_cmd =
-  let output_arg =
-    let doc = "Write the generated C proxy-app to $(docv)." in
-    Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE" ~doc)
-  in
   let from_arg =
     let doc =
       "Synthesize from a trace blob saved by `siesta trace --dump` (or a store's trace \
@@ -383,8 +396,7 @@ let synth_cmd =
     let doc = "Write a ready-to-build bundle (proxy.c, Makefile, README) into $(docv)." in
     Arg.(value & opt (some string) None & info [ "bundle" ] ~docv:"DIR" ~doc)
   in
-  let run obs s output factor from bundle store =
-    with_obs obs @@ fun () ->
+  let run s output factor from bundle store () =
     let sy =
       match from with
       | Some trace_path -> (
@@ -397,7 +409,7 @@ let synth_cmd =
               Printf.eprintf "synth: %s: %s\n" trace_path msg;
               exit 1)
       | None ->
-          let sy = Pipeline.synthesize_spec ~cache:(Option.is_some store) ?store ~factor s in
+          let sy = Pipeline.synthesize_spec ?store ~factor s in
           Ledger.emit store (fun () -> Pipeline.ledger_record ~kind:"synth" sy);
           sy
     in
@@ -426,10 +438,11 @@ let synth_cmd =
         Siesta_synth.Codegen_c.write_file proxy ~path;
         Printf.printf "wrote %s\n" path
   in
-  Cmd.v (Cmd.info "synth" ~doc:"Synthesize a C proxy-app from a traced execution")
+  cmd "synth" ~doc:"Synthesize a C proxy-app from a traced execution"
     Term.(
-      const run $ obs_term $ spec_term workload_arg $ output_arg $ factor_arg $ from_arg
-      $ bundle_arg $ cache_term)
+      const run $ spec_term workload_arg
+      $ output_arg "Write the generated C proxy-app to $(docv)."
+      $ factor_arg $ from_arg $ bundle_arg $ cache_term)
 
 let replay_cmd =
   let target_platform_arg =
@@ -440,8 +453,7 @@ let replay_cmd =
     let doc = "MPI implementation to replay under (default: the generation one)." in
     Arg.(value & opt (some impl_conv) None & info [ "to-impl" ] ~docv:"IMPL" ~doc)
   in
-  let run obs s to_platform to_impl factor =
-    with_obs obs @@ fun () ->
+  let run s to_platform to_impl factor () =
     let platform = s.Pipeline.platform and impl = s.Pipeline.impl in
     let target_platform = Option.value ~default:platform to_platform in
     let target_impl = Option.value ~default:impl to_impl in
@@ -459,52 +471,41 @@ let replay_cmd =
       Printf.printf "six-counter error: %.2f%%\n"
         (100.0 *. Evaluate.counter_error ~original:traced.Pipeline.original ~proxy:proxy_run)
   in
-  Cmd.v
-    (Cmd.info "replay" ~doc:"Synthesize a proxy and replay it, possibly elsewhere")
+  cmd "replay" ~doc:"Synthesize a proxy and replay it, possibly elsewhere"
     Term.(
-      const run $ obs_term $ spec_term workload_arg $ target_platform_arg $ target_impl_arg
-      $ factor_arg)
+      const run $ spec_term workload_arg $ target_platform_arg $ target_impl_arg $ factor_arg)
 
 let analyze_cmd =
   let heatmap_arg =
     let doc = "Also print the point-to-point volume heat map." in
     Arg.(value & flag & info [ "heatmap" ] ~doc)
   in
-  let run obs s heatmap =
-    with_obs obs @@ fun () ->
-    let traced = Pipeline.trace s in
-    let m = Siesta_analysis.Comm_matrix.of_recorder traced.Pipeline.recorder in
+  let run s heatmap () =
+    let ts = Pipeline.trace_stage s in
+    let t = Trace_io.of_packed ts.Pipeline.ts_trace in
+    let nranks = t.Trace_io.nranks and streams = t.Trace_io.streams in
+    let m = Comm_matrix.of_streams ~nranks streams in
     Printf.printf "%s on %d ranks:\n" (workload_name s) s.Pipeline.nranks;
-    Printf.printf "  p2p traffic : %d messages, %s\n"
-      (Siesta_analysis.Comm_matrix.total_messages m)
-      (Siesta_util.Bytes_fmt.to_string (Siesta_analysis.Comm_matrix.total_bytes m));
+    Printf.printf "  p2p traffic : %d messages, %s\n" (Comm_matrix.total_messages m)
+      (Bytes_fmt.to_string (Comm_matrix.total_bytes m));
     Printf.printf "  topology    : %s\n"
       (Siesta_analysis.Topology.to_string (Siesta_analysis.Topology.classify m));
-    let offsets = Siesta_analysis.Comm_matrix.offsets m in
     Printf.printf "  top offsets : %s\n"
       (String.concat ", "
          (List.map
             (fun (off, c) -> Printf.sprintf "%+d (%d msgs)" off c)
-            (List.filteri (fun i _ -> i < 6) offsets)));
-    if heatmap then print_string (Siesta_analysis.Comm_matrix.render m);
-    let merged =
-      Siesta_merge.Pipeline.merge_packed (Siesta_trace.Trace_io.pack traced.Pipeline.recorder)
-    in
-    print_string (Siesta_analysis.Phases.render merged);
-    Siesta_trace.Mpip_report.print (Siesta_trace.Mpip_report.build traced.Pipeline.recorder)
+            (List.filteri (fun i _ -> i < 6) (Comm_matrix.offsets m))));
+    if heatmap then print_string (Comm_matrix.render m);
+    print_string
+      (Siesta_analysis.Phases.render (Siesta_merge.Pipeline.merge_packed ts.Pipeline.ts_trace));
+    Mpip_report.print (Mpip_report.of_streams ~nranks streams)
   in
-  Cmd.v
-    (Cmd.info "analyze" ~doc:"Trace a workload and report its communication structure")
-    Term.(const run $ obs_term $ spec_term workload_arg $ heatmap_arg)
+  cmd "analyze" ~doc:"Trace a workload and report its communication structure"
+    Term.(const run $ spec_term workload_arg $ heatmap_arg)
 
 let report_cmd =
-  let output_arg =
-    let doc = "Write the markdown report to $(docv) (default: stdout)." in
-    Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE" ~doc)
-  in
-  let run obs s output factor timeline_out store =
-    with_obs obs @@ fun () ->
-    let sy = Pipeline.synthesize_spec ~cache:(Option.is_some store) ?store ~factor s in
+  let run s output factor timeline_out store () =
+    let sy = Pipeline.synthesize_spec ?store ~factor s in
     (* one recording serves both the report's sections and the file *)
     let timeline = fst (Pipeline.record_timeline s) in
     let fidelity, diff_s = Clock.wall (fun () -> Pipeline.diff_synthesis sy) in
@@ -518,11 +519,11 @@ let report_cmd =
         Printf.printf "wrote %s\n" path
     | None -> print_string (Siesta.Report.generate ~timeline ~fidelity sy)
   in
-  Cmd.v
-    (Cmd.info "report" ~doc:"Run the full pipeline and produce a markdown quality report")
+  cmd "report" ~doc:"Run the full pipeline and produce a markdown quality report"
     Term.(
-      const run $ obs_term $ spec_term workload_arg $ output_arg $ factor_arg $ timeline_out_arg
-      $ cache_term)
+      const run $ spec_term workload_arg
+      $ output_arg "Write the markdown report to $(docv) (default: stdout)."
+      $ factor_arg $ timeline_out_arg $ cache_term)
 
 let extrapolate_cmd =
   let scales_arg =
@@ -533,12 +534,7 @@ let extrapolate_cmd =
     let doc = "Untraced process count to generate the proxy for." in
     Arg.(required & opt (some int) None & info [ "target" ] ~docv:"P" ~doc)
   in
-  let output_arg =
-    let doc = "Write the generated C proxy-app to $(docv)." in
-    Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE" ~doc)
-  in
-  let run obs workload iters platform impl seed scales target output =
-    with_obs obs @@ fun () ->
+  let run workload iters platform impl seed scales target output () =
     let trace_at nranks =
       let s = spec_of workload nranks iters platform impl seed in
       let traced = Pipeline.trace s in
@@ -577,39 +573,28 @@ let extrapolate_cmd =
             Printf.printf "wrote %s\n" path
       end
   in
-  Cmd.v
-    (Cmd.info "extrapolate"
-       ~doc:"Fit a scale model from several traced scales and emit a proxy for an untraced one")
+  cmd "extrapolate"
+    ~doc:"Fit a scale model from several traced scales and emit a proxy for an untraced one"
     Term.(
-      const run $ obs_term $ workload_arg $ iters_arg $ platform_arg $ impl_arg $ seed_arg
-      $ scales_arg $ target_arg $ output_arg)
+      const run $ workload_arg $ iters_arg $ platform_arg $ impl_arg $ seed_arg $ scales_arg
+      $ target_arg $ output_arg "Write the generated C proxy-app to $(docv).")
 
 (* diff: the fidelity observatory's front end.  Synthesizes the proxy,
    replays both the original and the proxy under the simulated-clock
-   observer, and reports where they diverge.  Exit status 1 when the
-   communication replay is not lossless — the paper's hard claim. *)
+   observer, and prints the report's Fidelity section
+   ([Divergence.to_markdown]) with the original's critical path.  Exit
+   status 1 when the communication replay is not lossless — the paper's
+   hard claim. *)
 let diff_cmd =
   let workload_opt_arg =
     let doc = "Workload name (see `siesta list`)." in
     Arg.(required & opt (some string) None & info [ "w"; "workload" ] ~docv:"WORKLOAD" ~doc)
   in
-  let json_arg =
-    let doc = "Print the divergence report as JSON instead of text." in
-    Arg.(value & flag & info [ "json" ] ~doc)
-  in
-  let perturb_arg =
-    let doc =
-      "Deliberately damage the synthesized proxy before diffing ($(b,comm) bumps a send \
-       count, $(b,compute) scales the block combinations) — for exercising the detector."
-    in
-    Arg.(value & opt (some string) None & info [ "perturb" ] ~docv:"WHAT" ~doc)
-  in
-  let run obs s factor json perturb timeline_out timeline_html store =
-    with_obs obs @@ fun () ->
-    let perturb = divergence_fault_of "diff" perturb in
-    let sy = Pipeline.synthesize_spec ~cache:(Option.is_some store) ?store ~factor s in
+  let run s factor json perturb timeline_out timeline_html store () =
+    let fault = divergence_fault_of "diff" perturb in
+    let sy = Pipeline.synthesize_spec ?store ~factor s in
     let sy =
-      match perturb with
+      match fault with
       | None -> sy
       | Some what ->
           { sy with Pipeline.sy_proxy = Divergence.perturb what sy.Pipeline.sy_proxy }
@@ -629,49 +614,27 @@ let diff_cmd =
     if json then print_string (Divergence.to_json r)
     else begin
       Printf.printf "%s @ %d ranks (platform %s, %s)%s\n" (workload_name s) s.Pipeline.nranks
-        s.Pipeline.platform.Spec.name s.Pipeline.impl.Mpi_impl.name
-        (match perturb with
-        | None -> ""
-        | Some `Comm -> " [perturbed: comm]"
-        | Some `Compute -> " [perturbed: compute]");
+        s.Pipeline.platform.Spec.name s.Pipeline.impl.Mpi_impl.name (perturbed_suffix perturb);
       print_cache_status sy.Pipeline.sy_status;
-      if r.Divergence.r_lossless then
-        print_endline "communication replay: lossless"
-      else begin
-        print_endline "communication replay: NOT lossless:";
-        List.iter (fun reason -> Printf.printf "  - %s\n" reason) r.Divergence.r_reasons
-      end;
-      Printf.printf "comm-matrix distance: %.3e\n" r.Divergence.r_comm_matrix_dist;
-      print_endline "computation error (per-event relative):";
-      List.iter
-        (fun e ->
-          Printf.printf "  %-6s mean %7.3f%%  p95 %7.3f%%  max %7.3f%%  (%d events)\n"
-            (Siesta_perf.Counters.metric_name e.Divergence.me_metric)
-            (100.0 *. e.Divergence.me_mean)
-            (100.0 *. e.Divergence.me_p95)
-            (100.0 *. e.Divergence.me_max)
-            e.Divergence.me_events)
-        r.Divergence.r_compute_errors;
-      Printf.printf "simulated time: original %.6e s, proxy %.6e s (error %.2f%%)\n"
-        r.Divergence.r_time_orig r.Divergence.r_time_proxy
-        (100.0 *. r.Divergence.r_time_error);
-      Printf.printf "timeline distance: %.3e\n" r.Divergence.r_timeline_distance;
-      let cp =
-        Critical_path.compute ~merged:sy.Pipeline.sy_proxy.Siesta_synth.Proxy_ir.merged
-          (Lazy.force timeline)
-      in
-      print_string (Critical_path.render cp);
+      Printf.printf "\n%s\n" (Divergence.to_markdown r);
+      print_string
+        (Critical_path.render
+           (Critical_path.compute ~merged:sy.Pipeline.sy_proxy.Siesta_synth.Proxy_ir.merged
+              (Lazy.force timeline)));
       Printf.printf "verdict: %s\n" (Divergence.verdict_name (Divergence.verdict r))
     end;
     match Divergence.verdict r with Divergence.Comm_divergent _ -> exit 1 | _ -> ()
   in
-  Cmd.v
-    (Cmd.info "diff"
-       ~doc:
-         "Replay the synthesized proxy next to the original and report divergence (exit 1 \
-          unless the communication replay is lossless)")
+  cmd "diff"
+    ~doc:
+      "Replay the synthesized proxy next to the original and report divergence (exit 1 \
+       unless the communication replay is lossless)"
     Term.(
-      const run $ obs_term $ spec_term workload_opt_arg $ factor_arg $ json_arg $ perturb_arg
+      const run $ spec_term workload_opt_arg $ factor_arg
+      $ json_arg "Print the divergence report as JSON instead of text."
+      $ perturb_arg
+          "Deliberately damage the synthesized proxy before diffing ($(b,comm) bumps a send \
+           count, $(b,compute) scales the block combinations) — for exercising the detector."
       $ timeline_out_arg $ timeline_html_arg $ cache_term)
 
 (* sweep: the fidelity-vs-factor observatory.  Captures the original
@@ -686,10 +649,6 @@ let sweep_cmd =
     in
     Arg.(value & opt string "1,2,4,8,16,32,64" & info [ "factors" ] ~docv:"LIST" ~doc)
   in
-  let json_arg =
-    let doc = "Print the curve as JSON instead of the table." in
-    Arg.(value & flag & info [ "json" ] ~doc)
-  in
   let html_arg =
     let doc =
       "Write a self-contained HTML dashboard of the curve (log2-factor axis, embedded \
@@ -697,16 +656,7 @@ let sweep_cmd =
     in
     Arg.(value & opt (some string) None & info [ "html" ] ~docv:"FILE" ~doc)
   in
-  let perturb_arg =
-    let doc =
-      "Deliberately damage every per-factor proxy before diffing ($(b,comm) bumps a send \
-       count, $(b,compute) scales the block combinations) — for exercising the \
-       curve-regression gate."
-    in
-    Arg.(value & opt (some string) None & info [ "perturb" ] ~docv:"WHAT" ~doc)
-  in
-  let run obs s factors_s json html perturb store =
-    with_obs obs @@ fun () ->
+  let run s factors_s json html perturb store () =
     let perturb = divergence_fault_of "sweep" perturb in
     let factors =
       match Sweep.parse_factors factors_s with
@@ -715,7 +665,7 @@ let sweep_cmd =
           Printf.eprintf "sweep: bad --factors: %s\n" msg;
           exit 2
     in
-    let t = Sweep.run ~cache:(Option.is_some store) ?store ?perturb ~factors s in
+    let t = Sweep.run ?store ?perturb ~factors s in
     Ledger.emit store (fun () -> Sweep.record t);
     if json then print_string (Sweep.to_json t) else print_string (Sweep.render t);
     Option.iter
@@ -730,14 +680,19 @@ let sweep_cmd =
       html;
     if Sweep.comm_divergent t <> [] then exit 1
   in
-  Cmd.v
-    (Cmd.info "sweep"
-       ~doc:
-         "Sweep the scaling factor and measure per-factor fidelity (exit 1 when any \
-          factor's verdict crosses the comm-divergence rank, 2 on a bad schedule)")
+  cmd "sweep"
+    ~doc:
+      "Sweep the scaling factor and measure per-factor fidelity (exit 1 when any factor's \
+       verdict crosses the comm-divergence rank, 2 on a bad schedule)"
     Term.(
-      const run $ obs_term $ spec_term workload_arg $ factors_arg $ json_arg $ html_arg
-      $ perturb_arg $ cache_term)
+      const run $ spec_term workload_arg $ factors_arg
+      $ json_arg "Print the curve as JSON instead of the table."
+      $ html_arg
+      $ perturb_arg
+          "Deliberately damage every per-factor proxy before diffing ($(b,comm) bumps a send \
+           count, $(b,compute) scales the block combinations) — for exercising the \
+           curve-regression gate."
+      $ cache_term)
 
 (* check: the static correctness observatory.  Synthesizes (or restores
    from cache) the merged grammar and walks it symbolically — no replay —
@@ -745,22 +700,9 @@ let sweep_cmd =
    freedom under the implementation's eager threshold, and collective
    sequence consistency.  Exit 1 on a violation; --perturb seeds one. *)
 let check_cmd =
-  let json_arg =
-    let doc = "Print the check report as JSON instead of markdown." in
-    Arg.(value & flag & info [ "json" ] ~doc)
-  in
-  let perturb_arg =
-    let doc =
-      "Seed a communication fault into the merged program before checking ($(b,mismatch) \
-       adds an unmatched send, $(b,deadlock) a blocking rendezvous ring, $(b,collective) \
-       a collective-sequence inconsistency) — for exercising the checker."
-    in
-    Arg.(value & opt (some string) None & info [ "perturb" ] ~docv:"WHAT" ~doc)
-  in
-  let run obs s json perturb store =
-    with_obs obs @@ fun () ->
+  let run s json perturb store () =
     let fault = check_fault_of perturb in
-    let sy = Pipeline.synthesize_spec ~cache:(Option.is_some store) ?store s in
+    let sy = Pipeline.synthesize_spec ?store s in
     let report, check_s = Clock.wall (fun () -> Pipeline.check_synthesis ?fault sy) in
     Ledger.emit store (fun () ->
         Pipeline.ledger_record ~kind:"check" ~check:(report, check_s) sy);
@@ -768,9 +710,7 @@ let check_cmd =
     else begin
       Printf.printf "%s @ %d ranks (%s, eager threshold %d B)%s\n" (workload_name s)
         s.Pipeline.nranks s.Pipeline.impl.Mpi_impl.name report.Comm_check.k_eager_threshold
-        (match perturb with
-        | None -> ""
-        | Some what -> Printf.sprintf " [perturbed: %s]" what);
+        (perturbed_suffix perturb);
       print_cache_status sy.Pipeline.sy_status;
       print_string (Comm_check.to_markdown report)
     end;
@@ -778,19 +718,24 @@ let check_cmd =
     | Comm_check.Violated _ -> exit 1
     | Comm_check.Clean -> ()
   in
-  Cmd.v
-    (Cmd.info "check"
-       ~doc:
-         "Statically verify communication correctness of the merged grammar (exit 1 on a \
-          violation, 2 on a bad --perturb token)")
-    Term.(const run $ obs_term $ spec_term workload_arg $ json_arg $ perturb_arg $ cache_term)
+  cmd "check"
+    ~doc:
+      "Statically verify communication correctness of the merged grammar (exit 1 on a \
+       violation, 2 on a bad --perturb token)"
+    Term.(
+      const run $ spec_term workload_arg
+      $ json_arg "Print the check report as JSON instead of markdown."
+      $ perturb_arg
+          "Seed a communication fault into the merged program before checking \
+           ($(b,mismatch) adds an unmatched send, $(b,deadlock) a blocking rendezvous ring, \
+           $(b,collective) a collective-sequence inconsistency) — for exercising the checker."
+      $ cache_term)
 
 (* store: maintenance front end for the content-addressed artifact
    store.  `ls` lists stage-key bindings, `verify` re-hashes and
    unframes every object (exit 1 on damage), `gc` mark-and-sweeps
    unreferenced blobs, `rm` drops bindings by key/hash prefix. *)
 let store_cmd =
-  let open_store root = Store.open_ ?root () in
   let ls_cmd =
     let long_arg =
       let doc =
@@ -799,8 +744,7 @@ let store_cmd =
       in
       Arg.(value & flag & info [ "long"; "l" ] ~doc)
     in
-    let run root long =
-      let st = open_store root in
+    let run st long =
       let entries = Store.entries st in
       Printf.printf "store %s: %d binding(s), %s in objects\n" (Store.root st)
         (List.length entries)
@@ -853,11 +797,10 @@ let store_cmd =
     in
     Cmd.v
       (Cmd.info "ls" ~doc:"List stage-key bindings and store size")
-      Term.(const run $ store_root_arg $ long_arg)
+      Term.(const run $ store_term $ long_arg)
   in
   let verify_cmd =
-    let run root =
-      let st = open_store root in
+    let run st =
       let r = Store.verify st in
       Printf.printf "store %s: %d object(s), %d manifest entr%s checked\n" (Store.root st)
         r.Store.v_objects r.Store.v_entries
@@ -872,15 +815,14 @@ let store_cmd =
     Cmd.v
       (Cmd.info "verify"
          ~doc:"Re-hash and unframe every object; exit 1 on checksum or schema damage")
-      Term.(const run $ store_root_arg)
+      Term.(const run $ store_term)
   in
   let gc_cmd =
     let expect_clean_arg =
       let doc = "Exit 1 if any unreferenced object was swept (leak detector for CI)." in
       Arg.(value & flag & info [ "expect-clean" ] ~doc)
     in
-    let run root expect_clean =
-      let st = open_store root in
+    let run st expect_clean =
       let g = Store.gc st in
       Printf.printf "gc %s: %d live, %d swept, %s freed\n" (Store.root st) g.Store.live
         g.Store.swept
@@ -893,15 +835,14 @@ let store_cmd =
     in
     Cmd.v
       (Cmd.info "gc" ~doc:"Delete objects not referenced by the manifest (mark-and-sweep)")
-      Term.(const run $ store_root_arg $ expect_clean_arg)
+      Term.(const run $ store_term $ expect_clean_arg)
   in
   let rm_cmd =
     let prefix_arg =
       let doc = "Hex prefix of a stage key or blob hash." in
       Arg.(required & pos 0 (some string) None & info [] ~docv:"PREFIX" ~doc)
     in
-    let run root prefix =
-      let st = open_store root in
+    let run st prefix =
       let n = Store.rm st prefix in
       Printf.printf "rm: dropped %d binding(s) matching %s (run gc to reclaim blobs)\n" n
         prefix;
@@ -910,7 +851,7 @@ let store_cmd =
     Cmd.v
       (Cmd.info "rm"
          ~doc:"Drop manifest bindings by key or hash prefix (blobs reclaimed by gc)")
-      Term.(const run $ store_root_arg $ prefix_arg)
+      Term.(const run $ store_term $ prefix_arg)
   in
   Cmd.group
     (Cmd.info "store" ~doc:"Inspect and maintain the content-addressed artifact store")
@@ -921,20 +862,6 @@ let store_cmd =
    is the regression radar (exit 1 on regression — CI-gateable),
    `html` renders the trend dashboard and `gc` bounds retention. *)
 let runs_cmd =
-  let open_store root = Store.open_ ?root () in
-  let utc t =
-    let tm = Unix.gmtime t in
-    Printf.sprintf "%04d-%02d-%02d %02d:%02d:%02d" (tm.Unix.tm_year + 1900)
-      (tm.Unix.tm_mon + 1) tm.Unix.tm_mday tm.Unix.tm_hour tm.Unix.tm_min tm.Unix.tm_sec
-  in
-  let total_s (r : Ledger.record) =
-    List.fold_left (fun acc (_, s) -> acc +. s) 0.0 r.Ledger.r_timings
-  in
-  let spec_cell (r : Ledger.record) =
-    Printf.sprintf "%s@%s"
-      (Option.value ~default:"?" (List.assoc_opt "workload" r.Ledger.r_spec))
-      (Option.value ~default:"?" (List.assoc_opt "nranks" r.Ledger.r_spec))
-  in
   let resolve st sel =
     match Ledger.find st sel with
     | Some r -> r
@@ -950,42 +877,21 @@ let runs_cmd =
         exit 2
   in
   let ls_cmd =
-    let run root =
-      let st = open_store root in
+    let run st =
       let rs = Ledger.runs st in
       Printf.printf "ledger %s: %d run record(s)\n" (Store.root st) (List.length rs);
-      List.iter
-        (fun (r : Ledger.record) ->
-          Printf.printf "#%-4d %s  %-6s %-12s id=%s  total %8.4f s  %s\n" r.Ledger.r_seq
-            (utc r.Ledger.r_time) r.Ledger.r_kind (spec_cell r)
-            (String.sub r.Ledger.r_id 0 (min 8 (String.length r.Ledger.r_id)))
-            (total_s r)
-            (match (r.Ledger.r_fidelity, r.Ledger.r_sweep) with
-            | Some f, _ -> f.Ledger.lf_verdict
-            | None, [] -> "-"
-            | None, sweep ->
-                let worst =
-                  List.fold_left
-                    (fun acc (sp : Ledger.sweep_point) ->
-                      let v = sp.Ledger.sp_fidelity.Ledger.lf_verdict in
-                      if Regression.verdict_rank v > Regression.verdict_rank acc then v
-                      else acc)
-                    "faithful" sweep
-                in
-                Printf.sprintf "%d-factor sweep, worst %s" (List.length sweep) worst))
-        rs
+      if rs <> [] then print_string (Ledger.runs_table rs)
     in
     Cmd.v
       (Cmd.info "ls" ~doc:"List the run records in the ledger")
-      Term.(const run $ store_root_arg)
+      Term.(const run $ store_term)
   in
   let show_cmd =
     let sel_arg =
       let doc = "Record selector: a sequence number or a run-id prefix." in
       Arg.(required & pos 0 (some string) None & info [] ~docv:"RUN" ~doc)
     in
-    let run root sel =
-      let st = open_store root in
+    let run st sel =
       let r = resolve st sel in
       let open Ledger in
       Printf.printf "run #%d  %s  %s\n" r.r_seq r.r_kind (utc r.r_time);
@@ -1022,22 +928,12 @@ let runs_cmd =
           List.iter (fun reason -> Printf.printf "  - %s\n" reason) c.lc_reasons);
       if r.r_sweep <> [] then begin
         Printf.printf "sweep   : %d factor(s)\n" (List.length r.r_sweep);
-        Printf.printf "  %-8s %-18s %10s %12s %12s %12s %10s %10s  %s\n" "factor"
-          "verdict" "time_err" "timeline" "comm_L1" "compute" "proxy_B" "search_s"
-          "cache";
-        List.iter
-          (fun (sp : Ledger.sweep_point) ->
-            Printf.printf "  x%-7g %-18s %10.4f %12.4e %12.4e %12.4f %10.0f %10.4f  %s\n"
-              sp.sp_factor sp.sp_fidelity.lf_verdict sp.sp_fidelity.lf_time_error
-              sp.sp_fidelity.lf_timeline_distance sp.sp_fidelity.lf_comm_matrix_dist
-              sp.sp_fidelity.lf_max_compute_mean sp.sp_proxy_bytes sp.sp_search_s
-              (String.concat "/" (List.map snd sp.sp_cache)))
-          r.r_sweep
+        print_string (sweep_table r.r_sweep)
       end
     in
     Cmd.v
       (Cmd.info "show" ~doc:"Print one run record in full")
-      Term.(const run $ store_root_arg $ sel_arg)
+      Term.(const run $ store_term $ sel_arg)
   in
   let compare_cmd =
     let a_arg =
@@ -1074,12 +970,7 @@ let runs_cmd =
       Arg.(value & opt float Regression.default.Regression.t_fidelity_delta
            & info [ "max-fidelity-delta" ] ~docv:"D" ~doc)
     in
-    let json_arg =
-      let doc = "Print the comparison (endpoints, per-dimension verdicts) as JSON." in
-      Arg.(value & flag & info [ "json" ] ~doc)
-    in
-    let run root a b baseline ratio floor fid json =
-      let st = open_store root in
+    let run st a b baseline ratio floor fid json =
       let thresholds =
         { Regression.t_stage_ratio = ratio; t_stage_min_s = floor; t_fidelity_delta = fid }
       in
@@ -1111,16 +1002,16 @@ let runs_cmd =
             regression, $(b,1) at least one dimension regressed (including any \
             $(b,sweep.f<factor>) curve point), $(b,2) a record cannot be resolved or the \
             ledger is empty.")
-      Term.(const run $ store_root_arg $ a_arg $ b_arg $ baseline_arg $ ratio_arg $ floor_arg
-            $ fid_arg $ json_arg)
+      Term.(
+        const run $ store_term $ a_arg $ b_arg $ baseline_arg $ ratio_arg $ floor_arg $ fid_arg
+        $ json_arg "Print the comparison (endpoints, per-dimension verdicts) as JSON.")
   in
   let gc_cmd =
     let keep_arg =
       let doc = "Number of newest run records to retain." in
       Arg.(value & opt int 100 & info [ "keep" ] ~docv:"N" ~doc)
     in
-    let run root keep =
-      let st = open_store root in
+    let run st keep =
       let dropped = Ledger.gc st ~keep in
       let g = Store.gc st in
       Printf.printf "runs gc: dropped %d record(s), kept %d; swept %d blob(s), %s freed\n"
@@ -1132,15 +1023,11 @@ let runs_cmd =
     Cmd.v
       (Cmd.info "gc"
          ~doc:"Prune old run records past the retention bound (stage artifacts untouched)")
-      Term.(const run $ store_root_arg $ keep_arg)
+      Term.(const run $ store_term $ keep_arg)
   in
   let html_cmd =
-    let out_arg =
-      let doc = "Write the dashboard to $(docv)." in
-      Arg.(value & opt string "siesta_trends.html" & info [ "o"; "output" ] ~docv:"FILE" ~doc)
-    in
-    let run root out =
-      let st = open_store root in
+    let run st out =
+      let out = Option.value out ~default:"siesta_trends.html" in
       let rs = Ledger.runs st in
       Trend_html.write ~title:(Printf.sprintf "Siesta run trends — %s" (Store.root st)) rs
         ~path:out;
@@ -1150,7 +1037,9 @@ let runs_cmd =
     Cmd.v
       (Cmd.info "html"
          ~doc:"Write a self-contained HTML trend dashboard of stage times and fidelity errors")
-      Term.(const run $ store_root_arg $ out_arg)
+      Term.(
+        const run $ store_term
+        $ output_arg "Write the dashboard to $(docv) (default: siesta_trends.html).")
   in
   Cmd.group
     (Cmd.info "runs" ~doc:"Browse, compare and prune the persistent run ledger")
@@ -1362,10 +1251,6 @@ let http_cmd =
     let doc = "Request body (e.g. the JSON job spec); $(b,@FILE) reads it from a file." in
     Arg.(value & opt (some string) None & info [ "d"; "data" ] ~docv:"BODY" ~doc)
   in
-  let out_arg =
-    let doc = "Write the response body to $(docv) instead of stdout." in
-    Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE" ~doc)
-  in
   let extract_arg =
     let doc =
       "Print only this field of a JSON response body (slash-separated path, e.g. \
@@ -1432,8 +1317,10 @@ let http_cmd =
          "Talk to a $(b,siesta serve) daemon: one request, response body to stdout (or \
           $(b,-o)), exit $(b,0) on 2xx, $(b,1) on an HTTP error status, $(b,2) on a \
           transport error.")
-    Term.(const run $ meth_arg $ path_arg $ socket_arg $ port_arg $ host_arg $ data_arg
-          $ out_arg $ extract_arg)
+    Term.(
+      const run $ meth_arg $ path_arg $ socket_arg $ port_arg $ host_arg $ data_arg
+      $ output_arg "Write the response body to $(docv) instead of stdout."
+      $ extract_arg)
 
 (* Subcommands let exceptions escape to here.  A file the user named that
    cannot be read or written is a usage error: one line on stderr, exit 1.

@@ -31,8 +31,6 @@ let verdict r = if r.k_reasons = [] then Clean else Violated r.k_reasons
 
 let verdict_name = function Clean -> "clean" | Violated _ -> "violated"
 
-let verdict_rank = function "clean" -> 0 | "violated" -> 1 | _ -> 2
-
 (* ------------------------------------------------------------------ *)
 (* Integral bipartite max-flow over matching classes.  Class counts can
    be large (one class covers thousands of identical messages), so this

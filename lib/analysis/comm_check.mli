@@ -33,8 +33,8 @@
     timing — message {e contents}, compute fidelity, or which of several
     legal wildcard matchings a real run takes; those still need replay
     (see [DESIGN.md] §14).  Verdicts mirror {!Divergence}: a typed
-    verdict over structured reason strings, markdown/JSON renderings and
-    a [verdict_rank] ordering for the regression radar. *)
+    verdict over structured reason strings and markdown/JSON renderings;
+    [siesta runs compare] ranks the recorded verdict names. *)
 
 type report = {
   k_nranks : int;
@@ -62,10 +62,6 @@ val verdict : report -> verdict
 
 val verdict_name : verdict -> string
 (** ["clean"] or ["violated"]. *)
-
-val verdict_rank : string -> int
-(** Severity order for the regression radar: clean < violated < unknown
-    (mirrors {!Siesta_ledger.Regression}'s divergence-verdict rank). *)
 
 val to_markdown : report -> string
 val to_json : report -> string

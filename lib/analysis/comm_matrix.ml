@@ -35,10 +35,6 @@ let of_streams ~nranks streams =
     streams;
   t
 
-let of_recorder recorder =
-  let nranks = Siesta_trace.Recorder.nranks recorder in
-  of_streams ~nranks (Array.init nranks (Siesta_trace.Recorder.events recorder))
-
 let nranks t = t.nranks
 let messages t ~src ~dst = t.msgs.(idx t src dst)
 let bytes t ~src ~dst = t.vols.(idx t src dst)

@@ -13,8 +13,6 @@ val of_streams : nranks:int -> Siesta_trace.Event.t array array -> t
     events.  Wildcard receives contribute nothing (the matching send
     carries the edge). *)
 
-val of_recorder : Siesta_trace.Recorder.t -> t
-
 val nranks : t -> int
 val messages : t -> src:int -> dst:int -> int
 val bytes : t -> src:int -> dst:int -> int

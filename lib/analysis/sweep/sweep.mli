@@ -5,9 +5,9 @@
     The paper sells factor scaling as the knob that trades proxy cost
     for fidelity; this module turns that claim into a measured curve.
     The original program is captured {e once}; each factor pays only its
-    own synthesis (with [~cache:true], the trace and merge stages are
-    shared across the whole schedule, so factors 2..N pay proxy search
-    alone) plus a proxy capture and a {!Siesta_analysis.Divergence.diff}
+    own synthesis (with a store, the trace and merge stages are shared
+    across the whole schedule, so factors 2..N pay proxy search alone)
+    plus a proxy capture and a {!Siesta_analysis.Divergence.diff}
     against the shared original.
 
     Verdicts are factor-aware ({!Siesta_analysis.Divergence.verdict_at}):
@@ -16,18 +16,17 @@
     read as communication divergence, and the compute check bounds the
     excess over the expected shrink error [1 - 1/factor].
 
-    A sweep invocation appends one schema-versioned ["sweep"]
-    {!Siesta_ledger.Ledger} record, built by {!record} (never per-factor
-    synth/diff records), which makes curves first-class in
-    [runs ls/show/compare]: {!Siesta_ledger.Regression} compares curves
-    point-wise and flags "fidelity at factor F degraded vs baseline
-    sweep". *)
+    Each measured point is a {!Siesta_ledger.Ledger.sweep_point}, so a
+    sweep in hand and one read back from the ledger print through the
+    same {!Siesta_ledger.Ledger.sweep_table}.  A sweep invocation
+    appends one schema-versioned ["sweep"] record, built by {!record}
+    (never per-factor synth/diff records), which makes curves
+    first-class in [runs ls/show/compare]: {!Siesta_ledger.Regression}
+    compares curves point-wise and flags "fidelity at factor F degraded
+    vs baseline sweep". *)
 
 val default_factors : float list
 (** [1, 2, 4, ..., 64] — the powers-of-two schedule. *)
-
-val factor_str : float -> string
-(** Shortest spelling of a factor ([4] not [4.]). *)
 
 val parse_factors : string -> (float list, string) result
 (** Parse a comma-separated factor schedule (["1,2,4,8"], spaces
@@ -35,34 +34,28 @@ val parse_factors : string -> (float list, string) result
     not a positive finite number, a repeated value, or a value that
     breaks the strictly-increasing order. *)
 
-type point = {
-  p_factor : float;
-  p_report : Siesta_analysis.Divergence.report;  (** full diff vs the original *)
-  p_verdict : Siesta_analysis.Divergence.verdict;  (** factor-aware *)
-  p_proxy_bytes : int;  (** encoded proxy IR size *)
-  p_search_s : float;  (** proxy-search (synthesize stages) seconds *)
-  p_total_s : float;  (** synthesize + capture + diff seconds *)
-  p_cache : (string * string) list;  (** {!Siesta.Pipeline.stage_outcomes} *)
-}
-
 type t = {
   s_spec : Siesta.Pipeline.spec;
   s_factors : float list;
-  s_points : point list;  (** one per factor, in schedule order *)
+  s_points : Siesta_ledger.Ledger.sweep_point list;
+      (** one per factor, in schedule order: the factor-aware verdict
+          ({!Siesta_analysis.Divergence.verdict_at}) and error measures,
+          the encoded proxy size, the proxy-search seconds, the point's
+          synthesize + capture + diff seconds and
+          {!Siesta.Pipeline.stage_outcomes} *)
   s_total_s : float;
 }
 
 val run :
-  ?cache:bool ->
   ?store:Siesta_store.Store.t ->
   ?compute_tolerance:float ->
   ?perturb:[ `Comm | `Compute ] ->
   ?factors:float list ->
   Siesta.Pipeline.spec ->
   t
-(** Sweep the schedule (default {!default_factors}).  [cache]/[store]
-    are forwarded to every synthesis; [compute_tolerance] to every
-    {!Siesta_analysis.Divergence.verdict_at}; [perturb] damages every
+(** Sweep the schedule (default {!default_factors}).  Every synthesis
+    is memoized in [store] when one is given; [compute_tolerance] goes
+    to every {!Siesta_analysis.Divergence.verdict_at}; [perturb] damages every
     per-factor proxy via {!Siesta_analysis.Divergence.perturb} before
     diffing, for exercising the curve-regression gate.
     @raise Invalid_argument on an empty schedule. *)
@@ -77,9 +70,9 @@ val comm_divergent : t -> float list
     CLI exits non-zero when this is non-empty. *)
 
 val render : t -> string
-(** Aligned per-factor table plus a one-line verdict summary. *)
+(** A header line, {!Siesta_ledger.Ledger.sweep_table} of the points and
+    a one-line verdict summary. *)
 
-val json_of : t -> Siesta_obs.Json.t
 val to_json : t -> string
 (** The curve as a JSON document ([spec], [factors], [points]); also the
     payload of the HTML dashboard's [sweep-data] block. *)

@@ -8,7 +8,7 @@
    uses the log2 x-axis with ticks pinned to the swept schedule. *)
 
 module Html_embed = Siesta_obs.Html_embed
-module Divergence = Siesta_analysis.Divergence
+module Ledger = Siesta_ledger.Ledger
 module Pipeline = Siesta.Pipeline
 
 let viewer_js =
@@ -68,21 +68,16 @@ let render ?(title = "siesta fidelity sweep") (t : Sweep.t) =
   p "<th>time err</th><th>timeline</th><th>comm L1</th><th>compute mean</th>";
   p "<th>bytes delta</th><th>proxy B</th><th>search s</th><th>cache</th></tr></thead>\n<tbody>\n";
   List.iter
-    (fun (pt : Sweep.point) ->
-      let r = pt.Sweep.p_report in
-      let mean =
-        List.fold_left
-          (fun acc (e : Divergence.metric_err) -> Float.max acc e.Divergence.me_mean)
-          0.0 r.Divergence.r_compute_errors
-      in
+    (fun (sp : Ledger.sweep_point) ->
+      let f = sp.Ledger.sp_fidelity in
       p
-        "<tr><td>x%s</td><td>%s</td><td>%.4f</td><td>%.3e</td><td>%.3e</td><td>%.4f</td><td>%d</td><td>%d</td><td>%.4f</td><td>%s</td></tr>\n"
-        (Html_embed.html_escape (Sweep.factor_str pt.Sweep.p_factor))
-        (Html_embed.html_escape (Divergence.verdict_name pt.Sweep.p_verdict))
-        r.Divergence.r_time_error r.Divergence.r_timeline_distance
-        r.Divergence.r_comm_matrix_dist mean r.Divergence.r_bytes_delta
-        pt.Sweep.p_proxy_bytes pt.Sweep.p_search_s
-        (Html_embed.html_escape (String.concat "/" (List.map snd pt.Sweep.p_cache))))
+        "<tr><td>x%s</td><td>%s</td><td>%.4f</td><td>%.3e</td><td>%.3e</td><td>%.4f</td><td>%.0f</td><td>%.0f</td><td>%.4f</td><td>%s</td></tr>\n"
+        (Html_embed.html_escape (Ledger.factor_str sp.Ledger.sp_factor))
+        (Html_embed.html_escape f.Ledger.lf_verdict)
+        f.Ledger.lf_time_error f.Ledger.lf_timeline_distance f.Ledger.lf_comm_matrix_dist
+        f.Ledger.lf_max_compute_mean sp.Ledger.sp_bytes_delta sp.Ledger.sp_proxy_bytes
+        sp.Ledger.sp_search_s
+        (Html_embed.html_escape (String.concat "/" (List.map snd sp.Ledger.sp_cache))))
     t.Sweep.s_points;
   p "</tbody></table>\n";
   Buffer.add_string b (Html_embed.data_block ~id:"sweep-data" (Sweep.to_json t));

@@ -287,13 +287,7 @@ let trace_stage_of s meta pk traced =
 let stage_of_traced tr =
   trace_stage_of tr.run_spec (meta_of_traced tr) (Trace_io.pack tr.recorder) (Some tr)
 
-(* Caching on means a store: the given one, else the default root. *)
-let store_of ~cache store =
-  if not cache then None
-  else Some (match store with Some st -> st | None -> Store.open_ ())
-
-let trace_stage ?(cache = false) ?store s =
-  let store = store_of ~cache store in
+let trace_stage ?store s =
   let ts, hash, outcome, timings =
     memo store ~stage:"trace" ~span:"trace" ~kind:"trace" s
       ~key:(fun () ->
@@ -377,9 +371,16 @@ let synthesize_blob ?(factor = 1.0) s blob =
   let meta, pk = Codec.decode_trace blob in
   merge_and_search None ~factor (trace_stage_of s meta pk None)
 
-let synthesize_spec ?(cache = false) ?store ?(factor = 1.0) s =
-  let store = store_of ~cache store in
-  merge_and_search store ~factor (trace_stage ~cache ?store s)
+(* Caching is on when asked for or when a store is given; on without a
+   store means the default root. *)
+let synthesize_spec ?cache ?store ?(factor = 1.0) s =
+  let store =
+    match (cache, store) with
+    | Some false, _ | None, None -> None
+    | _, Some st -> Some st
+    | Some true, None -> Some (Store.open_ ())
+  in
+  merge_and_search store ~factor (trace_stage ?store s)
 
 let run_proxy sy ~platform ~impl =
   let s = sy.sy_trace.ts_spec in

@@ -162,10 +162,9 @@ type trace_stage = {
   ts_timings : (string * float) list;
 }
 
-val trace_stage : ?cache:bool -> ?store:Siesta_store.Store.t -> spec -> trace_stage
-(** The trace stage with optional memoization.  [cache] defaults to
-    false (always run); [store] defaults to opening
-    {!Siesta_store.Store.default_root}. *)
+val trace_stage : ?store:Siesta_store.Store.t -> spec -> trace_stage
+(** The trace stage, memoized in [store] when one is given; without a
+    store it always runs. *)
 
 type synthesis = {
   sy_trace : trace_stage;
@@ -194,10 +193,12 @@ val synthesize_blob : ?factor:float -> spec -> string -> synthesis
 
 val synthesize_spec :
   ?cache:bool -> ?store:Siesta_store.Store.t -> ?factor:float -> spec -> synthesis
-(** The whole pipeline with optional stage memoization.  With
-    [~cache:false] (the default) this is exactly
-    [synthesize (trace s)]; with [~cache:true] each stage first
-    consults the store.  Decoded artifacts are
+(** The whole pipeline with optional stage memoization.  Caching is on
+    when a [store] is given or [~cache:true] is passed ([cache] defaults
+    to whether a store is given; [~cache:true] without one opens
+    {!Siesta_store.Store.default_root}).  With caching off this is
+    exactly [synthesize (trace s)]; with it on each stage first consults
+    the store.  Decoded artifacts are
     {!Siesta_merge.Merged.equal} to freshly computed ones and generate
     byte-identical C (qcheck-enforced). *)
 

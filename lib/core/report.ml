@@ -15,6 +15,7 @@ module Mpi_impl = Siesta_platform.Mpi_impl
 module Bytes_fmt = Siesta_util.Bytes_fmt
 module Codec = Siesta_store.Codec
 module Trace_io = Siesta_trace.Trace_io
+module Ledger = Siesta_ledger.Ledger
 
 let pct x = Printf.sprintf "%.2f%%" (100.0 *. x)
 
@@ -98,69 +99,32 @@ let generate ~timeline ~fidelity:(fid : Pipeline.fidelity) (sy : Pipeline.synthe
       (* run history for this spec, read back from the same store *)
       let history =
         try
-          Siesta_ledger.Ledger.runs (Siesta_store.Store.open_ ~root ())
-          |> List.filter (fun (r : Siesta_ledger.Ledger.record) ->
-                 List.assoc_opt "workload" r.Siesta_ledger.Ledger.r_spec
+          Ledger.runs (Siesta_store.Store.open_ ~root ())
+          |> List.filter (fun (r : Ledger.record) ->
+                 List.assoc_opt "workload" r.Ledger.r_spec
                  = Some spec.Pipeline.workload.Registry.name
-                 && List.assoc_opt "nranks" r.Siesta_ledger.Ledger.r_spec
+                 && List.assoc_opt "nranks" r.Ledger.r_spec
                     = Some (string_of_int spec.Pipeline.nranks))
         with _ -> []
       in
       if history <> [] then begin
         let shown_hist = 8 in
-        let recent =
-          let n = List.length history in
-          if n <= shown_hist then history
-          else List.filteri (fun i _ -> i >= n - shown_hist) history
-        in
-        p "\n## History (run ledger, this spec)\n\n";
-        p "| run | kind | time (UTC) | total (s) | cache | verdict |\n|---|---|---|---|---|---|\n";
-        List.iter
-          (fun (r : Siesta_ledger.Ledger.record) ->
-            let open Siesta_ledger.Ledger in
-            let tm = Unix.gmtime r.r_time in
-            let total = List.fold_left (fun acc (_, s) -> acc +. s) 0.0 r.r_timings in
-            let cache_cell =
-              match
-                List.filter_map
-                  (fun stg ->
-                    Option.map (fun o -> stg ^ ":" ^ o) (List.assoc_opt stg r.r_cache))
-                  [ "trace"; "merge"; "proxy" ]
-              with
-              | [] -> "-"
-              | l -> String.concat " " l
-            in
-            p "| #%d | %s | %04d-%02d-%02d %02d:%02d:%02d | %.4f | %s | %s |\n" r.r_seq
-              r.r_kind (tm.Unix.tm_year + 1900) (tm.Unix.tm_mon + 1) tm.Unix.tm_mday
-              tm.Unix.tm_hour tm.Unix.tm_min tm.Unix.tm_sec total cache_cell
-              (match r.r_fidelity with Some f -> f.lf_verdict | None -> "-"))
-          recent;
-        if List.length history > shown_hist then
-          p "\n(%d older record(s) not shown — `siesta runs ls`)\n"
-            (List.length history - shown_hist)
+        let n = List.length history in
+        p "\n## History (run ledger, this spec)\n\n```\n%s```\n"
+          (Ledger.runs_table (List.filteri (fun i _ -> i >= n - shown_hist) history));
+        if n > shown_hist then
+          p "\n(%d older record(s) not shown — `siesta runs ls`)\n" (n - shown_hist)
       end;
       (* the newest factor curve for this spec, if one was swept *)
       (match
          List.rev history
-         |> List.find_opt (fun (r : Siesta_ledger.Ledger.record) ->
-                r.Siesta_ledger.Ledger.r_kind = "sweep"
-                && r.Siesta_ledger.Ledger.r_sweep <> [])
+         |> List.find_opt (fun (r : Ledger.record) ->
+                r.Ledger.r_kind = "sweep" && r.Ledger.r_sweep <> [])
        with
       | None -> ()
       | Some r ->
-          let open Siesta_ledger.Ledger in
-          p "\n## Fidelity vs factor (sweep #%d)\n\n" r.r_seq;
-          p
-            "| factor | verdict | time err | timeline | comm L1 | compute mean | proxy \
-             (B) | search (s) |\n\
-             |---|---|---|---|---|---|---|---|\n";
-          List.iter
-            (fun sp ->
-              p "| x%g | %s | %.4f | %.3e | %.3e | %.4f | %.0f | %.4f |\n" sp.sp_factor
-                sp.sp_fidelity.lf_verdict sp.sp_fidelity.lf_time_error
-                sp.sp_fidelity.lf_timeline_distance sp.sp_fidelity.lf_comm_matrix_dist
-                sp.sp_fidelity.lf_max_compute_mean sp.sp_proxy_bytes sp.sp_search_s)
-            r.r_sweep));
+          p "\n## Fidelity vs factor (sweep #%d)\n\n```\n%s```\n" r.Ledger.r_seq
+            (Ledger.sweep_table r.Ledger.r_sweep)));
   p "\n## Pipeline stage timings\n\n";
   let total = List.fold_left (fun acc (_, s) -> acc +. s) 0.0 sy.Pipeline.sy_timings in
   p "| stage | wall (s) | share |\n|---|---|---|\n";

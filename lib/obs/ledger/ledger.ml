@@ -5,6 +5,7 @@ module Run_id = Siesta_obs.Run_id
 module Store = Siesta_store.Store
 module Codec = Siesta_store.Codec
 module Hash = Siesta_store.Hash
+module Pretty_table = Siesta_util.Pretty_table
 
 (* Bumped whenever the record's field layout changes.  Independent of
    [Codec.schema_version]: the frame versions the wire container, this
@@ -401,3 +402,87 @@ let emit store thunk =
       try ignore (append st (thunk ()))
       with e ->
         Log.warn (fun () -> ("ledger.emit", [ ("error", Printexc.to_string e) ])))
+
+(* ------------------------------------------------------------------ *)
+(* Text renderings: the one text form of each ledger artifact *)
+
+let factor_str f =
+  if Float.is_integer f then Printf.sprintf "%.0f" f else Printf.sprintf "%g" f
+
+let total_s r = List.fold_left (fun acc (_, s) -> acc +. s) 0.0 r.r_timings
+
+let utc t =
+  let tm = Unix.gmtime t in
+  Printf.sprintf "%04d-%02d-%02d %02d:%02d:%02d" (tm.Unix.tm_year + 1900) (tm.Unix.tm_mon + 1)
+    tm.Unix.tm_mday tm.Unix.tm_hour tm.Unix.tm_min tm.Unix.tm_sec
+
+(* Worse verdicts rank higher; an unknown verdict name (from a future
+   schema) ranks worst so a transition into it is surfaced. *)
+let verdict_rank = function
+  | "faithful" -> 0
+  | "compute-divergent" -> 1
+  | "comm-divergent" -> 2
+  | _ -> 3
+
+let sweep_table points =
+  Pretty_table.render
+    ~header:
+      [
+        "factor"; "verdict"; "time err"; "timeline"; "comm L1"; "compute mean"; "bytes delta";
+        "proxy B"; "search s"; "cache";
+      ]
+    ~rows:
+      (List.map
+         (fun sp ->
+           let f = sp.sp_fidelity in
+           [
+             factor_str sp.sp_factor;
+             f.lf_verdict;
+             Printf.sprintf "%.4f" f.lf_time_error;
+             Printf.sprintf "%.3e" f.lf_timeline_distance;
+             Printf.sprintf "%.3e" f.lf_comm_matrix_dist;
+             Printf.sprintf "%.4f" f.lf_max_compute_mean;
+             Printf.sprintf "%.0f" sp.sp_bytes_delta;
+             Printf.sprintf "%.0f" sp.sp_proxy_bytes;
+             Printf.sprintf "%.4f" sp.sp_search_s;
+             String.concat "/" (List.map snd sp.sp_cache);
+           ])
+         points)
+
+let runs_table records =
+  let spec k r = Option.value ~default:"?" (List.assoc_opt k r.r_spec) in
+  let verdict r =
+    match (r.r_fidelity, r.r_sweep) with
+    | Some f, _ -> f.lf_verdict
+    | None, [] -> "-"
+    | None, sweep ->
+        let worst =
+          List.fold_left
+            (fun acc sp ->
+              let v = sp.sp_fidelity.lf_verdict in
+              if verdict_rank v > verdict_rank acc then v else acc)
+            "faithful" sweep
+        in
+        Printf.sprintf "%d-factor sweep, worst %s" (List.length sweep) worst
+  in
+  Pretty_table.render
+    ~header:[ "run"; "time (UTC)"; "kind"; "spec"; "id"; "total s"; "cache"; "verdict" ]
+    ~rows:
+      (List.map
+         (fun r ->
+           let outcomes =
+             List.filter_map
+               (fun stage -> List.assoc_opt stage r.r_cache)
+               [ "trace"; "merge"; "proxy" ]
+           in
+           [
+             Printf.sprintf "#%d" r.r_seq;
+             utc r.r_time;
+             r.r_kind;
+             spec "workload" r ^ "@" ^ spec "nranks" r;
+             r.r_id;
+             Printf.sprintf "%.4f" (total_s r);
+             (if outcomes = [] then "-" else String.concat "/" outcomes);
+             verdict r;
+           ])
+         records)

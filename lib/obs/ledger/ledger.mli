@@ -144,3 +144,35 @@ val emit : Siesta_store.Store.t option -> (unit -> record) -> unit
 (** [emit store thunk] appends [thunk ()] to [store].  On [None] it
     never forces the thunk; a failing append is logged, not raised, so
     telemetry never fails the invocation that records it. *)
+
+(** {1 Text renderings}
+
+    The one text form of each ledger artifact: [siesta runs ls], [runs
+    show], [siesta sweep] and the report's History and sweep sections
+    all print through these. *)
+
+val factor_str : float -> string
+(** Shortest spelling of a factor ([4], not [4.]; [1.5]). *)
+
+val total_s : record -> float
+(** Sum of the record's stage timings. *)
+
+val utc : float -> string
+(** A unix time as [YYYY-MM-DD HH:MM:SS], in UTC. *)
+
+val verdict_rank : string -> int
+(** Severity order of {!fidelity.lf_verdict} names: faithful (0)
+    < compute-divergent (1) < comm-divergent (2) < anything unknown (3,
+    so a transition into a future verdict name is surfaced). *)
+
+val sweep_table : sweep_point list -> string
+(** Aligned table, one row per point: factor, verdict, time error,
+    timeline distance, comm-matrix L1, worst mean compute error, byte
+    delta, proxy bytes, search seconds and the trace/merge/proxy cache
+    outcomes. *)
+
+val runs_table : record list -> string
+(** Aligned table, one row per record: [#<seq>], UTC time, kind,
+    [workload@nranks], the full run id, {!total_s}, the trace/merge/proxy
+    cache outcomes and the verdict; a sweep record's verdict reads
+    [<n>-factor sweep, worst <verdict>]. *)

@@ -41,17 +41,16 @@ let baseline_for rs cur =
 (* ------------------------------------------------------------------ *)
 (* Dimensions *)
 
-(* Worse verdicts rank higher; an unknown verdict name (from a future
-   schema) ranks worst so a transition into it is surfaced. *)
-let verdict_rank = function
-  | "faithful" -> 0
-  | "compute-divergent" -> 1
-  | "comm-divergent" -> 2
-  | _ -> 3
-
-let total_s timings = List.fold_left (fun acc (_, s) -> acc +. s) 0.0 timings
-
 let secs s = Printf.sprintf "%.4f s" s
+
+(* The four fidelity error measures a verdict or a curve point carries. *)
+let fid_measures (f : Ledger.fidelity) =
+  [
+    ("time_error", f.Ledger.lf_time_error);
+    ("timeline_distance", f.Ledger.lf_timeline_distance);
+    ("comm_matrix_dist", f.Ledger.lf_comm_matrix_dist);
+    ("max_compute_mean", f.Ledger.lf_max_compute_mean);
+  ]
 
 let verdict_dims t base cur =
   match (base.Ledger.r_fidelity, cur.Ledger.r_fidelity) with
@@ -64,12 +63,14 @@ let verdict_dims t base cur =
       [ { d_name = "verdict"; d_base = f.Ledger.lf_verdict; d_cur = "-"; d_regressed = false;
           d_note = "current run has no verdict" } ]
   | Some b, Some c ->
-      let worse = verdict_rank c.Ledger.lf_verdict > verdict_rank b.Ledger.lf_verdict in
+      let worse =
+        Ledger.verdict_rank c.Ledger.lf_verdict > Ledger.verdict_rank b.Ledger.lf_verdict
+      in
       { d_name = "verdict"; d_base = b.Ledger.lf_verdict; d_cur = c.Ledger.lf_verdict;
         d_regressed = worse;
         d_note = (if worse then "verdict degraded" else "") }
-      :: List.map
-           (fun (name, bv, cv) ->
+      :: List.map2
+           (fun (name, bv) (_, cv) ->
              let regressed = cv -. bv > t.t_fidelity_delta in
              {
                d_name = "fidelity." ^ name;
@@ -81,12 +82,7 @@ let verdict_dims t base cur =
                     Printf.sprintf "+%.4g > allowed +%.4g" (cv -. bv) t.t_fidelity_delta
                   else "");
              })
-           [
-             ("time_error", b.Ledger.lf_time_error, c.Ledger.lf_time_error);
-             ("timeline_distance", b.Ledger.lf_timeline_distance, c.Ledger.lf_timeline_distance);
-             ("comm_matrix_dist", b.Ledger.lf_comm_matrix_dist, c.Ledger.lf_comm_matrix_dist);
-             ("max_compute_mean", b.Ledger.lf_max_compute_mean, c.Ledger.lf_max_compute_mean);
-           ]
+           (fid_measures b) (fid_measures c)
 
 (* Factor-curve comparison for sweep records: one dimension per factor
    present in either curve, named after the factor, so "fidelity at
@@ -94,18 +90,6 @@ let verdict_dims t base cur =
    A factor regresses when its verdict rank worsens or any fidelity
    error measure worsens past the fidelity delta; factors swept on only
    one side are informational (nothing to compare against). *)
-let fid_measures (f : Ledger.fidelity) =
-  [
-    ("time_error", f.Ledger.lf_time_error);
-    ("timeline_distance", f.Ledger.lf_timeline_distance);
-    ("comm_matrix_dist", f.Ledger.lf_comm_matrix_dist);
-    ("max_compute_mean", f.Ledger.lf_max_compute_mean);
-  ]
-
-let factor_name f =
-  if Float.is_integer f then Printf.sprintf "sweep.f%.0f" f
-  else Printf.sprintf "sweep.f%g" f
-
 let sweep_dims t base cur =
   match (base.Ledger.r_sweep, cur.Ledger.r_sweep) with
   | [], [] -> []
@@ -119,7 +103,7 @@ let sweep_dims t base cur =
       in
       List.filter_map
         (fun f ->
-          let name = factor_name f in
+          let name = "sweep.f" ^ Ledger.factor_str f in
           match (point bs f, point cs f) with
           | None, None -> None
           | None, Some c ->
@@ -135,7 +119,8 @@ let sweep_dims t base cur =
           | Some b, Some c ->
               let bf = b.Ledger.sp_fidelity and cf = c.Ledger.sp_fidelity in
               let worse_verdict =
-                verdict_rank cf.Ledger.lf_verdict > verdict_rank bf.Ledger.lf_verdict
+                Ledger.verdict_rank cf.Ledger.lf_verdict
+                > Ledger.verdict_rank bf.Ledger.lf_verdict
               in
               let worse_measures =
                 List.filter_map
@@ -222,7 +207,7 @@ let stage_dims t base cur =
         Option.map (fun cv -> (name, bv, cv)) (List.assoc_opt name cur.Ledger.r_timings))
       base.Ledger.r_timings
   in
-  stage_dim t "total" (total_s base.Ledger.r_timings) (total_s cur.Ledger.r_timings)
+  stage_dim t "total" (Ledger.total_s base) (Ledger.total_s cur)
   :: List.map (fun (name, bv, cv) -> stage_dim t name bv cv) common
 
 (* Counter deltas for a small watchlist — context for the human reading

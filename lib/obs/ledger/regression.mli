@@ -32,11 +32,6 @@ type comparison = {
   c_regressed : bool;  (** any dimension over threshold *)
 }
 
-val verdict_rank : string -> int
-(** Severity order of {!Ledger.fidelity.lf_verdict} names: faithful (0)
-    < compute-divergent (1) < comm-divergent (2) < anything unknown (3,
-    so a transition into a future verdict name is surfaced). *)
-
 val comparable : Ledger.record -> Ledger.record -> bool
 (** Same kind, workload and nranks — the records a baseline may be
     drawn from. *)

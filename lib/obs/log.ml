@@ -83,11 +83,12 @@ let msg l thunk =
   if enabled l then begin
     let event, kvs = thunk () in
     let b = Buffer.create 96 in
-    (* run=<id-prefix> joins the line to the process's other telemetry
-       (span files, metrics snapshots, ledger records). *)
+    (* run=<id> joins the line to the process's other telemetry (span
+       files, metrics snapshots, ledger records); the whole id, since
+       its first digits are a coarse clock two processes can share. *)
     Buffer.add_string b
       (Printf.sprintf "[%.6f] [%s] %s run=%s" (Clock.now_s ()) (level_name l) event
-         (Run_id.short ()));
+         (Run_id.get ()));
     List.iter
       (fun (k, v) ->
         Buffer.add_char b ' ';

@@ -17,7 +17,6 @@ let current =
 
 let get () = !current
 let set id = if String.trim id <> "" then current := String.trim id
-let short () = if String.length !current <= 8 then !current else String.sub !current 0 8
 
 let publish () =
   Metrics.incr (Metrics.counter (Printf.sprintf "run.id{id=\"%s\"}" (get ()))) 1

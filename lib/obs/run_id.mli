@@ -1,5 +1,5 @@
 (** Process-wide run identifier, used to join a run's telemetry streams
-    after the fact: {!Log} stamps it into every line ([run=<prefix>]),
+    after the fact: {!Log} stamps it into every line ([run=<id>]),
     {!Span} puts it in the Chrome trace's [otherData.run_id], {!publish}
     exposes it as a labeled metric, and the run ledger records it as the
     record's [id] field.
@@ -15,9 +15,6 @@ val get : unit -> string
 val set : string -> unit
 (** Override the run id (tests, or embedding processes that already have
     a correlation id).  Empty/whitespace strings are ignored. *)
-
-val short : unit -> string
-(** First 8 characters — the form stamped into log lines. *)
 
 val publish : unit -> unit
 (** Register and bump the [run.id{id="<id>"}] counter so a metrics

@@ -213,7 +213,7 @@ let run_job t job =
   (try
      let r = job.request in
      let sy =
-       Pipeline.synthesize_spec ~cache:true ~store:t.store ~factor:r.r_factor r.r_spec
+       Pipeline.synthesize_spec ~store:t.store ~factor:r.r_factor r.r_spec
      in
      let arts = ref [] in
      let add name content =
@@ -239,7 +239,7 @@ let run_job t job =
      (match r.r_sweep with
      | None -> ()
      | Some factors ->
-         let sw = Sweep.run ~cache:true ~store:t.store ~factors r.r_spec in
+         let sw = Sweep.run ~store:t.store ~factors r.r_spec in
          Ledger.emit (Some t.store) (fun () -> Sweep.record sw);
          add "sweep.json" (Sweep.to_json sw);
          add "sweep.html" (Sweep_html.render ~title:("siesta job " ^ job.id) sw));

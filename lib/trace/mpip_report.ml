@@ -65,10 +65,6 @@ let of_streams ~nranks streams =
     per_rank_events;
   }
 
-let build recorder =
-  let nranks = Recorder.nranks recorder in
-  of_streams ~nranks (Array.init nranks (Recorder.events recorder))
-
 let render t =
   let buf = Buffer.create 2048 in
   let p fmt = Printf.ksprintf (Buffer.add_string buf) fmt in

@@ -3,9 +3,10 @@
     The paper's tracer is built on mpiP, whose native output is aggregated
     per-function statistics rather than full traces (Section 2.2 modifies
     it to record per-event details).  This module reproduces the
-    aggregated view from a finished {!Recorder}: per-function call counts
-    and volumes, a message-size histogram, and per-rank event summaries.
-    Useful for eyeballing what a workload does before synthesizing. *)
+    aggregated view from a trace's per-rank event streams: per-function
+    call counts and volumes, a message-size histogram, and per-rank event
+    summaries.  Useful for eyeballing what a workload does before
+    synthesizing. *)
 
 type function_stats = {
   name : string;
@@ -27,12 +28,9 @@ type t = {
   per_rank_events : int array;
 }
 
-val build : Recorder.t -> t
-
 val of_streams : nranks:int -> Event.t array array -> t
-(** Same aggregation over bare event streams — the path used when a
-    trace is reloaded from a file or the artifact store and no live
-    {!Recorder} exists. *)
+(** [of_streams ~nranks streams] with [streams.(r)] rank [r]'s encoded
+    events ({!Trace_io.of_packed} of a trace stage, live or stored). *)
 
 val render : t -> string
 (** Plain-text report in mpiP's sectioned style. *)

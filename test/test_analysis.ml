@@ -11,10 +11,13 @@ module D = Siesta_mpi.Datatype
 let platform = Siesta_platform.Spec.platform_a
 let impl = Siesta_platform.Mpi_impl.openmpi
 
+(* the streams `siesta analyze` reads: the trace stage's packed trace *)
 let matrix_of_workload ?(nranks = 64) workload =
   let s = Siesta.Pipeline.spec ~workload ~nranks () in
-  let traced = Siesta.Pipeline.trace s in
-  Comm_matrix.of_recorder traced.Siesta.Pipeline.recorder
+  let t =
+    Siesta_trace.Trace_io.of_packed (Siesta.Pipeline.trace_stage s).Siesta.Pipeline.ts_trace
+  in
+  Comm_matrix.of_streams ~nranks t.Siesta_trace.Trace_io.streams
 
 (* hand-built streams: rank r sends 2 x 100 bytes to r+1 *)
 let ring_streams nranks =

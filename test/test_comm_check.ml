@@ -112,12 +112,9 @@ let test_fault_of_string () =
       Alcotest.(check bool) "error names the token" true
         (contains_substring ~needle:"bogus" msg)
 
-let test_verdict_order () =
-  Alcotest.(check int) "clean ranks first" 0 (Comm_check.verdict_rank "clean");
-  Alcotest.(check bool) "violated ranks above clean" true
-    (Comm_check.verdict_rank "violated" > Comm_check.verdict_rank "clean");
-  Alcotest.(check bool) "unknown names rank worst" true
-    (Comm_check.verdict_rank "future-verdict" > Comm_check.verdict_rank "violated");
+(* The ranking of recorded check verdicts lives with the regression
+   radar (test_ledger's "compare check block"). *)
+let test_verdict_names () =
   Alcotest.(check string) "clean name" "clean" (Comm_check.verdict_name Comm_check.Clean);
   Alcotest.(check string) "violated name" "violated"
     (Comm_check.verdict_name (Comm_check.Violated [ "x" ]))
@@ -187,7 +184,7 @@ let suite =
     ("perturbations flip at nranks=1", `Quick, test_perturbations_flip_serial);
     ("report JSON round-trips", `Quick, test_json_roundtrip);
     ("fault tokens parse, unknown rejected", `Quick, test_fault_of_string);
-    ("verdict naming and ordering", `Quick, test_verdict_order);
+    ("verdict naming", `Quick, test_verdict_names);
     ("finalize splits wildcard-prone from orphaned", `Quick, test_unreceived_split);
     ("world-comm reasons keep legacy spelling", `Slow, test_subcomm_world_reasons_silent);
     QCheck_alcotest.to_alcotest prop_perturb_any_site;

@@ -313,6 +313,45 @@ let test_compare_verdict_degradation_regresses () =
        (fun d -> d.Regression.d_name = "verdict" && d.Regression.d_regressed)
        c2.Regression.c_dimensions)
 
+(* The static-check block: clean ranks below violated, an unknown
+   verdict name ranks worst, and a growing violation count regresses on
+   its own. *)
+let test_compare_check_block () =
+  let block ?(violations = 0) verdict =
+    {
+      Ledger.lc_verdict = verdict;
+      lc_violations = violations;
+      lc_reasons = List.init violations (Printf.sprintf "violation %d");
+    }
+  in
+  let compare b c =
+    Regression.compare_runs
+      ~baseline:(mk ~seq:1 ~kind:"check" ~check:b ())
+      (mk ~seq:2 ~kind:"check" ~check:c ())
+  in
+  let dim c name =
+    List.find (fun d -> d.Regression.d_name = name) c.Regression.c_dimensions
+  in
+  let c = compare (block "clean") (block ~violations:1 "violated") in
+  Alcotest.(check bool) "clean -> violated regresses check.verdict" true
+    (dim c "check.verdict").Regression.d_regressed;
+  Alcotest.(check bool) "and the comparison" true c.Regression.c_regressed;
+  let c = compare (block ~violations:1 "violated") (block ~violations:3 "violated") in
+  Alcotest.(check bool) "the same verdict does not regress check.verdict" false
+    (dim c "check.verdict").Regression.d_regressed;
+  let v = dim c "check.violations" in
+  Alcotest.(check bool) "a higher count regresses check.violations" true
+    v.Regression.d_regressed;
+  Alcotest.(check string) "the note names the first reason" "violation 0" v.Regression.d_note;
+  let c = compare (block ~violations:1 "violated") (block ~violations:1 "future-verdict") in
+  Alcotest.(check bool) "an unknown verdict ranks worst" true
+    (dim c "check.verdict").Regression.d_regressed;
+  let c = compare (block "future-verdict") (block "clean") in
+  Alcotest.(check bool) "leaving an unknown verdict is no regression" false
+    (dim c "check.verdict").Regression.d_regressed;
+  let c = compare (block ~violations:2 "violated") (block ~violations:2 "violated") in
+  Alcotest.(check bool) "equal blocks regress nothing" false c.Regression.c_regressed
+
 let test_compare_metric_watchlist_one_sided () =
   let counter v = Json.Obj [ ("type", Json.Str "counter"); ("value", Json.Num v) ] in
   let base = mk ~seq:1 ~metrics:(Json.Obj [ ("cache.misses", counter 3.0) ]) () in
@@ -334,6 +373,74 @@ let test_compare_metric_watchlist_one_sided () =
   | None -> Alcotest.fail "one-sided cache.misses dimension missing");
   Alcotest.(check bool) "absent-on-both watchlist metric dropped" true
     (metric "pipeline.traces" = None)
+
+(* One row per record, in the one text form `runs ls` and the report's
+   History print: the whole run id (two processes started within a
+   minute share its first 8 digits), the record's summed timings, the
+   stage outcomes and a verdict cell that summarizes a sweep. *)
+let test_runs_table () =
+  let point factor verdict =
+    {
+      Ledger.sp_factor = factor;
+      sp_fidelity = fid ~verdict ();
+      sp_count_delta = 0.0;
+      sp_bytes_delta = 0.0;
+      sp_compute_p95 = 0.0;
+      sp_compute_max = 0.0;
+      sp_proxy_bytes = 1204.0;
+      sp_search_s = 0.003;
+      sp_total_s = 0.01;
+      sp_cache = [];
+    }
+  in
+  let synth =
+    {
+      (mk ~seq:1 ~timings:[ ("a", 0.25); ("b", 0.5) ] ()) with
+      Ledger.r_id = "01a156dcfee629e2";
+      r_cache =
+        [ ("root", "/s"); ("trace", "miss"); ("merge", "miss"); ("proxy", "miss");
+          ("trace_hash", "ab") ];
+    }
+  in
+  let sweep =
+    {
+      (mk ~seq:2 ~kind:"sweep"
+         ~sweep:
+           [ point 1.0 "faithful"; point 2.0 "compute-divergent"; point 4.0 "faithful" ]
+         ())
+      with
+      Ledger.r_id = "01a156dc0a1b2c3d";
+      r_cache = [];
+    }
+  in
+  let diff = mk ~seq:3 ~kind:"diff" ~fidelity:(fid ~verdict:"comm-divergent" ()) () in
+  Alcotest.(check (float 1e-12)) "total_s sums the timings" 0.75 (Ledger.total_s synth);
+  Alcotest.(check string) "utc" "2023-11-14 22:13:20" (Ledger.utc 1700000000.25);
+  let lines = String.split_on_char '\n' (Ledger.runs_table [ synth; sweep; diff ]) in
+  let row seq =
+    let tag = Printf.sprintf "#%d " seq in
+    match List.find_opt (fun l -> String.starts_with ~prefix:tag l) lines with
+    | Some l -> l
+    | None -> Alcotest.fail (Printf.sprintf "no row starts with %S" tag)
+  in
+  let has l needle =
+    let nl = String.length l and nn = String.length needle in
+    let rec go i = i + nn <= nl && (String.sub l i nn = needle || go (i + 1)) in
+    go 0
+  in
+  List.iter
+    (fun (seq, needles) ->
+      List.iter
+        (fun needle ->
+          Alcotest.(check bool) (Printf.sprintf "row #%d holds %S" seq needle) true
+            (has (row seq) needle))
+        needles)
+    [
+      (1, [ "2023-11-14 22:13:20"; " synth "; "CG@8"; "01a156dcfee629e2"; "0.7500";
+            "miss/miss/miss" ]);
+      (2, [ " sweep "; "01a156dc0a1b2c3d"; "3-factor sweep, worst compute-divergent" ]);
+      (3, [ " diff "; " hit "; "comm-divergent" ]);
+    ]
 
 let test_baseline_selection () =
   let rs =
@@ -512,6 +619,8 @@ let suite =
     Alcotest.test_case "compare stage blowup" `Quick test_compare_stage_blowup_regresses;
     Alcotest.test_case "compare verdict degradation" `Quick
       test_compare_verdict_degradation_regresses;
+    Alcotest.test_case "compare check block" `Quick test_compare_check_block;
+    Alcotest.test_case "runs table rows" `Quick test_runs_table;
     Alcotest.test_case "compare metric watchlist" `Quick
       test_compare_metric_watchlist_one_sided;
     Alcotest.test_case "baseline selection and render" `Quick test_baseline_selection;

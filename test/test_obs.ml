@@ -355,9 +355,9 @@ let test_metrics_json_roundtrip () =
   Alcotest.(check bool) "0.1 survives shortest-round-trip printing" true
     (Json.to_string reparsed = Json.to_string (Json.parse_exn (Json.to_string reparsed)))
 
-(* Satellite: the run id correlates the telemetry streams — log lines
-   carry run=<short>, span traces stamp otherData.run_id, and the id is
-   env-overridable so a driver can pin it. *)
+(* The run id correlates the telemetry streams — log lines carry the
+   whole id as run=<id>, span traces stamp otherData.run_id, and the id
+   is env-overridable so a wrapping script can pin it. *)
 let test_run_id_correlation () =
   let module Run_id = Siesta_obs.Run_id in
   let saved = Run_id.get () in
@@ -367,7 +367,6 @@ let test_run_id_correlation () =
     && String.for_all (fun c -> (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f')) saved);
   Run_id.set "feedc0ffee123456";
   Alcotest.(check string) "set/get" "feedc0ffee123456" (Run_id.get ());
-  Alcotest.(check string) "short is an 8-char prefix" "feedc0ff" (Run_id.short ());
   Run_id.set "   ";
   Alcotest.(check string) "blank set is ignored" "feedc0ffee123456" (Run_id.get ());
   (* log lines carry the id *)
@@ -384,8 +383,10 @@ let test_run_id_correlation () =
     Sys.remove path;
     s
   in
-  Alcotest.(check bool) "log line carries run=<short>" true
-    (contains line "run=feedc0ff");
+  (* the whole id: its first 8 digits are a clock that two processes
+     started within a minute of each other share *)
+  Alcotest.(check bool) "log line carries run=<id>" true
+    (contains line "run=feedc0ffee123456 ");
   (* span traces stamp the full id into otherData *)
   Span.reset ();
   Span.set_enabled true;

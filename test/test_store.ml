@@ -673,7 +673,7 @@ let test_dump_is_the_store_object () =
   let s = small_spec () in
   List.iter
     (fun outcome ->
-      let ts = Pipeline.trace_stage ~cache:true ~store:st s in
+      let ts = Pipeline.trace_stage ~store:st s in
       Alcotest.(check string) "outcome" outcome (Pipeline.outcome_name ts.Pipeline.ts_outcome);
       Alcotest.(check (option string))
         (outcome ^ ": dump = store object")

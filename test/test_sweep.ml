@@ -151,7 +151,7 @@ let test_verdict_at_factor_semantics () =
     (Divergence.verdict_at ~factor:1.0 (mk_report ~mean:0.9 ()))
 
 let test_verdict_rank_ordering () =
-  let r = Regression.verdict_rank in
+  let r = Ledger.verdict_rank in
   Alcotest.(check bool) "faithful < compute-divergent" true
     (r "faithful" < r "compute-divergent");
   Alcotest.(check bool) "compute-divergent < comm-divergent" true
@@ -305,7 +305,7 @@ let test_sweep_run_end_to_end () =
   let s = Pipeline.spec ~iters:3 ~seed:42 ~workload:"CG" ~nranks:8 () in
   let factors = [ 1.0; 2.0 ] in
   let sweep ?perturb () =
-    let t = Sweep.run ~cache:true ~store:st ?perturb ~factors s in
+    let t = Sweep.run ~store:st ?perturb ~factors s in
     Ledger.emit (Some st) (fun () -> Sweep.record t);
     t
   in
@@ -328,19 +328,27 @@ let test_sweep_run_end_to_end () =
     rs;
   (* the warm sweep replays every stage from cache with the same curve *)
   List.iter
-    (fun p ->
+    (fun (p : Ledger.sweep_point) ->
       Alcotest.(check (list (pair string string)))
-        (Printf.sprintf "factor %g warm point all hits" p.Sweep.p_factor)
+        (Printf.sprintf "factor %g warm point all hits" p.Ledger.sp_factor)
         [ ("trace", "hit"); ("merge", "hit"); ("proxy", "hit") ]
-        p.Sweep.p_cache)
+        p.Ledger.sp_cache)
     warm.Sweep.s_points;
   List.iter2
-    (fun c w ->
+    (fun (c : Ledger.sweep_point) (w : Ledger.sweep_point) ->
       Alcotest.(check (float 0.0)) "warm curve equals cold curve"
-        c.Sweep.p_report.Divergence.r_time_error w.Sweep.p_report.Divergence.r_time_error;
-      Alcotest.(check int) "warm proxy bytes equal cold" c.Sweep.p_proxy_bytes
-        w.Sweep.p_proxy_bytes)
+        c.Ledger.sp_fidelity.Ledger.lf_time_error w.Ledger.sp_fidelity.Ledger.lf_time_error;
+      Alcotest.(check (float 0.0)) "warm proxy bytes equal cold" c.Ledger.sp_proxy_bytes
+        w.Ledger.sp_proxy_bytes)
     cold.Sweep.s_points warm.Sweep.s_points;
+  (* the record carries the points the sweep measured, unconverted *)
+  (match Ledger.runs st with
+  | [ r_cold; r_warm ] ->
+      Alcotest.(check bool) "cold record holds the cold points" true
+        (r_cold.Ledger.r_sweep = cold.Sweep.s_points);
+      Alcotest.(check bool) "warm record holds the warm points" true
+        (r_warm.Ledger.r_sweep = warm.Sweep.s_points)
+  | rs -> Alcotest.fail (Printf.sprintf "expected 2 records, got %d" (List.length rs)));
   Alcotest.(check (list (float 0.0))) "seed workload never comm-divergent" []
     (Sweep.comm_divergent warm);
   (* a comm (byte-level) perturbation is fatal at factor 1, where the
@@ -369,7 +377,7 @@ let test_sweep_run_end_to_end () =
 let test_sweep_html_embeds_valid_json () =
   with_temp_store @@ fun st ->
   let s = Pipeline.spec ~iters:3 ~seed:42 ~workload:"CG" ~nranks:8 () in
-  let t = Sweep.run ~cache:true ~store:st ~factors:[ 1.0; 2.0 ] s in
+  let t = Sweep.run ~store:st ~factors:[ 1.0; 2.0 ] s in
   let html = Sweep_html.render ~title:"t" t in
   let marker = {|<script type="application/json" id="sweep-data">|} in
   let start =
@@ -399,6 +407,31 @@ let test_sweep_html_embeds_valid_json () =
   | Some (Json.Arr _) -> ()
   | _ -> Alcotest.fail "factors array missing"
 
+(* The report prints the ledger's own tables: its History lists a sweep
+   record as a curve summary (Ledger.runs_table), and its "Fidelity vs
+   factor" section is Ledger.sweep_table of the newest sweep record. *)
+let test_report_prints_ledger_tables () =
+  with_temp_store @@ fun st ->
+  let s = Pipeline.spec ~iters:3 ~seed:42 ~workload:"CG" ~nranks:8 () in
+  let record =
+    Ledger.append st
+      (mk_sweep_record
+         [ sp ~factor:1.0 (); sp ~factor:2.0 ~verdict:"compute-divergent" (); sp ~factor:4.0 () ])
+  in
+  let sy = Pipeline.synthesize_spec ~store:st s in
+  let timeline = fst (Pipeline.record_timeline s) in
+  let md = Siesta.Report.generate ~timeline ~fidelity:(Pipeline.diff_synthesis sy) sy in
+  Alcotest.(check bool) "History summarizes the curve" true
+    (contains md "3-factor sweep, worst compute-divergent");
+  Alcotest.(check bool) "History is Ledger.runs_table" true
+    (contains md (Ledger.runs_table [ record ]));
+  Alcotest.(check bool) "the sweep section is Ledger.sweep_table" true
+    (contains md
+       (Printf.sprintf "## Fidelity vs factor (sweep #%d)\n\n```\n%s```\n" record.Ledger.r_seq
+          (Ledger.sweep_table record.Ledger.r_sweep)));
+  Alcotest.(check bool) "factors are spelled shortest" true
+    (contains (Ledger.sweep_table [ sp ~factor:1.5 () ]) "\n1.5 ")
+
 let suite =
   [
     Alcotest.test_case "parse factors: valid schedules" `Quick test_parse_factors_valid;
@@ -411,4 +444,5 @@ let suite =
     Alcotest.test_case "comparison to_json" `Quick test_comparison_to_json;
     Alcotest.test_case "sweep run end to end" `Slow test_sweep_run_end_to_end;
     Alcotest.test_case "sweep html embeds valid json" `Slow test_sweep_html_embeds_valid_json;
+    Alcotest.test_case "report prints the ledger tables" `Slow test_report_prints_ledger_tables;
   ]

@@ -650,7 +650,7 @@ let test_replay_unbound_slot () =
 
 let test_mpip_report () =
   let r = traced_run ring in
-  let rep = Mpip_report.build r in
+  let rep = Mpip_report.of_streams ~nranks:4 (Array.init 4 (Recorder.events r)) in
   Alcotest.(check int) "nranks" 4 rep.Mpip_report.nranks;
   Alcotest.(check int) "events add up" rep.Mpip_report.total_events
     (rep.Mpip_report.comm_events + rep.Mpip_report.compute_events);

@@ -17,7 +17,7 @@ let report_of ?(nranks = 16) name =
   ignore
     (E.run ~platform ~impl ~nranks ~hook:(Recorder.hook recorder)
        (w.W.Registry.program ~nranks ~iters:(Some 3)));
-  (Mpip.build recorder, recorder)
+  (Mpip.of_streams ~nranks (Array.init nranks (Recorder.events recorder)), recorder)
 
 let calls report name =
   match List.find_opt (fun s -> s.Mpip.name = name) report.Mpip.per_function with
